@@ -2,7 +2,8 @@
 ///   * pure controller cost: one decide() step of DPS / SLURM / oracle at
 ///     10 .. 10,000 units (the paper argues the controller scales to tens
 ///     of thousands of nodes with a sub-millisecond loop);
-///   * the Kalman filter and priority-module costs in isolation;
+///   * the Kalman filter and priority-module costs in isolation, the peak
+///     count once per path through it (range exit, two-sided exit, walk);
 ///   * a full decision round over the real TCP loopback control plane with
 ///     20 clients, counting the 3-bytes-per-request wire traffic;
 ///   * the observability tax (src/obs/): the same DPS decide step and a
@@ -161,17 +162,29 @@ void BM_KalmanUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_KalmanUpdate);
 
-void BM_ProminentPeaks(benchmark::State& state) {
-  // A 20-sample history with a few peaks, the per-unit per-step workload.
+/// The priority module's peak count on one 20-sample history at the
+/// default 20 W prominence, one fixture per path through the kernel. Most
+/// real windows are flat Kalman estimates and leave through the range
+/// exit; a phase change leaves through the two-sided exit; only
+/// oscillating units reach the peak walk.
+enum class PeakFixture { kFlat, kPhaseStep, kSquareWave };
+
+void BM_ProminentPeaks(benchmark::State& state, PeakFixture fixture) {
+  Rng rng(3);
   std::vector<double> history(20);
   for (std::size_t i = 0; i < history.size(); ++i) {
-    history[i] = i % 4 < 2 ? 150.0 : 60.0;
+    double level = 100.0;
+    if (fixture == PeakFixture::kPhaseStep) level = i < 10 ? 60.0 : 150.0;
+    if (fixture == PeakFixture::kSquareWave) level = i % 4 < 2 ? 150.0 : 60.0;
+    history[i] = level + rng.normal(0.0, 1.0);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(count_prominent_peaks(history, 20.0));
   }
 }
-BENCHMARK(BM_ProminentPeaks);
+BENCHMARK_CAPTURE(BM_ProminentPeaks, flat, PeakFixture::kFlat);
+BENCHMARK_CAPTURE(BM_ProminentPeaks, phase_step, PeakFixture::kPhaseStep);
+BENCHMARK_CAPTURE(BM_ProminentPeaks, square_wave, PeakFixture::kSquareWave);
 
 /// Full decision rounds over real loopback TCP with 20 clients — the
 /// paper's 10-node dual-socket deployment. Reports wire bytes per round

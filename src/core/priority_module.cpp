@@ -31,23 +31,27 @@ void PriorityModule::update(const EstimatedPowerHistory& history,
     } else {
       idle_streak_[u] = 0;
     }
-    // The count only feeds the two threshold comparisons below, so cap it
-    // at threshold + 1: both predicates are unchanged and the counter
-    // stops scanning once the verdict is decided.
-    const std::size_t pp_count =
-        count_prominent_peaks(window.contents(), config_.peak_prominence,
-                              config_.peak_count_threshold + 1);
+    // The count only feeds the threshold comparisons below, so cap it at
+    // threshold + 1: every predicate is unchanged and the counter stops
+    // scanning once the verdict is decided.
+    const auto pp_count = [&] {
+      return count_prominent_peaks(window.contents(), config_.peak_prominence,
+                                   config_.peak_count_threshold + 1);
+    };
 
     // Frequency classification with hysteresis (Algorithm 2, lines 5-14).
+    // Both clearing tests are pure, so their order changes no outcome. The
+    // std-dev goes first: a high-frequency history almost always still
+    // varies, and then its peak count is never needed.
     if (!high_freq_[u]) {
-      if (pp_count > config_.peak_count_threshold) {
+      if (pp_count() > config_.peak_count_threshold) {
         high_freq_[u] = true;
         priority_[u] = true;
         continue;
       }
     } else {
-      if (pp_count < config_.peak_count_threshold &&
-          window.stddev() < config_.std_threshold) {
+      if (window.stddev() < config_.std_threshold &&
+          pp_count() < config_.peak_count_threshold) {
         high_freq_[u] = false;
         priority_[u] = false;
         continue;

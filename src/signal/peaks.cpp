@@ -1,11 +1,56 @@
 #include "signal/peaks.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
-#include <limits>
+#include <cmath>
 
 namespace dps {
+
+namespace {
+
+// Longest window the two-sided exit handles; its suffix minima live in a
+// stack buffer of this size. The priority module's window is 20 samples.
+constexpr std::size_t kTwoSidedMaxLength = 64;
+
+// True when `series` (n >= 3) provably holds no peak whose prominence
+// exceeds `bar`. A counted peak of value v at interior index p has
+// witnesses s[l], l < p, and s[r], r > p, with v - s[l] > bar and
+// v - s[r] > bar. (When v itself clears a negative bar, its neighbours,
+// which are no higher, clear it too.) Round-to-nearest subtraction is
+// monotone (x <= y implies v - x >= v - y, and v <= w implies
+// v - x <= w - x), so then
+//   max - min          >= v - s[l] > bar   (range exit), and
+//   v - min(s[0..p))   >= v - s[l] > bar,
+//   v - min(s(p..n))   >= v - s[r] > bar   (two-sided exit).
+// A window failing either test therefore counts 0, for any sign of the
+// bar. The argument needs every comparison ordered, so a window holding a
+// NaN is never declared peakless.
+bool provably_peakless(std::span<const double> series, double bar) {
+  const std::size_t n = series.size();
+  double lo = series[0];
+  double hi = series[0];
+  for (const double x : series) {
+    if (std::isnan(x)) return false;
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  if (!(hi - lo > bar)) return true;
+  if (n > kTwoSidedMaxLength) return false;
+
+  double right_min[kTwoSidedMaxLength];
+  right_min[n - 1] = series[n - 1];
+  for (std::size_t i = n - 1; i-- > 0;) {
+    right_min[i] = std::min(series[i], right_min[i + 1]);
+  }
+  double left_min = series[0];
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    const double v = series[i];
+    if (v - left_min > bar && v - right_min[i + 1] > bar) return false;
+    left_min = std::min(left_min, v);
+  }
+  return true;
+}
+
+}  // namespace
 
 std::vector<Peak> find_prominent_peaks(std::span<const double> series) {
   std::vector<Peak> peaks;
@@ -60,57 +105,9 @@ std::size_t count_prominent_peaks(std::span<const double> series,
   // the min-then-subtract of find_prominent_peaks.
   const std::size_t n = series.size();
   if (n < 3 || limit == 0) return 0;
+  if (provably_peakless(series, min_prominence)) return 0;
 
   std::size_t count = 0;
-
-  // Fast path for plateau-free windows that fit a 64-bit relation mask
-  // (the priority module's default window is 20 samples, and exact FP
-  // equality between consecutive Kalman estimates is rare): one branchless
-  // pass classifies every adjacent pair, then only actual peaks — up
-  // relation immediately followed by down — are visited via bit scanning.
-  // "up" is !(next <= prev), not (next > prev), so windows containing NaN
-  // readings take exactly the branches of the scalar walk below.
-  if (n - 1 <= 64) {
-    std::uint64_t up = 0;
-    std::uint64_t eq = 0;
-    for (std::size_t r = 0; r + 1 < n; ++r) {
-      up |= static_cast<std::uint64_t>(!(series[r + 1] <= series[r])) << r;
-      eq |= static_cast<std::uint64_t>(series[r + 1] == series[r]) << r;
-    }
-    if (eq == 0) {
-      const std::uint64_t rel_mask =
-          n - 1 == 64 ? ~0ULL : (1ULL << (n - 1)) - 1;
-      const std::uint64_t down = ~up & rel_mask;
-      std::uint64_t peaks = up & (down >> 1);
-      while (peaks != 0) {
-        const std::size_t index =
-            static_cast<std::size_t>(std::countr_zero(peaks)) + 1;
-        peaks &= peaks - 1;
-        const double value = series[index];
-        bool left_ok = false;
-        for (std::size_t k = index; k-- > 0;) {
-          if (series[k] > value) break;
-          if (value - series[k] > min_prominence) {
-            left_ok = true;
-            break;
-          }
-        }
-        if (left_ok) {
-          for (std::size_t k = index + 1; k < n; ++k) {
-            if (series[k] > value) break;
-            if (value - series[k] > min_prominence) {
-              if (++count >= limit) return count;
-              break;
-            }
-          }
-        }
-      }
-      return count;
-    }
-    // A plateau exists: fall through to the scalar walk, which carries the
-    // plateau-middle peak index semantics.
-  }
-
   std::size_t i = 1;
   while (i < n - 1) {
     if (series[i] <= series[i - 1]) {
@@ -122,23 +119,22 @@ std::size_t count_prominent_peaks(std::span<const double> series,
     if (j < n - 1 && series[j + 1] < series[i]) {
       const std::size_t index = (i + j) / 2;
       const double value = series[i];
-      bool left_ok = false;
-      for (std::size_t k = index; k-- > 0;) {
+      // Each side's base starts at the peak value, as in
+      // find_prominent_peaks. That decides a verdict only for a negative
+      // bar next to NaN samples; otherwise a neighbour, no higher than the
+      // peak, clears that bar as well.
+      const bool self_clears = value - value > min_prominence;
+      bool left_ok = self_clears;
+      for (std::size_t k = index; !left_ok && k-- > 0;) {
         if (series[k] > value) break;
-        if (value - series[k] > min_prominence) {
-          left_ok = true;
-          break;
-        }
+        left_ok = value - series[k] > min_prominence;
       }
-      if (left_ok) {
-        for (std::size_t k = index + 1; k < n; ++k) {
-          if (series[k] > value) break;
-          if (value - series[k] > min_prominence) {
-            if (++count >= limit) return count;
-            break;
-          }
-        }
+      bool right_ok = self_clears;
+      for (std::size_t k = index + 1; left_ok && !right_ok && k < n; ++k) {
+        if (series[k] > value) break;
+        right_ok = value - series[k] > min_prominence;
       }
+      if (left_ok && right_ok && ++count >= limit) return count;
     }
     i = j + 1;
   }

@@ -24,7 +24,17 @@ struct Peak {
 std::vector<Peak> find_prominent_peaks(std::span<const double> series);
 
 /// Counts peaks whose prominence strictly exceeds `min_prominence`. This is
-/// Algorithm 2's count_prominent_peaks(power_history, threshold).
+/// Algorithm 2's count_prominent_peaks(power_history, threshold), and it
+/// equals counting find_prominent_peaks' result on every input.
+///
+/// Two exact early exits return 0 before the peak walk: when the window's
+/// max - min is not above the bar (range exit), and, for windows of at most
+/// 64 samples, when no interior sample is more than the bar above both the
+/// minimum before it and the minimum after it (two-sided exit). Any counted
+/// peak would pass both tests, because rounded subtraction is monotone.
+/// A window holding a NaN skips the exits, since its comparisons are
+/// unordered. Most priority-module windows are flat Kalman estimates and
+/// leave through one of the exits.
 ///
 /// `limit` caps the count: once reached, the scan stops and `limit` is
 /// returned. Callers that only compare the count against a threshold (the

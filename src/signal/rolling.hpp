@@ -12,7 +12,9 @@ namespace dps {
 /// evicted first. DPS keeps one of these per unit: the "estimated power
 /// history" of Section 4.3 (default capacity 20 decision steps). Provides
 /// the statistics the priority module needs — standard deviation and an
-/// end-to-end average first derivative — without re-scanning history.
+/// end-to-end average first derivative. Nothing is cached: stddev() and
+/// the priority module's peak count over contents() rescan the whole
+/// window on every call.
 class RollingWindow {
  public:
   explicit RollingWindow(std::size_t capacity);
@@ -80,8 +82,8 @@ double mean_of(std::span<const double> values);
 /// Population standard deviation of a span; 0 for fewer than 1 sample.
 double stddev_of(std::span<const double> values);
 
-/// Harmonic mean; ignores non-positive entries would be invalid, so all
-/// values must be > 0. Returns 0 for empty input.
+/// Harmonic mean. Throws std::invalid_argument if any value is <= 0.
+/// Returns 0 for empty input.
 double harmonic_mean(std::span<const double> values);
 
 }  // namespace dps

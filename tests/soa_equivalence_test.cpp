@@ -7,19 +7,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dps_config.hpp"
+#include "core/dps_manager.hpp"
 #include "core/history.hpp"
+#include "experiments/registry.hpp"
 #include "faults/fault_injector.hpp"
+#include "faults/fault_plan.hpp"
 #include "faults/faulty_power.hpp"
 #include "power/rapl_sim.hpp"
 #include "signal/kalman.hpp"
 #include "signal/peaks.hpp"
+#include "sim/engine.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -306,17 +314,16 @@ TEST(HistorySharedDurations, CheckpointRoundTripPreservesEstimates) {
 }
 
 // Reference count: find_prominent_peaks (unchanged slow path) filtered by
-// prominence, capped at limit. count_prominent_peaks — including its
-// bitmask fast path for plateau-free windows — must agree on every input.
+// prominence, capped at limit (so limit 0 counts nothing).
+// count_prominent_peaks — including its range and two-sided early exits,
+// which return 0 without walking the window — must agree on every input.
 std::size_t reference_count(std::span<const double> series,
                             double min_prominence, std::size_t limit) {
   std::size_t count = 0;
   for (const auto& peak : find_prominent_peaks(series)) {
-    if (peak.prominence > min_prominence) {
-      if (++count >= limit) break;
-    }
+    if (peak.prominence > min_prominence) ++count;
   }
-  return count;
+  return std::min(count, limit);
 }
 
 TEST(PeakCountEquivalence, MatchesReferenceOnRandomAndPlateauedSeries) {
@@ -342,10 +349,196 @@ TEST(PeakCountEquivalence, MatchesReferenceOnRandomAndPlateauedSeries) {
 
 TEST(PeakCountEquivalence, WindowsLongerThanTheMaskFallBackCorrectly) {
   Rng rng(31337);
-  std::vector<double> series(90);  // > 64 relations: scalar path
+  std::vector<double> series(90);  // > 64 samples: no two-sided exit
   for (auto& v : series) v = rng.normal(50.0, 10.0);
   EXPECT_EQ(count_prominent_peaks(series, 4.0, static_cast<std::size_t>(-1)),
             reference_count(series, 4.0, static_cast<std::size_t>(-1)));
+}
+
+// Compares the kernel with the reference on `series` at every bar and limit
+// the early exits treat differently: negative, zero and positive bars, and
+// limits that stop the count before, at and after the first peak.
+void expect_matches_reference(const std::vector<double>& series,
+                              const std::string& label) {
+  for (const double prominence : {-1.0, 0.0, 4.0, 20.0, 30.0}) {
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3},
+                                    static_cast<std::size_t>(-1)}) {
+      EXPECT_EQ(count_prominent_peaks(series, prominence, limit),
+                reference_count(series, prominence, limit))
+          << label << " prominence " << prominence << " limit " << limit;
+    }
+  }
+}
+
+std::vector<double> noisy(std::size_t n, double level, double spread,
+                          Rng& rng) {
+  std::vector<double> series(n);
+  for (auto& v : series) v = level + rng.uniform(-spread, spread);
+  return series;
+}
+
+// The exits fire on flat and single-step windows, which the random series
+// above almost never are. Each case here sits on one side of an exit's
+// boundary; all must still agree with the reference.
+TEST(PeakCountEquivalence, EarlyExitEdgesMatchReference) {
+  Rng rng(909);
+  const std::vector<double> flat = noisy(20, 100.0, 2.0, rng);
+  // A flat window holds no peak at the default bar.
+  EXPECT_EQ(count_prominent_peaks(flat, 20.0, 3), 0u);
+  expect_matches_reference(flat, "flat");
+
+  std::vector<double> step_up = noisy(20, 60.0, 2.0, rng);
+  for (std::size_t i = 10; i < step_up.size(); ++i) step_up[i] += 90.0;
+  std::vector<double> step_down(step_up.rbegin(), step_up.rend());
+  expect_matches_reference(step_up, "step up");
+  expect_matches_reference(step_down, "step down");
+
+  // max - min exactly at the bar, then one ulp of the bar above it. 30 and
+  // 20 share an exponent, so nextafter(30) - 10 is exactly nextafter(20).
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> range = {10.0, 20.5, 30.0, 14.25, 10.0};
+  EXPECT_EQ(count_prominent_peaks(range, 20.0, 3), 0u);
+  expect_matches_reference(range, "range at bar");
+  range[2] = std::nextafter(30.0, kInf);
+  EXPECT_EQ(count_prominent_peaks(range, 20.0, 3), 1u);
+  expect_matches_reference(range, "range one ulp above bar");
+
+  // Range above the bar, but the peak clears its right-side minimum by
+  // exactly the bar, so only the two-sided exit decides; then one ulp more.
+  std::vector<double> two_sided = {5.0, 12.0, 30.0, 10.0, 15.0};
+  EXPECT_EQ(count_prominent_peaks(two_sided, 20.0, 3), 0u);
+  expect_matches_reference(two_sided, "two-sided at bar");
+  two_sided[2] = std::nextafter(30.0, kInf);
+  EXPECT_EQ(count_prominent_peaks(two_sided, 20.0, 3), 1u);
+  expect_matches_reference(two_sided, "two-sided one ulp above bar");
+  // The same with the left side at the bar.
+  std::vector<double> left_sided = {15.0, 10.0, 30.0, 12.0, 5.0};
+  EXPECT_EQ(count_prominent_peaks(left_sided, 20.0, 3), 0u);
+  left_sided[2] = std::nextafter(30.0, kInf);
+  EXPECT_EQ(count_prominent_peaks(left_sided, 20.0, 3), 1u);
+  expect_matches_reference(left_sided, "left side one ulp above bar");
+
+  // Non-finite samples at the front, middle and back of a flat and of a
+  // peaked window.
+  std::vector<double> square(20);
+  for (std::size_t i = 0; i < square.size(); ++i) {
+    square[i] = (i % 4 < 2 ? 150.0 : 60.0) + rng.uniform(-2.0, 2.0);
+  }
+  for (const double special :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    for (const auto& base : {flat, square}) {
+      for (const std::size_t at : {std::size_t{0}, std::size_t{10},
+                                   std::size_t{19}}) {
+        std::vector<double> series = base;
+        series[at] = special;
+        expect_matches_reference(series, "special " +
+                                             std::to_string(special) +
+                                             " at " + std::to_string(at));
+      }
+    }
+  }
+
+  // Shortest window, and the lengths either side of the two-sided exit's
+  // 64-sample limit.
+  for (const std::size_t n : {std::size_t{3}, std::size_t{64},
+                              std::size_t{65}}) {
+    expect_matches_reference(noisy(n, 100.0, 2.0, rng),
+                             "flat n=" + std::to_string(n));
+    std::vector<double> peaked = noisy(n, 100.0, 2.0, rng);
+    for (std::size_t i = 1; i < n; i += 4) peaked[i] += 40.0;
+    expect_matches_reference(peaked, "peaked n=" + std::to_string(n));
+  }
+  expect_matches_reference({100.0, 130.0, 100.0}, "n=3 peak");
+}
+
+// Wraps DpsManager and, after every decide, recounts each unit's power
+// history with the reference peak finder. It also tallies windows that fit
+// within the bar and windows holding a counted peak, so a run that never
+// reaches the range exit or the walk fails instead of passing vacuously.
+class PeakCountChecker final : public PowerManager {
+ public:
+  std::string_view name() const override { return "peak-count-checker"; }
+  void reset(const ManagerContext& ctx) override { dps_.reset(ctx); }
+  void update_budget(Watts budget) override { dps_.update_budget(budget); }
+
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override {
+    dps_.decide(power, caps);
+    const DpsConfig& config = dps_.config();
+    const std::size_t limit = config.peak_count_threshold + 1;
+    const EstimatedPowerHistory& history = dps_.history();
+    for (int u = 0; u < history.num_units(); ++u) {
+      const RollingWindow& window = history.power_history(u);
+      const std::size_t count = count_prominent_peaks(
+          window.contents(), config.peak_prominence, limit);
+      if (count != reference_count(window.contents(), config.peak_prominence,
+                                   limit)) {
+        ++mismatches;
+      }
+      if (window.size() >= 3 &&
+          !(window.max() - window.min() > config.peak_prominence)) {
+        ++within_bar;
+      }
+      if (count > 0) ++with_peaks;
+    }
+  }
+
+  std::size_t mismatches = 0;
+  std::size_t within_bar = 0;
+  std::size_t with_peaks = 0;
+
+ private:
+  DpsManager dps_;
+};
+
+TEST(PeakCountEquivalence, MatchesReferenceOnSimulatedDpsTraffic) {
+  {
+    // One Fig. 6 pair: a Spark workload beside an NPB kernel.
+    EngineConfig config;
+    config.total_budget = 110.0 * 20;
+    config.target_completions = 1;
+    PeakCountChecker checker;
+    run_pair(workload_by_name("Kmeans"), workload_by_name("CG"), checker,
+             config, 11);
+    EXPECT_EQ(checker.mismatches, 0u);
+    EXPECT_GT(checker.within_bar, 0u);
+    EXPECT_GT(checker.with_peaks, 0u);
+  }
+  {
+    // A small job stream with crashes, sensor dropout and garbage, stuck
+    // caps and budget sags.
+    constexpr int kUnits = 12;
+    sched::JobScheduleConfig jobs;
+    jobs.policy = sched::SchedPolicy::kEasyBackfill;
+    jobs.seed = 5;
+    jobs.arrival_rate_per_1000s = 12.0;
+    jobs.job_count = 8;
+    jobs.workload_mix = {"Kmeans", "GMM", "FT", "CG"};
+    jobs.min_units = 2;
+    jobs.max_units = 6;
+    jobs.resolve = [](const std::string& name) {
+      return workload_by_name(name);
+    };
+    FaultPlanConfig faults;
+    faults.seed = 17;
+    faults.horizon = 20000.0;
+    faults.crash_rate = 1.0;
+    faults.sensor_dropout_rate = 1.0;
+    faults.sensor_garbage_rate = 1.0;
+    faults.cap_stuck_rate = 1.0;
+    faults.budget_sag_rate = 0.5;
+    EngineConfig config;
+    config.total_budget = 110.0 * kUnits;
+    config.job_schedule = jobs;
+    config.fault_plan = std::make_shared<FaultPlan>(
+        FaultPlan::generate(faults, kUnits));
+    PeakCountChecker checker;
+    const EngineResult result = run_jobs(checker, config, kUnits);
+    EXPECT_GT(result.faults_injected, 0);
+    EXPECT_EQ(checker.mismatches, 0u);
+    EXPECT_GT(checker.within_bar, 0u);
+    EXPECT_GT(checker.with_peaks, 0u);
+  }
 }
 
 }  // namespace
