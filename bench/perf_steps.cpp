@@ -2,7 +2,7 @@
 ///
 /// perf_smoke rates *sweep* throughput through the PairRunner (solo
 /// baselines included); this bench rates the simulation engine itself.
-/// Everything runs serially on one thread. Three scenarios:
+/// Every scenario but tree10k runs serially on one thread. Four scenarios:
 ///
 ///   pair20    the perf_smoke grid's 6 fig6-style pairs (20 units each),
 ///             run directly through run_pair under constant, slurm and
@@ -13,12 +13,15 @@
 ///             fixed number of rounds.
 ///   units10k  the same at 10000 units — the structure-of-arrays layout's
 ///             home turf, where per-unit pointer chasing would dominate.
+///   tree10k   500 groups x 20 sockets cycling the registry workloads
+///             under a DPS TreeController (shard 32) whose leaf tier runs
+///             on a 2-thread pool, for the same number of rounds. No floor.
 ///
 /// Results land in BENCH_steps.json (override with DPS_BENCH_JSON); the
 /// headline "serial_steps_per_s" is the dps pair20 rate, which CI gates
 /// with DPS_PERF_MIN_STEPS_PER_S. Knobs:
 ///   DPS_REPEATS              completed runs per workload in pair20 [1]
-///   DPS_STEPS_ROUNDS         engine steps per synthetic scenario  [300]
+///   DPS_STEPS_ROUNDS         engine steps per fleet scenario      [300]
 ///   DPS_PERF_MIN_STEPS_PER_S exit nonzero if the dps pair20 rate falls
 ///                            below this (default 0 = never)
 ///   DPS_BENCH_JSON           output path (default "BENCH_steps.json")
@@ -32,6 +35,7 @@
 
 #include "bench_common.hpp"
 #include "core/dps_manager.hpp"
+#include "ctrl/tree.hpp"
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
@@ -109,6 +113,37 @@ Scenario run_pair20(const std::string& manager_name, int repeats,
   return s;
 }
 
+/// Times a fixed number of engine rounds of `groups` under `manager`.
+Scenario run_fleet(const std::string& name, const std::string& manager_name,
+                   std::vector<GroupSpec> groups, PowerManager& manager,
+                   int rounds, std::uint64_t seed) {
+  Cluster cluster(std::move(groups));
+  const int units = cluster.total_units();
+
+  RaplSimConfig rapl_config;
+  rapl_config.noise_seed = seed * 977 + 13;
+  SimulatedRapl rapl(units, rapl_config);
+
+  EngineConfig config;
+  config.dt = 1.0;
+  config.total_budget = 110.0 * units;
+  config.target_completions = 1;  // unreachable inside the window
+  config.max_time = static_cast<Seconds>(rounds);
+
+  Scenario s;
+  s.name = name;
+  s.manager = manager_name;
+  s.units = units;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
+  s.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  s.engine_steps = result.steps;
+  s.unit_steps = static_cast<long>(result.steps) * units;
+  return s;
+}
+
 /// A fixed number of engine rounds over a synthetic square-wave fleet:
 /// groups of 20 sockets with per-group period/levels, half the fleet
 /// phasing above the fair share — the overprovisioned mix DPS feeds on.
@@ -129,31 +164,32 @@ Scenario run_synthetic(const std::string& name, int units, int rounds,
         square_wave(high_for, low_for, high, low, /*cycles=*/4000),
         sockets_per_group, seed + static_cast<std::uint64_t>(g)});
   }
-  Cluster cluster(std::move(groups));
-
-  RaplSimConfig rapl_config;
-  rapl_config.noise_seed = seed * 977 + 13;
-  SimulatedRapl rapl(cluster.total_units(), rapl_config);
-
-  EngineConfig config;
-  config.dt = 1.0;
-  config.total_budget = 110.0 * units;
-  config.target_completions = 1;  // unreachable inside the window
-  config.max_time = static_cast<Seconds>(rounds);
-
   DpsManager manager;
-  Scenario s;
-  s.name = name;
-  s.manager = "dps";
-  s.units = units;
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
-  s.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  s.engine_steps = result.steps;
-  s.unit_steps = static_cast<long>(result.steps) * units;
-  return s;
+  return run_fleet(name, "dps", std::move(groups), manager, rounds, seed);
+}
+
+/// A fixed number of engine rounds over 500 groups of 20 sockets cycling
+/// the registry workloads, under a DPS tree with 2 leaf threads. The EP
+/// groups need thousands of steps per run, so the completion target stays
+/// out of reach inside the window.
+Scenario run_tree10k(int rounds, std::uint64_t seed) {
+  std::vector<WorkloadSpec> specs;
+  for (const auto& name : all_workload_names()) {
+    specs.push_back(workload_by_name(name));
+  }
+  const int num_groups = 500;
+  std::vector<GroupSpec> groups;
+  groups.reserve(static_cast<std::size_t>(num_groups));
+  for (int g = 0; g < num_groups; ++g) {
+    groups.emplace_back(specs[static_cast<std::size_t>(g) % specs.size()], 20,
+                        mix_seed(seed, static_cast<std::uint64_t>(g)));
+  }
+  CtrlConfig ctrl;
+  ctrl.shard_size = 32;
+  ctrl.leaf_jobs = 2;
+  TreeController tree(ctrl);
+  return run_fleet("tree10k", "dps_tree", std::move(groups), tree, rounds,
+                   seed);
 }
 
 }  // namespace
@@ -170,8 +206,8 @@ int main() {
       env_string("DPS_BENCH_JSON", "BENCH_steps.json");
 
   std::printf(
-      "perf_steps: single-thread engine microbench, repeats=%d, "
-      "synthetic rounds=%d.\n\n",
+      "perf_steps: engine microbench (tree10k on 2 leaf threads, the rest "
+      "single-thread), repeats=%d, synthetic rounds=%d.\n\n",
       repeats, rounds);
 
   std::vector<Scenario> scenarios;
@@ -180,6 +216,7 @@ int main() {
   }
   scenarios.push_back(run_synthetic("units1k", 1000, rounds, seed));
   scenarios.push_back(run_synthetic("units10k", 10000, rounds, seed));
+  scenarios.push_back(run_tree10k(rounds, seed));
 
   CsvWriter csv(dps::bench::out_dir() + "/perf_steps.csv");
   csv.write_header({"scenario", "manager", "units", "engine_steps", "wall_s",

@@ -1,8 +1,11 @@
 #include "ctrl/tree.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <future>
+#include <limits>
 #include <stdexcept>
 
 #include "core/dps_manager.hpp"
@@ -22,6 +25,11 @@ std::uint64_t elapsed_ns(Clock::time_point start) {
 
 /// Leading magic of a serialized tree snapshot ("CTRL").
 constexpr std::uint32_t kTreeStateMagic = 0x4354524Cu;
+
+/// Shards a pooled leaf task claims per visit to the shared counter: the
+/// counter is touched once per several leaf decisions, while the blocks
+/// stay small enough that the workers finish the round close together.
+constexpr std::size_t kLeafClaimBlock = 8;
 
 /// Budget fix-up after the root tier's decision: clamp every shard budget
 /// into its feasible box and, if the (possibly misbehaving) root manager
@@ -88,17 +96,20 @@ void TreeController::reset(const ManagerContext& ctx) {
       config_.max_levels <= 1 ? n : std::min(config_.shard_size, n);
   const int num_shards = (n + shard_size - 1) / shard_size;
 
-  shards_.resize(static_cast<std::size_t>(num_shards));
-  budgets_.assign(static_cast<std::size_t>(num_shards), 0.0);
-  shard_power_.assign(static_cast<std::size_t>(num_shards), 0.0);
-  for (int s = 0; s < num_shards; ++s) {
-    Shard& shard = shards_[static_cast<std::size_t>(s)];
-    shard.first = s * shard_size;
+  const auto shard_count = static_cast<std::size_t>(num_shards);
+  shards_.resize(shard_count);
+  budgets_.assign(shard_count, 0.0);
+  floors_.assign(shard_count, 0.0);
+  ceilings_.assign(shard_count, 0.0);
+  shard_power_.assign(shard_count, 0.0);
+  proposed_.assign(shard_count, 0.0);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    Shard& shard = shards_[s];
+    shard.first = static_cast<int>(s) * shard_size;
     shard.size = std::min(shard_size, n - shard.first);
-    shard.floor = shard.size * ctx.min_cap;
-    shard.ceiling = 0.0;
+    floors_[s] = shard.size * ctx.min_cap;
     for (int u = shard.first; u < shard.first + shard.size; ++u) {
-      shard.ceiling += ctx.tdp_of(u);
+      ceilings_[s] += ctx.tdp_of(u);
     }
   }
   // Initial shard budgets: the constant allocation one level up — every
@@ -145,18 +156,12 @@ void TreeController::reset(const ManagerContext& ctx) {
     root_ctx.num_units = num_shards;
     root_ctx.total_budget = ctx.total_budget;
     root_ctx.dt = ctx.dt;
-    root_ctx.unit_tdp.resize(static_cast<std::size_t>(num_shards));
-    Watts min_floor = shards_[0].floor;
-    for (int s = 0; s < num_shards; ++s) {
-      root_ctx.unit_tdp[static_cast<std::size_t>(s)] =
-          shards_[static_cast<std::size_t>(s)].ceiling;
-      min_floor = std::min(min_floor, shards_[static_cast<std::size_t>(s)].floor);
-    }
+    root_ctx.unit_tdp = ceilings_;
     root_ctx.tdp = root_ctx.unit_tdp[0];
     // ManagerContext's min cap is scalar; give the root the smallest
     // shard's floor and let clamp_shard_budgets enforce the exact
     // per-shard floors after each root decision.
-    root_ctx.min_cap = min_floor;
+    root_ctx.min_cap = *std::min_element(floors_.begin(), floors_.end());
     root_->reset(root_ctx);
   }
 
@@ -200,47 +205,27 @@ void TreeController::decide(std::span<const Watts> power,
     }
     // The root redistributes the shard budgets exactly as a flat manager
     // rewrites unit caps: measured (aggregate) power in, caps out.
-    std::vector<Watts> proposed = budgets_;
+    proposed_ = budgets_;
     {
       obs::ScopedSpan span(obs_, obs_root_seconds_, "ctrl_root_decide");
       const auto start = Clock::now();
-      root_->decide(shard_power_, proposed);
+      root_->decide(shard_power_, proposed_);
       root_ns = elapsed_ns(start);
     }
     if (root_tree_ != nullptr) root_ns = root_tree_->last_critical_path_ns();
-    std::vector<Watts> floors(num_shards), ceilings(num_shards);
+    clamp_shard_budgets(proposed_, floors_, ceilings_, ctx_.total_budget);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      floors[s] = shards_[s].floor;
-      ceilings[s] = shards_[s].ceiling;
-    }
-    clamp_shard_budgets(proposed, floors, ceilings, ctx_.total_budget);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      apply_shard_budget(s, proposed[s]);
+      apply_shard_budget(s, proposed_[s]);
     }
   }
 
   // Leaf tier: every shard's manager decides over its slice. Shards are
   // independent — private manager state, disjoint spans — so the optional
   // pool changes wall time, never the decisions.
-  auto run_leaf = [&](std::size_t s) {
-    Shard& shard = shards_[s];
-    const auto start = Clock::now();
-    shard.manager->decide(
-        power.subspan(static_cast<std::size_t>(shard.first),
-                      static_cast<std::size_t>(shard.size)),
-        caps.subspan(static_cast<std::size_t>(shard.first),
-                     static_cast<std::size_t>(shard.size)));
-    shard.last_decide_ns = elapsed_ns(start);
-  };
   if (pool_ != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      futures.push_back(pool_->submit([&run_leaf, s] { run_leaf(s); }));
-    }
-    for (auto& future : futures) future.get();
+    run_leaves_on_pool(power, caps);
   } else {
-    for (std::size_t s = 0; s < num_shards; ++s) run_leaf(s);
+    for (std::size_t s = 0; s < num_shards; ++s) run_leaf(s, power, caps);
   }
 
   std::uint64_t max_leaf_ns = 0;
@@ -256,6 +241,59 @@ void TreeController::decide(std::span<const Watts> power,
   last_critical_ns_ = root_ns + max_leaf_ns;
   last_total_ns_ = root_ns + total_leaf_ns;
   if (obs_rounds_ != nullptr) obs_rounds_->add();
+}
+
+void TreeController::run_leaf(std::size_t s, std::span<const Watts> power,
+                              std::span<Watts> caps) {
+  Shard& shard = shards_[s];
+  const auto first = static_cast<std::size_t>(shard.first);
+  const auto size = static_cast<std::size_t>(shard.size);
+  const auto start = Clock::now();
+  shard.manager->decide(power.subspan(first, size), caps.subspan(first, size));
+  shard.last_decide_ns = elapsed_ns(start);
+}
+
+void TreeController::run_leaves_on_pool(std::span<const Watts> power,
+                                        std::span<Watts> caps) {
+  // One task per worker; each claims kLeafClaimBlock shards at a time from
+  // a shared counter until none are left. A throwing leaf does not stop
+  // its task: every task runs to the end and reports the lowest shard that
+  // threw, because the tasks reference this frame and must all finish
+  // before it unwinds.
+  struct LeafFailure {
+    std::size_t shard = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+  };
+  const std::size_t num_shards = shards_.size();
+  std::atomic<std::size_t> next_block{0};
+  auto claim_blocks = [&]() {
+    LeafFailure failure;
+    for (;;) {
+      const std::size_t first =
+          next_block.fetch_add(kLeafClaimBlock, std::memory_order_relaxed);
+      if (first >= num_shards) return failure;
+      const std::size_t last = std::min(first + kLeafClaimBlock, num_shards);
+      for (std::size_t s = first; s < last; ++s) {
+        try {
+          run_leaf(s, power, caps);
+        } catch (...) {
+          if (s < failure.shard) failure = {s, std::current_exception()};
+        }
+      }
+    }
+  };
+  std::vector<std::future<LeafFailure>> tasks;
+  tasks.reserve(static_cast<std::size_t>(pool_->size()));
+  for (int w = 0; w < pool_->size(); ++w) {
+    tasks.push_back(pool_->submit(claim_blocks));
+  }
+  // Rethrow as a serial pass would: the failure of the lowest shard.
+  LeafFailure lowest;
+  for (auto& task : tasks) {
+    LeafFailure failure = task.get();
+    if (failure.shard < lowest.shard) lowest = std::move(failure);
+  }
+  if (lowest.error) std::rethrow_exception(lowest.error);
 }
 
 void TreeController::update_budget(Watts new_total_budget) {

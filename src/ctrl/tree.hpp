@@ -100,11 +100,12 @@ class TreeController final : public PowerManager {
     int size = 0;
     std::unique_ptr<PowerManager> manager;
     std::uint64_t last_decide_ns = 0;
-    Watts floor = 0.0;  // size * min_cap
-    Watts ceiling = 0.0;  // sum of member TDPs
   };
 
   void apply_shard_budget(std::size_t s, Watts budget);
+  void run_leaf(std::size_t s, std::span<const Watts> power,
+                std::span<Watts> caps);
+  void run_leaves_on_pool(std::span<const Watts> power, std::span<Watts> caps);
 
   CtrlConfig config_;
   ManagerFactory leaf_factory_;
@@ -115,7 +116,10 @@ class TreeController final : public PowerManager {
   // The nested view of root_ when intermediate tiers were inserted.
   TreeController* root_tree_ = nullptr;
   std::vector<Watts> budgets_;       // live shard budgets
+  std::vector<Watts> floors_;        // per shard: size * min_cap
+  std::vector<Watts> ceilings_;      // per shard: sum of member TDPs
   std::vector<Watts> shard_power_;   // scratch: aggregated reports
+  std::vector<Watts> proposed_;      // scratch: the root tier's budgets
   std::unique_ptr<ThreadPool> pool_; // leaf_jobs > 1 only
   std::uint64_t last_critical_ns_ = 0;
   std::uint64_t last_total_ns_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace dps {
 
@@ -14,51 +15,68 @@ SimulatedRapl::SimulatedRapl(int num_units, const RaplSimConfig& config)
   if (config_.min_cap <= 0.0 || config_.min_cap > config_.tdp) {
     throw std::invalid_argument("SimulatedRapl: need 0 < min_cap <= tdp");
   }
-  units_.resize(static_cast<std::size_t>(num_units));
-  for (auto& u : units_) {
-    u.requested_cap = config_.tdp;
-    u.effective_cap = config_.tdp;
+  const auto n = static_cast<std::size_t>(num_units);
+  energy_units_.assign(n, 0);
+  window_elapsed_.assign(n, 0.0);
+  last_read_counter_.assign(n, 0);
+  last_power_reading_.assign(n, 0.0);
+  requested_cap_.assign(n, config_.tdp);
+  effective_cap_.assign(n, config_.tdp);
+  if (config_.actuation_delay_steps > 0) {
+    pending_caps_.assign(
+        n * static_cast<std::size_t>(config_.actuation_delay_steps), 0.0);
+    pending_len_.assign(n, 0);
   }
 }
 
+std::size_t SimulatedRapl::index_of(int unit) const {
+  if (unit < 0 || unit >= num_units()) {
+    throw std::out_of_range("SimulatedRapl: no unit " + std::to_string(unit));
+  }
+  return static_cast<std::size_t>(unit);
+}
+
 void SimulatedRapl::record(int unit, Watts true_power, Seconds dt) {
-  auto& u = units_.at(static_cast<std::size_t>(unit));
+  const std::size_t i = index_of(unit);
   const Joules joules = std::max(0.0, true_power) * dt;
-  u.energy_units += static_cast<std::uint64_t>(joules / config_.energy_unit);
-  u.window_elapsed += dt;
+  energy_units_[i] += static_cast<std::uint64_t>(joules / config_.energy_unit);
+  window_elapsed_[i] += dt;
 }
 
 void SimulatedRapl::record_batch(std::span<const Watts> true_power,
                                  Seconds dt) {
-  if (true_power.size() != units_.size()) {
+  if (true_power.size() != energy_units_.size()) {
     throw std::invalid_argument("record_batch: span size mismatch");
   }
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    auto& u = units_[i];
+  const Joules energy_unit = config_.energy_unit;
+  for (std::size_t i = 0; i < energy_units_.size(); ++i) {
     const Joules joules = std::max(0.0, true_power[i]) * dt;
     // Same quantization as record(): joules / energy_unit, truncated.
-    u.energy_units +=
-        static_cast<std::uint64_t>(joules / config_.energy_unit);
-    u.window_elapsed += dt;
+    energy_units_[i] += static_cast<std::uint64_t>(joules / energy_unit);
+    window_elapsed_[i] += dt;
   }
 }
 
 void SimulatedRapl::advance_step() {
-  for (auto& u : units_) {
-    if (!u.pending_caps.empty()) {
-      u.effective_cap = u.pending_caps.front();
-      u.pending_caps.erase(u.pending_caps.begin());
-    }
+  if (pending_len_.empty()) return;  // same-step actuation: no pipeline
+  const auto depth = static_cast<std::size_t>(config_.actuation_delay_steps);
+  for (std::size_t i = 0; i < pending_len_.size(); ++i) {
+    int& len = pending_len_[i];
+    if (len == 0) continue;
+    Watts* fifo = &pending_caps_[i * depth];
+    effective_cap_[i] = fifo[0];
+    std::copy(fifo + 1, fifo + len, fifo);
+    --len;
   }
 }
 
 Watts SimulatedRapl::effective_cap(int unit) const {
-  return units_.at(static_cast<std::size_t>(unit)).effective_cap;
+  return effective_cap_[index_of(unit)];
 }
 
 std::uint32_t SimulatedRapl::raw_energy_counter(int unit) const {
-  const auto& u = units_.at(static_cast<std::size_t>(unit));
-  return static_cast<std::uint32_t>(u.energy_units);  // wraps at 2^32
+  // Wraps at 2^32.
+  return static_cast<std::uint32_t>(energy_units_[index_of(unit)]);
 }
 
 void SimulatedRapl::set_obs(const obs::ObsSink& sink) {
@@ -70,87 +88,85 @@ void SimulatedRapl::set_obs(const obs::ObsSink& sink) {
       "rapl_cap_changes_total", "set_cap calls that moved the requested cap");
 }
 
-Watts SimulatedRapl::read_power_unit(UnitState& u) {
-  if (u.window_elapsed <= 0.0) return u.last_power_reading;
+Watts SimulatedRapl::read_power_unit(std::size_t i) {
+  if (window_elapsed_[i] <= 0.0) return last_power_reading_[i];
 
   // Delta of the wrapped 32-bit counter; unsigned arithmetic handles one
   // wrap per window, as real RAPL readers must.
-  const std::uint32_t now = static_cast<std::uint32_t>(u.energy_units);
-  const std::uint32_t delta = now - u.last_read_counter;
-  u.last_read_counter = now;
+  const std::uint32_t now = static_cast<std::uint32_t>(energy_units_[i]);
+  const std::uint32_t delta = now - last_read_counter_[i];
+  last_read_counter_[i] = now;
 
   const Joules joules = static_cast<Joules>(delta) * config_.energy_unit;
-  Watts power = joules / u.window_elapsed;
-  u.window_elapsed = 0.0;
+  Watts power = joules / window_elapsed_[i];
+  window_elapsed_[i] = 0.0;
 
   if (config_.noise_fraction > 0.0) {
     power *= 1.0 + noise_.normal(0.0, config_.noise_fraction);
     power = std::max(0.0, power);
   }
-  u.last_power_reading = power;
+  last_power_reading_[i] = power;
   return power;
 }
 
 Watts SimulatedRapl::read_power(int unit) {
   if (obs_reads_ != nullptr) obs_reads_->add();
-  return read_power_unit(units_.at(static_cast<std::size_t>(unit)));
+  return read_power_unit(index_of(unit));
 }
 
 void SimulatedRapl::read_power_batch(std::span<Watts> out) {
-  if (out.size() != units_.size()) {
+  if (out.size() != energy_units_.size()) {
     throw std::invalid_argument("read_power_batch: span size mismatch");
   }
-  if (obs_reads_ != nullptr) obs_reads_->add(units_.size());
+  if (obs_reads_ != nullptr) obs_reads_->add(out.size());
   // Ascending unit order: the shared noise stream draws in exactly the
   // order the per-unit loop would.
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    out[i] = read_power_unit(units_[i]);
-  }
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = read_power_unit(i);
 }
 
-void SimulatedRapl::set_cap_unit(UnitState& u, Watts cap) {
+void SimulatedRapl::set_cap_unit(std::size_t i, Watts cap) {
   const Watts clamped = std::clamp(cap, config_.min_cap, config_.tdp);
   if (obs_cap_requests_ != nullptr) {
     obs_cap_requests_->add();
-    if (clamped != u.requested_cap) obs_cap_changes_->add();
+    if (clamped != requested_cap_[i]) obs_cap_changes_->add();
   }
-  u.requested_cap = clamped;
-  if (config_.actuation_delay_steps <= 0) {
-    u.effective_cap = clamped;
+  requested_cap_[i] = clamped;
+  if (pending_len_.empty()) {
+    effective_cap_[i] = clamped;
     return;
   }
-  // Model a fixed-depth actuation pipeline: the request lands at the back;
-  // advance_step() pops one entry per decision step.
-  u.pending_caps.resize(
-      static_cast<std::size_t>(config_.actuation_delay_steps),
-      u.pending_caps.empty() ? u.effective_cap : u.pending_caps.back());
-  u.pending_caps.back() = clamped;
+  // Model a fixed-depth actuation pipeline: the FIFO is topped up to full
+  // depth with its last entry (the effective cap when empty) and the
+  // request lands at the back; advance_step() pops one entry per step.
+  const int depth = config_.actuation_delay_steps;
+  Watts* fifo = &pending_caps_[i * static_cast<std::size_t>(depth)];
+  int& len = pending_len_[i];
+  const Watts fill = len == 0 ? effective_cap_[i] : fifo[len - 1];
+  std::fill(fifo + len, fifo + depth, fill);
+  len = depth;
+  fifo[depth - 1] = clamped;
 }
 
 void SimulatedRapl::set_cap(int unit, Watts cap) {
-  set_cap_unit(units_.at(static_cast<std::size_t>(unit)), cap);
+  set_cap_unit(index_of(unit), cap);
 }
 
 void SimulatedRapl::set_cap_batch(std::span<const Watts> caps) {
-  if (caps.size() != units_.size()) {
+  if (caps.size() != requested_cap_.size()) {
     throw std::invalid_argument("set_cap_batch: span size mismatch");
   }
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    set_cap_unit(units_[i], caps[i]);
-  }
+  for (std::size_t i = 0; i < caps.size(); ++i) set_cap_unit(i, caps[i]);
 }
 
 void SimulatedRapl::effective_caps_batch(std::span<Watts> out) const {
-  if (out.size() != units_.size()) {
+  if (out.size() != effective_cap_.size()) {
     throw std::invalid_argument("effective_caps_batch: span size mismatch");
   }
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    out[i] = units_[i].effective_cap;
-  }
+  std::copy(effective_cap_.begin(), effective_cap_.end(), out.begin());
 }
 
 Watts SimulatedRapl::cap(int unit) const {
-  return units_.at(static_cast<std::size_t>(unit)).requested_cap;
+  return requested_cap_[index_of(unit)];
 }
 
 }  // namespace dps

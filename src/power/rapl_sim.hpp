@@ -72,7 +72,9 @@ class SimulatedRapl final : public PowerInterface {
   void set_obs(const obs::ObsSink& sink);
 
   // --- PowerInterface ---
-  int num_units() const override { return static_cast<int>(units_.size()); }
+  int num_units() const override {
+    return static_cast<int>(requested_cap_.size());
+  }
   Watts read_power(int unit) override;
   void set_cap(int unit, Watts cap) override;
   Watts cap(int unit) const override;
@@ -84,22 +86,25 @@ class SimulatedRapl final : public PowerInterface {
   void set_cap_batch(std::span<const Watts> caps) override;
 
  private:
-  struct UnitState;
-  Watts read_power_unit(UnitState& u);
-  void set_cap_unit(UnitState& u, Watts cap);
-
-  struct UnitState {
-    std::uint64_t energy_units = 0;  // unwrapped accumulator, in energy units
-    std::uint32_t last_read_counter = 0;
-    Seconds window_elapsed = 0.0;
-    Watts requested_cap = 0.0;
-    Watts effective_cap = 0.0;
-    std::vector<Watts> pending_caps;  // actuation pipeline, FIFO
-    Watts last_power_reading = 0.0;
-  };
+  /// `unit` as an index, or std::out_of_range.
+  std::size_t index_of(int unit) const;
+  Watts read_power_unit(std::size_t i);
+  void set_cap_unit(std::size_t i, Watts cap);
 
   RaplSimConfig config_;
-  std::vector<UnitState> units_;
+  // Per-unit state as parallel arrays (index = unit), so each batch call
+  // streams only the fields it touches.
+  std::vector<std::uint64_t> energy_units_;  // unwrapped, in energy units
+  std::vector<Seconds> window_elapsed_;
+  std::vector<std::uint32_t> last_read_counter_;
+  std::vector<Watts> last_power_reading_;
+  std::vector<Watts> requested_cap_;
+  std::vector<Watts> effective_cap_;
+  // Actuation pipeline, allocated only when actuation_delay_steps > 0:
+  // unit u's FIFO is pending_caps_[u * delay, u * delay + pending_len_[u]),
+  // front first.
+  std::vector<Watts> pending_caps_;
+  std::vector<int> pending_len_;
   Rng noise_;
   obs::Counter* obs_reads_ = nullptr;
   obs::Counter* obs_cap_requests_ = nullptr;

@@ -6,11 +6,15 @@
 namespace dps {
 
 void Cluster::resize_units(std::size_t n) {
-  unit_instance_.assign(n, WorkloadInstance::idle(1.0));
+  const WorkloadInstance idle = WorkloadInstance::idle(1.0);
+  unit_instance_.assign(n, idle);
   unit_group_.assign(n, 0);
   unit_job_slot_.assign(n, -1);
   unit_progress_.assign(n, 0.0);
   unit_hint_.assign(n, 0);
+  unit_piece_.assign(n, WorkloadInstance::Piece{});
+  unit_total_work_.assign(n, idle.total_work());
+  unit_active_.assign(n, idle.active() ? 1 : 0);
   unit_energy_.assign(n, 0.0);
   unit_last_power_.assign(n, 0.0);
   unit_done_.assign(n, 0);
@@ -58,6 +62,22 @@ Cluster::Cluster(int total_units, const PerfModel& model)
   }
 }
 
+void Cluster::bind(std::size_t u, WorkloadInstance instance) {
+  unit_total_work_[u] = instance.total_work();
+  unit_active_[u] = instance.active() ? 1 : 0;
+  unit_piece_[u] = WorkloadInstance::Piece{};  // the next lookup scans
+  unit_instance_[u] = std::move(instance);
+}
+
+inline Watts Cluster::unit_demand(std::size_t u) {
+  const Seconds progress = unit_progress_[u];
+  const WorkloadInstance::Piece& piece = unit_piece_[u];
+  if (piece.contains(progress)) return piece.demand(progress);
+  const Watts demand = unit_instance_[u].demand_at(progress, &unit_hint_[u]);
+  unit_piece_[u] = unit_instance_[u].piece(unit_hint_[u]);
+  return demand;
+}
+
 int Cluster::start_job(const WorkloadSpec& spec, std::span<const int> units,
                        std::uint64_t seed) {
   if (!job_mode_) {
@@ -82,8 +102,8 @@ int Cluster::start_job(const WorkloadSpec& spec, std::span<const int> units,
     // Realizations are keyed by position within the allocation, so a
     // job's jitter draw does not depend on which physical units the
     // placement handed it.
-    unit_instance_[u] =
-        WorkloadInstance(spec, mix_seed(seed, static_cast<std::uint64_t>(i)));
+    bind(u, WorkloadInstance(spec,
+                             mix_seed(seed, static_cast<std::uint64_t>(i))));
   }
   jobs_.push_back(std::move(job));
   return slot;
@@ -98,7 +118,7 @@ void Cluster::abort_job(int slot) {
     if (unit_job_slot_.at(su) != slot) continue;
     unit_job_slot_[su] = -1;
     unit_done_[su] = 1;
-    unit_instance_[su] = WorkloadInstance::idle(1.0);
+    bind(su, WorkloadInstance::idle(1.0));
   }
 }
 
@@ -128,12 +148,10 @@ void Cluster::step_jobs(Seconds dt, std::span<const Watts> effective_caps,
     Watts demand = kIdlePower;
     const bool running = unit_job_slot_[u] >= 0 && !unit_done_[u];
     if (running) {
-      demand = unit_instance_[u].demand_at(unit_progress_[u], &unit_hint_[u]);
+      demand = unit_demand(u);
       const double speed = model_.speed(demand, effective_caps[u]);
       unit_progress_[u] += speed * dt;
-      if (unit_progress_[u] >= unit_instance_[u].total_work()) {
-        unit_done_[u] = 1;
-      }
+      if (unit_progress_[u] >= unit_total_work_[u]) unit_done_[u] = 1;
     }
     const Watts drawn = unit_job_slot_[u] >= 0 && !unit_done_[u]
                             ? model_.power_drawn(demand, effective_caps[u])
@@ -163,7 +181,7 @@ void Cluster::step_jobs(Seconds dt, std::span<const Watts> effective_caps,
     for (const int u : job.units) {
       const auto su = static_cast<std::size_t>(u);
       unit_job_slot_[su] = -1;
-      unit_instance_[su] = WorkloadInstance::idle(1.0);
+      bind(su, WorkloadInstance::idle(1.0));
       unit_done_[su] = 1;
     }
     finished_slots_.push_back(static_cast<int>(slot));
@@ -193,13 +211,14 @@ void Cluster::start_new_run(GroupState& group) {
       // coordinates, so the same engine seed yields bit-identical jitter
       // no matter what else (other groups, scheduled jobs) was
       // instantiated before it.
-      unit_instance_[u] = WorkloadInstance(
-          spec, mix_seed(group.seed, static_cast<std::uint64_t>(group.run_index),
-                         static_cast<std::uint64_t>(s)));
+      bind(u, WorkloadInstance(
+                  spec, mix_seed(group.seed,
+                                 static_cast<std::uint64_t>(group.run_index),
+                                 static_cast<std::uint64_t>(s))));
     } else {
       // Inactive sockets idle for the nominal duration; completion is
       // governed by the active sockets only.
-      unit_instance_[u] = WorkloadInstance::idle(spec.nominal_duration());
+      bind(u, WorkloadInstance::idle(spec.nominal_duration()));
       unit_done_[u] = 1;
     }
   }
@@ -246,13 +265,10 @@ void Cluster::step(Seconds dt, std::span<const Watts> effective_caps,
       }
       Watts demand = kIdlePower;
       if (!unit_done_[u]) {
-        demand =
-            unit_instance_[u].demand_at(unit_progress_[u], &unit_hint_[u]);
+        demand = unit_demand(u);
         const double speed = model_.speed(demand, effective_caps[u]);
         unit_progress_[u] += speed * dt;
-        if (unit_progress_[u] >= unit_instance_[u].total_work()) {
-          unit_done_[u] = 1;
-        }
+        if (unit_progress_[u] >= unit_total_work_[u]) unit_done_[u] = 1;
       }
       const Watts drawn = unit_done_[u]
                               ? kIdlePower
@@ -282,7 +298,7 @@ void Cluster::step(Seconds dt, std::span<const Watts> effective_caps,
     const std::size_t begin = static_cast<std::size_t>(group.first_unit);
     const std::size_t end = begin + static_cast<std::size_t>(group.sockets);
     for (std::size_t u = begin; u < end; ++u) {
-      if (unit_instance_[u].active() && !unit_done_[u]) {
+      if (unit_active_[u] && !unit_done_[u]) {
         all_done = false;
         break;
       }

@@ -158,6 +158,11 @@ class Cluster : public sched::JobHost {
   void step_jobs(Seconds dt, std::span<const Watts> effective_caps,
                  std::span<Watts> true_power_out);
   void resize_units(std::size_t n);
+  /// Binds `instance` to unit `u` and refreshes what the step caches of it.
+  void bind(std::size_t u, WorkloadInstance instance);
+  /// Demand of unit `u` at its progress: from the cached piece while the
+  /// progress stays inside it, else from demand_at, re-caching the piece.
+  Watts unit_demand(std::size_t u);
 
   std::vector<GroupState> groups_;
 
@@ -165,12 +170,17 @@ class Cluster : public sched::JobHost {
   // The step loop is the simulator's hottest path; keeping each mutable
   // field contiguous turns it into branch-light single passes instead of
   // strided walks over a fat struct. The realized workload stays an
-  // immutable, indexed WorkloadInstance.
+  // immutable, indexed WorkloadInstance; what the step reads of it (total
+  // work, active flag, current demand piece) is cached here, so a unit
+  // whose progress stays inside its piece costs no pointer chase.
   std::vector<WorkloadInstance> unit_instance_;
   std::vector<int> unit_group_;             // -1 in job mode
   std::vector<int> unit_job_slot_;          // job mode: bound slot, -1 = idle
   std::vector<Seconds> unit_progress_;
   std::vector<std::size_t> unit_hint_;      // amortizes demand lookups
+  std::vector<WorkloadInstance::Piece> unit_piece_;  // empty after bind()
+  std::vector<Seconds> unit_total_work_;
+  std::vector<std::uint8_t> unit_active_;
   std::vector<Joules> unit_energy_;
   std::vector<Watts> unit_last_power_;
   std::vector<std::uint8_t> unit_done_;     // finished, waiting for the group

@@ -78,9 +78,22 @@ Watts WorkloadInstance::demand_at(Seconds progress, std::size_t* hint) const {
     ++i;
   }
   *hint = i;
+  return piece(i).demand(progress);
+}
+
+WorkloadInstance::Piece WorkloadInstance::piece(std::size_t hint) const {
+  if (segments_.empty()) return Piece{};
+  const std::size_t i = std::min(hint, segments_.size() - 1);
   const auto& seg = segments_[i];
-  const double frac = (progress - segment_starts_[i]) / seg.duration;
-  return seg.start_power + frac * (seg.end_power - seg.start_power);
+  Piece p;
+  p.start = segment_starts_[i];
+  // The scan's forward test is progress >= start + duration, and any
+  // progress at or past total_work() returns idle demand before the scan.
+  p.end = std::min(segment_starts_[i] + seg.duration, total_work_);
+  p.duration = seg.duration;
+  p.start_power = seg.start_power;
+  p.power_delta = seg.end_power - seg.start_power;
+  return p;
 }
 
 }  // namespace dps

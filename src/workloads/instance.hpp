@@ -41,6 +41,33 @@ class WorkloadInstance {
   /// per-step lookup O(1) amortized instead of O(#segments).
   Watts demand_at(Seconds progress, std::size_t* hint) const;
 
+  /// The linear stretch of demand that demand_at evaluates once its scan
+  /// has settled on a segment, with that evaluation's operands.
+  struct Piece {
+    Seconds start = 0.0;
+    Seconds end = 0.0;  // start + duration, never past total_work()
+    Seconds duration = 0.0;
+    Watts start_power = 0.0;
+    Watts power_delta = 0.0;  // end power - start power
+
+    /// Progress for which demand_at(progress, hint) settles on this piece
+    /// when `hint` is the index the piece was taken at.
+    bool contains(Seconds progress) const {
+      return progress > 0.0 && progress >= start && progress < end;
+    }
+    Watts demand(Seconds progress) const {
+      const double frac = (progress - start) / duration;
+      return start_power + frac * power_delta;
+    }
+  };
+
+  /// The piece demand_at's scan starts from for this hint (clamped to the
+  /// last segment, as demand_at clamps it). For progress the piece
+  /// contains, demand_at(progress, &h) settles on this same piece, so
+  /// piece(h).demand(progress) is its result bit for bit. Without segments
+  /// the piece contains nothing.
+  Piece piece(std::size_t hint) const;
+
   /// Total seconds of (uncapped-speed) work including the start offset.
   Seconds total_work() const { return total_work_; }
 

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,27 +128,128 @@ TEST(TreeController, CapsRespectBudgetAndShardBoxes) {
   EXPECT_GT(caps[0], caps[1]);
 }
 
-TEST(TreeController, ParallelLeavesBitIdentical) {
-  const int units = 40;
-  CtrlConfig serial_cfg;
-  serial_cfg.shard_size = 8;
-  serial_cfg.leaf_jobs = 1;
-  CtrlConfig parallel_cfg = serial_cfg;
-  parallel_cfg.leaf_jobs = 4;
+/// One tree layout for the leaf-pool determinism test.
+struct LeafLayout {
+  int units;
+  int shard_size;
+  int levels;  // expected tiers, leaf tier included
+};
 
-  TreeController serial(serial_cfg), parallel(parallel_cfg);
-  serial.reset(make_ctx(units));
-  parallel.reset(make_ctx(units));
+class TreeLeafTier : public ::testing::TestWithParam<int> {};
 
-  std::vector<Watts> caps_s(units, 110.0), caps_p(units, 110.0);
-  std::vector<Watts> power(units, 0.0);
-  for (int r = 0; r < 50; ++r) {
-    fill_power(caps_s, power);
-    serial.decide(power, caps_s);
-    parallel.decide(power, caps_p);
-    for (int u = 0; u < units; ++u) {
-      ASSERT_EQ(caps_s[u], caps_p[u]) << "round " << r << " unit " << u;
+// Pooled leaf tasks claim shards in blocks; whatever the worker count,
+// every round's caps must be bitwise those of the inline (leaf_jobs = 1)
+// tree. The layouts cover a shard count that is no multiple of the claim
+// block (13 shards, a short last shard), fewer shards than workers (2),
+// five equal shards, and a three-tier tree whose root is itself a tree
+// (30 shards of 4 units).
+TEST_P(TreeLeafTier, ParallelLeavesBitIdentical) {
+  const int leaf_jobs = GetParam();
+  for (const LeafLayout layout : {LeafLayout{203, 16, 2}, LeafLayout{12, 8, 2},
+                                  LeafLayout{40, 8, 2}, LeafLayout{120, 4, 3}}) {
+    SCOPED_TRACE("units " + std::to_string(layout.units) + " shard " +
+                 std::to_string(layout.shard_size));
+    CtrlConfig serial_cfg;
+    serial_cfg.shard_size = layout.shard_size;
+    serial_cfg.leaf_jobs = 1;
+    CtrlConfig parallel_cfg = serial_cfg;
+    parallel_cfg.leaf_jobs = leaf_jobs;
+
+    TreeController serial(serial_cfg), parallel(parallel_cfg);
+    serial.reset(make_ctx(layout.units));
+    parallel.reset(make_ctx(layout.units));
+    ASSERT_EQ(parallel.levels(), layout.levels);
+
+    const auto n = static_cast<std::size_t>(layout.units);
+    std::vector<Watts> caps_s(n, 110.0), caps_p(n, 110.0);
+    std::vector<Watts> power(n, 0.0);
+    for (int r = 0; r < 50; ++r) {
+      fill_power(caps_s, power);
+      serial.decide(power, caps_s);
+      parallel.decide(power, caps_p);
+      for (std::size_t u = 0; u < n; ++u) {
+        ASSERT_EQ(caps_s[u], caps_p[u]) << "round " << r << " unit " << u;
+      }
     }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LeafJobs, TreeLeafTier, ::testing::Values(2, 3, 8));
+
+/// A DPS leaf whose first decide() either throws, naming its shard, or
+/// sleeps first, so that other leaf tasks are still running when a
+/// leaf's exception reaches the tree.
+class FirstDecideLeaf final : public PowerManager {
+ public:
+  FirstDecideLeaf(int shard, bool throws) : shard_(shard), throws_(throws) {}
+  std::string_view name() const override { return "first_decide"; }
+  void reset(const ManagerContext& ctx) override { inner_.reset(ctx); }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override {
+    if (first_) {
+      first_ = false;
+      if (throws_) throw std::runtime_error("leaf " + std::to_string(shard_));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    inner_.decide(power, caps);
+  }
+  void update_budget(Watts budget) override { inner_.update_budget(budget); }
+
+ private:
+  int shard_;
+  bool throws_;
+  bool first_ = true;
+  DpsManager inner_;
+};
+
+// A throwing leaf must not let decide() unwind while other leaf tasks still
+// run against its frame: decide waits for them all, then rethrows the
+// lowest failing shard's exception, the one the inline tree throws. The
+// pooled tree then decides again and is destroyed cleanly (the sanitizer
+// jobs run this test).
+TEST(TreeController, LeafExceptionWaitsForAllLeavesAndRethrowsLowestShard) {
+  const int units = 40;
+  for (const int leaf_jobs : {1, 3}) {
+    CtrlConfig config;
+    config.shard_size = 4;  // 10 shards under a nested root; the two
+                            // failing ones sit in different claim blocks
+    config.leaf_jobs = leaf_jobs;
+    int made = 0;
+    TreeController tree(
+        config,
+        [&made] {
+          const int shard = made++;
+          return std::make_unique<FirstDecideLeaf>(shard,
+                                                   shard == 3 || shard == 9);
+        },
+        [] { return std::make_unique<DpsManager>(); });
+    const auto ctx = make_ctx(units);
+    tree.reset(ctx);
+    ASSERT_EQ(made, 10);
+
+    std::vector<Watts> caps(units, ctx.constant_cap());
+    std::vector<Watts> power(units, 0.0);
+    fill_power(caps, power);
+    try {
+      tree.decide(power, caps);
+      ADD_FAILURE() << "decide did not throw at leaf_jobs " << leaf_jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "leaf 3") << "leaf_jobs " << leaf_jobs;
+    }
+    // Every leaf task has finished by then: none writes caps afterwards.
+    const std::vector<Watts> at_throw = caps;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(caps, at_throw) << "leaf_jobs " << leaf_jobs;
+    // The inline pass stopped at shard 3, so shard 9's leaf has yet to
+    // throw; the pool ran every leaf and is past both failures.
+    if (leaf_jobs == 1) continue;
+
+    for (int r = 0; r < 3; ++r) {
+      fill_power(caps, power);
+      tree.decide(power, caps);
+    }
+    Watts sum = 0.0;
+    for (const Watts c : caps) sum += c;
+    EXPECT_LE(sum, ctx.total_budget + 1e-6) << "leaf_jobs " << leaf_jobs;
   }
 }
 

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -15,9 +16,12 @@ namespace fs = std::filesystem;
 /// two package domains plus a dram subdomain that must be ignored.
 class FakeSysfs {
  public:
+  // ctest runs every case in its own process, possibly in parallel, so
+  // the name carries the process id as well as a per-process counter.
   FakeSysfs() {
     root_ = fs::path(testing::TempDir()) /
-            ("powercap_" + std::to_string(counter_++));
+            ("powercap_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter_++));
     fs::create_directories(root_);
     make_domain("intel-rapl:0", "package-0");
     make_domain("intel-rapl:1", "package-1");

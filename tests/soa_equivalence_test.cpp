@@ -1,6 +1,7 @@
 // Equivalence tests for the structure-of-arrays hot path: every batched
-// fast path (PowerInterface batch calls, KalmanBank, the fused peak
-// counter) must be *bit-identical* to the scalar code it replaced — the
+// fast path (PowerInterface batch calls, the RAPL actuation pipeline,
+// Cluster's cached demand pieces, KalmanBank, the fused peak counter) must
+// be *bit-identical* to the scalar code it replaced — the
 // experiment CSVs are golden byte-for-byte, so "close enough" floating
 // point is a regression here. All comparisons below are exact (EXPECT_EQ
 // on doubles), never EXPECT_NEAR.
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -27,9 +29,11 @@
 #include "power/rapl_sim.hpp"
 #include "signal/kalman.hpp"
 #include "signal/peaks.hpp"
+#include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "workloads/spec.hpp"
 
 namespace dps {
 namespace {
@@ -64,21 +68,56 @@ Watts cap_request_of(int unit, int step, Watts min_cap, Watts tdp) {
   return min_cap + span * (0.15 + 0.08 * ((step * 3 + unit * 5) % 11));
 }
 
+// The cap actuation pipeline as one vector FIFO per unit: a request tops
+// the FIFO up to `delay` entries with its last one (the effective cap when
+// empty) and lands at the back; each step pops the front into effect.
+struct ActuationReference {
+  ActuationReference(int n, int delay, Watts initial)
+      : delay(delay),
+        pending(static_cast<std::size_t>(n)),
+        effective(static_cast<std::size_t>(n), initial) {}
+
+  void request(std::size_t u, Watts clamped) {
+    if (delay <= 0) {
+      effective[u] = clamped;
+      return;
+    }
+    auto& fifo = pending[u];
+    fifo.resize(static_cast<std::size_t>(delay),
+                fifo.empty() ? effective[u] : fifo.back());
+    fifo.back() = clamped;
+  }
+  void advance() {
+    for (std::size_t u = 0; u < pending.size(); ++u) {
+      if (pending[u].empty()) continue;
+      effective[u] = pending[u].front();
+      pending[u].erase(pending[u].begin());
+    }
+  }
+
+  int delay;
+  std::vector<std::vector<Watts>> pending;
+  std::vector<Watts> effective;
+};
+
 // Drives two identically-seeded SimulatedRapl instances through the same
 // record/set/read sequence — `batched` through its native batch overrides
 // (optionally laundered through ScalarOnlyPower to exercise the interface
 // defaults instead), `scalar` through per-unit calls — and requires every
-// reading and cap to match bitwise.
-void expect_rapl_paths_identical(bool through_default_loops) {
+// reading and cap to match bitwise. Runs with same-step actuation and with
+// two- and three-step actuation pipelines, whose effective caps must also
+// follow ActuationReference.
+void expect_rapl_paths_identical(bool through_default_loops,
+                                 const RaplSimConfig& config) {
   const int n = 6;
   const int steps = 60;
-  RaplSimConfig config;  // defaults: 2% noise, seeded RNG
   SimulatedRapl batched(n, config);
   SimulatedRapl scalar(n, config);
   ScalarOnlyPower defaults(batched);
   PowerInterface& batch_face =
       through_default_loops ? static_cast<PowerInterface&>(defaults)
                             : static_cast<PowerInterface&>(batched);
+  ActuationReference reference(n, config.actuation_delay_steps, config.tdp);
 
   std::vector<Watts> truth(n), reads_a(n), reads_b(n), caps(n), eff(n);
   for (int step = 0; step < steps; ++step) {
@@ -87,6 +126,7 @@ void expect_rapl_paths_identical(bool through_default_loops) {
     for (int u = 0; u < n; ++u) scalar.record(u, truth[u], 1.0);
     batched.advance_step();
     scalar.advance_step();
+    reference.advance();
 
     batch_face.read_power_batch(reads_a);
     for (int u = 0; u < n; ++u) reads_b[u] = scalar.read_power(u);
@@ -94,17 +134,37 @@ void expect_rapl_paths_identical(bool through_default_loops) {
       EXPECT_EQ(reads_a[u], reads_b[u]) << "unit " << u << " step " << step;
     }
 
-    for (int u = 0; u < n; ++u) {
-      caps[u] = cap_request_of(u, step, config.min_cap, config.tdp);
+    // Every third step skips the request, and odd steps send a second
+    // one, so the pipeline also drains and overwrites its back entry.
+    if (step % 3 != 2) {
+      for (int pass = 0; pass < 1 + step % 2; ++pass) {
+        for (int u = 0; u < n; ++u) {
+          caps[u] = cap_request_of(u, step + pass, config.min_cap, config.tdp);
+          reference.request(static_cast<std::size_t>(u),
+                            std::clamp(caps[u], config.min_cap, config.tdp));
+        }
+        batch_face.set_cap_batch(caps);
+        for (int u = 0; u < n; ++u) scalar.set_cap(u, caps[u]);
+      }
     }
-    batch_face.set_cap_batch(caps);
-    for (int u = 0; u < n; ++u) scalar.set_cap(u, caps[u]);
 
     batched.effective_caps_batch(eff);
     for (int u = 0; u < n; ++u) {
       EXPECT_EQ(eff[u], scalar.effective_cap(u));
+      EXPECT_EQ(eff[u], reference.effective[static_cast<std::size_t>(u)])
+          << "unit " << u << " step " << step;
       EXPECT_EQ(batched.cap(u), scalar.cap(u));
     }
+  }
+}
+
+void expect_rapl_paths_identical(bool through_default_loops) {
+  // At depth 3 a request also tops the FIFO up with its last entry.
+  for (const int delay : {0, 2, 3}) {
+    SCOPED_TRACE("actuation_delay_steps " + std::to_string(delay));
+    RaplSimConfig config;  // defaults: 2% noise, seeded RNG
+    config.actuation_delay_steps = delay;
+    expect_rapl_paths_identical(through_default_loops, config);
   }
 }
 
@@ -164,6 +224,121 @@ TEST(BatchEquivalence, FaultyPowerBatchMatchesPerUnitUnderActiveFaults) {
   // The cap-stuck window must actually have dropped writes, or the test
   // never exercised the fault branch of the batch path.
   EXPECT_GT(faulty_a.dropped_cap_writes(), 0u);
+}
+
+// A short phased workload: an idle start offset, ramps, holds and a
+// zero-length segment, so runs end within tens of steps and progress
+// crosses every kind of segment boundary.
+WorkloadSpec phased_spec(const std::string& name, double scale,
+                         int active_sockets, Seconds gap) {
+  WorkloadSpec spec;
+  spec.name = name;
+  spec.segments = {ramp(3.7 * scale, 60.0, 140.0), hold(2.9 * scale, 150.0),
+                   hold(0.0, 90.0), ramp(4.3 * scale, 150.0, 70.0),
+                   hold(1.6 * scale, 45.0)};
+  spec.active_sockets = active_sockets;
+  spec.inter_run_gap = gap;
+  spec.socket_skew = 1.5;
+  return spec;
+}
+
+// Steps `cluster` once and checks every unit's stepped power against the
+// uncached reference: true_demands() taken before the step, a fresh
+// demand_at scan. A unit still running afterwards draws what the model
+// gives for that demand under its cap (the demand itself under an
+// unbounded cap), a crashed unit draws nothing, and every other unit
+// (finished this step, idling in a gap or in its idle start offset) draws
+// idle power. Returns the number of running units checked.
+int step_and_check(Cluster& cluster, std::span<const Watts> caps, int step) {
+  const auto n = static_cast<std::size_t>(cluster.total_units());
+  const PerfModel model;
+  std::vector<Watts> before(n), stepped(n), after(n);
+  cluster.true_demands(before);
+  cluster.step(0.7, caps, stepped);
+  cluster.true_demands(after);
+  int running = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    if (cluster.crashed(static_cast<int>(u))) {
+      EXPECT_EQ(stepped[u], 0.0) << "unit " << u << " step " << step;
+    } else if (after[u] != kIdlePower) {
+      EXPECT_EQ(stepped[u], model.power_drawn(before[u], caps[u]))
+          << "unit " << u << " step " << step;
+      ++running;
+    } else {
+      EXPECT_EQ(stepped[u], kIdlePower) << "unit " << u << " step " << step;
+    }
+  }
+  return running;
+}
+
+constexpr Watts kUnbounded = std::numeric_limits<Watts>::infinity();
+
+TEST(DemandPieceCache, GroupModeStepMatchesUncachedDemand) {
+  for (const bool capped : {false, true}) {
+    SCOPED_TRACE(capped ? "mixed caps" : "unbounded caps");
+    const WorkloadSpec a = phased_spec("a", 1.0, 0, 2.5);
+    const WorkloadSpec b = phased_spec("b", 1.7, 2, 0.0);
+    std::vector<GroupSpec> groups;
+    groups.emplace_back(a, 4, 101, std::vector<WorkloadSpec>{a, b});
+    groups.emplace_back(b, 3, 202);  // two active sockets, one idle filler
+    Cluster cluster(std::move(groups));
+    std::vector<Watts> caps(static_cast<std::size_t>(cluster.total_units()));
+    for (std::size_t u = 0; u < caps.size(); ++u) {
+      caps[u] = !capped || u % 3 == 2 ? kUnbounded : u % 3 == 0 ? 70.0 : 115.0;
+    }
+
+    int running = 0;
+    for (int step = 0; step < 400; ++step) {
+      // Unit 1 goes dark mid-run and resumes where it stopped.
+      if (step == 9) cluster.set_crashed(1, true);
+      if (step == 16) cluster.set_crashed(1, false);
+      running += step_and_check(cluster, caps, step);
+    }
+    // Both workloads of the rotation ran to completion several times.
+    EXPECT_GE(cluster.completions(0).size(), 6u);
+    EXPECT_GE(cluster.completions(1).size(), 6u);
+    EXPECT_GT(running, 400 * 3);
+  }
+}
+
+TEST(DemandPieceCache, JobModeRebindingMatchesUncachedDemand) {
+  const WorkloadSpec a = phased_spec("a", 1.0, 0, 0.0);
+  const WorkloadSpec b = phased_spec("b", 1.9, 0, 0.0);
+  Cluster cluster(10);
+  const std::vector<Watts> caps(10, kUnbounded);
+  std::map<int, std::vector<int>> jobs;  // live slot -> its units
+  auto start = [&](const WorkloadSpec& spec, std::vector<int> units,
+                   std::uint64_t seed) {
+    const int slot = cluster.start_job(spec, units, seed);
+    jobs[slot] = std::move(units);
+    return slot;
+  };
+  const int first = start(a, {0, 1, 2}, 11);
+  start(b, {4, 5, 6, 7}, 12);
+
+  int running = 0;
+  int retired = 0;
+  for (int step = 0; step < 300; ++step) {
+    if (step == 5) {
+      // Abort mid-run and hand the units straight to a new job.
+      cluster.abort_job(first);
+      jobs.erase(first);
+      start(b, {0, 1, 2, 3}, 13);
+    }
+    if (step == 20) cluster.set_crashed(5, true);
+    if (step == 27) cluster.set_crashed(5, false);
+    running += step_and_check(cluster, caps, step);
+    // A retired job's units are rebound to a fresh job at once.
+    for (const int slot : cluster.drain_finished_jobs()) {
+      std::vector<int> units = std::move(jobs.at(slot));
+      jobs.erase(slot);
+      ++retired;
+      start(retired % 2 == 0 ? a : b, std::move(units),
+            100 + static_cast<std::uint64_t>(retired));
+    }
+  }
+  EXPECT_GE(retired, 6);
+  EXPECT_GT(running, 300 * 3);
 }
 
 TEST(KalmanBankEquivalence, UpdatesMatchScalarFiltersBitwise) {
