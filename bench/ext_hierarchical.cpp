@@ -11,12 +11,9 @@
 /// is demand-proportional, which stateless MIMD is not) but degrades when
 /// misaligned; DPS stays on top in both cases.
 ///
-/// Naming note: HierarchicalManager (src/managers/hierarchical.hpp) is
-/// this *manager policy* — the Argo-style heuristic evaluated here as a
-/// baseline. It is unrelated to the hierarchical *control plane* of
-/// src/ctrl/, which shards the fleet across controller processes and is
-/// benchmarked by ext_scale; see docs/architecture.md ("Hierarchical
-/// control plane") for the distinction.
+/// The hierarchy is a two-level TreeController (src/ctrl/): enclaves are
+/// its shards, ProportionalShareRoot splits the budget across them and a
+/// stateless MIMD manager allocates each enclave's share to its units.
 
 #include <cstdio>
 #include <memory>
@@ -24,9 +21,9 @@
 
 #include "bench_common.hpp"
 #include "core/dps_manager.hpp"
+#include "ctrl/tree.hpp"
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
-#include "managers/hierarchical.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/engine.hpp"
@@ -52,6 +49,17 @@ double pair_gain(PowerManager& manager, const WorkloadSpec& a,
   for (const auto& c : result.completions[1]) lat_b.push_back(c.latency());
   return pair_hmean(base_a / hmean_latency(lat_a),
                     base_b / hmean_latency(lat_b));
+}
+
+/// The Argo-style two-level manager over enclaves of `enclave` units.
+std::unique_ptr<PowerManager> two_level(int enclave) {
+  CtrlConfig config;
+  config.shard_size = enclave;
+  config.max_levels = 2;
+  return std::make_unique<TreeController>(
+      config,
+      [] { return std::make_unique<SlurmStatelessManager>(MimdConfig{}); },
+      [] { return std::make_unique<ProportionalShareRoot>(); });
 }
 
 double solo_baseline(const WorkloadSpec& spec, std::uint64_t seed,
@@ -106,15 +114,11 @@ int main() {
        }},
       {"hierarchical (aligned, 2x10)",
        []() -> std::unique_ptr<PowerManager> {
-         HierarchicalConfig aligned;
-         aligned.units_per_enclave = 10;  // enclaves == the two clusters
-         return std::make_unique<HierarchicalManager>(aligned);
+         return two_level(10);  // enclaves == the two clusters
        }},
       {"hierarchical (misaligned, 5x4)",
        []() -> std::unique_ptr<PowerManager> {
-         HierarchicalConfig misaligned;
-         misaligned.units_per_enclave = 4;  // 5 enclaves across clusters
-         return std::make_unique<HierarchicalManager>(misaligned);
+         return two_level(4);  // 5 enclaves across clusters
        }},
       {"dps (flat)",
        []() -> std::unique_ptr<PowerManager> {

@@ -1,73 +1,58 @@
 #include "core/config_io.hpp"
 
 namespace dps {
-namespace {
 
-void apply_double(const IniFile& ini, const char* section, const char* key,
-                  double& field) {
-  if (const auto value = ini.get_double(section, key)) field = *value;
+const Section<DpsConfig>& dps_section() {
+  using C = DpsConfig;
+  static const Section<C> section{
+      "dps",
+      {{"history_length", &C::history_length},
+       {"kf_process_variance", &C::kf_process_variance},
+       {"kf_measurement_variance", &C::kf_measurement_variance},
+       {"peak_prominence", &C::peak_prominence},
+       {"peak_count_threshold", &C::peak_count_threshold},
+       {"std_threshold", &C::std_threshold},
+       {"deriv_inc_threshold", &C::deriv_inc_threshold},
+       {"deriv_dec_threshold", &C::deriv_dec_threshold},
+       {"deriv_length", &C::deriv_length},
+       {"idle_demote_fraction", &C::idle_demote_fraction},
+       {"idle_demote_steps", &C::idle_demote_steps},
+       {"restore_threshold", &C::restore_threshold},
+       {"evict_unresponsive", &C::evict_unresponsive},
+       {"unresponsive_power_floor", &C::unresponsive_power_floor},
+       {"unresponsive_steps", &C::unresponsive_steps},
+       {"use_kalman_filter", &C::use_kalman_filter},
+       {"ewma_alpha", &C::ewma_alpha},
+       {"use_priority_module", &C::use_priority_module},
+       {"use_restore", &C::use_restore},
+       {"favor_low_caps", &C::favor_low_caps}}};
+  return section;
 }
 
-void apply_size(const IniFile& ini, const char* section, const char* key,
-                std::size_t& field) {
-  if (const auto value = ini.get_int(section, key)) {
-    field = static_cast<std::size_t>(*value);
-  }
+const Section<MimdConfig>& stateless_section() {
+  using C = MimdConfig;
+  static const Section<C> section{
+      "stateless",
+      {{"inc_threshold", &C::inc_threshold},
+       {"dec_threshold", &C::dec_threshold},
+       {"inc_percentile", &C::inc_percentile},
+       {"dec_percentile", &C::dec_percentile},
+       {"dec_floor_margin", &C::dec_floor_margin},
+       {"decision_interval_steps", &C::decision_interval_steps},
+       {"dec_window_steps", &C::dec_window_steps}}};
+  return section;
 }
-
-void apply_int(const IniFile& ini, const char* section, const char* key,
-               int& field) {
-  if (const auto value = ini.get_int(section, key)) {
-    field = static_cast<int>(*value);
-  }
-}
-
-void apply_bool(const IniFile& ini, const char* section, const char* key,
-                bool& field) {
-  if (const auto value = ini.get_bool(section, key)) field = *value;
-}
-
-}  // namespace
 
 MimdConfig mimd_config_from_ini(const IniFile& ini, const MimdConfig& base) {
   MimdConfig config = base;
-  apply_double(ini, "stateless", "inc_threshold", config.inc_threshold);
-  apply_double(ini, "stateless", "dec_threshold", config.dec_threshold);
-  apply_double(ini, "stateless", "inc_percentile", config.inc_percentile);
-  apply_double(ini, "stateless", "dec_percentile", config.dec_percentile);
-  apply_double(ini, "stateless", "dec_floor_margin", config.dec_floor_margin);
-  apply_int(ini, "stateless", "decision_interval_steps",
-            config.decision_interval_steps);
-  apply_int(ini, "stateless", "dec_window_steps", config.dec_window_steps);
+  read_section(ini, stateless_section(), config);
   return config;
 }
 
 DpsConfig dps_config_from_ini(const IniFile& ini) {
   DpsConfig config;
   config.mimd = mimd_config_from_ini(ini, config.mimd);
-  apply_size(ini, "dps", "history_length", config.history_length);
-  apply_double(ini, "dps", "kf_process_variance", config.kf_process_variance);
-  apply_double(ini, "dps", "kf_measurement_variance",
-               config.kf_measurement_variance);
-  apply_double(ini, "dps", "peak_prominence", config.peak_prominence);
-  apply_size(ini, "dps", "peak_count_threshold", config.peak_count_threshold);
-  apply_double(ini, "dps", "std_threshold", config.std_threshold);
-  apply_double(ini, "dps", "deriv_inc_threshold", config.deriv_inc_threshold);
-  apply_double(ini, "dps", "deriv_dec_threshold", config.deriv_dec_threshold);
-  apply_size(ini, "dps", "deriv_length", config.deriv_length);
-  apply_double(ini, "dps", "idle_demote_fraction",
-               config.idle_demote_fraction);
-  apply_size(ini, "dps", "idle_demote_steps", config.idle_demote_steps);
-  apply_double(ini, "dps", "restore_threshold", config.restore_threshold);
-  apply_bool(ini, "dps", "evict_unresponsive", config.evict_unresponsive);
-  apply_double(ini, "dps", "unresponsive_power_floor",
-               config.unresponsive_power_floor);
-  apply_size(ini, "dps", "unresponsive_steps", config.unresponsive_steps);
-  apply_bool(ini, "dps", "use_kalman_filter", config.use_kalman_filter);
-  apply_double(ini, "dps", "ewma_alpha", config.ewma_alpha);
-  apply_bool(ini, "dps", "use_priority_module", config.use_priority_module);
-  apply_bool(ini, "dps", "use_restore", config.use_restore);
-  apply_bool(ini, "dps", "favor_low_caps", config.favor_low_caps);
+  read_section(ini, dps_section(), config);
   return config;
 }
 

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "core/dps_config.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -28,6 +29,7 @@ namespace dps {
 ///   unresponsive_power_floor = 8.0
 ///   unresponsive_steps = 5
 ///   use_kalman_filter = true
+///   ewma_alpha = 0.0
 ///   use_priority_module = true
 ///   use_restore = true
 ///   favor_low_caps = true
@@ -41,17 +43,23 @@ namespace dps {
 ///   decision_interval_steps = 1
 ///   dec_window_steps = 1
 ///
-/// Throws std::runtime_error on parse failures; unknown keys are ignored
-/// (forward compatibility).
+/// Both tables check types only (the managers check the values). Throws
+/// std::invalid_argument "[section]: key ... at line N" on a value that
+/// does not parse or fit its field; unknown keys are ignored (forward
+/// compatibility).
 ///
 /// Other subsystems own their sections in the same file: [net] is parsed
 /// by src/net/net_config, [ctrl] (the hierarchical control plane) by
 /// src/ctrl/ctrl_config, [sched] by src/sched/sched_config, [obs] by
-/// src/obs/obs_config, [faults] by src/faults/fault_config.
+/// src/obs/obs_config, [faults] by src/faults/fault_config, [thermal] by
+/// src/thermal/thermal_config.
 DpsConfig dps_config_from_ini(const IniFile& ini);
 DpsConfig dps_config_from_file(const std::string& path);
 
 /// Applies the [stateless] section alone (used for SLURM baseline tuning).
 MimdConfig mimd_config_from_ini(const IniFile& ini, const MimdConfig& base);
+
+const Section<DpsConfig>& dps_section();
+const Section<MimdConfig>& stateless_section();
 
 }  // namespace dps

@@ -55,7 +55,7 @@ AggregatorNode::AggregatorNode(PowerManager& manager,
       ctrl_(ctrl),
       net_(net),
       server_(listen_port, ctx.num_units, bind_any, net) {
-  validate_ctrl_config(ctrl_);
+  check_section(ctrl_section(), ctrl_);
   if (ctx_.num_units < 1) {
     throw std::invalid_argument("AggregatorNode: num_units must be >= 1");
   }

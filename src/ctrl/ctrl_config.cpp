@@ -1,55 +1,28 @@
 #include "ctrl/ctrl_config.hpp"
 
-#include <stdexcept>
-
 namespace dps {
-namespace {
 
-void apply_int(const IniFile& ini, const char* key, int& field) {
-  if (const auto value = ini.get_int("ctrl", key)) {
-    field = static_cast<int>(*value);
-  }
-}
-
-}  // namespace
-
-void validate_ctrl_config(const CtrlConfig& config) {
-  if (config.shard_size < 1) {
-    throw std::runtime_error("[ctrl] shard_size must be >= 1");
-  }
-  if (config.max_levels < 1) {
-    throw std::runtime_error("[ctrl] max_levels must be >= 1");
-  }
-  if (config.leaf_jobs < 1) {
-    throw std::runtime_error("[ctrl] leaf_jobs must be >= 1");
-  }
-  if (config.parent_port < 0 || config.parent_port > 65535) {
-    throw std::runtime_error("[ctrl] parent_port must be in [0, 65535]");
-  }
-  if (config.parent_unit < -1) {
-    throw std::runtime_error("[ctrl] parent_unit must be >= -1");
-  }
-  if (!config.parent_host.empty() && config.parent_port == 0) {
-    throw std::runtime_error("[ctrl] parent_host needs a parent_port");
-  }
+const Section<CtrlConfig>& ctrl_section() {
+  using C = CtrlConfig;
+  static const Section<C> section{
+      "ctrl",
+      {{"shard_size", &C::shard_size, Range::at_least(1)},
+       {"max_levels", &C::max_levels, Range::at_least(1)},
+       {"leaf_jobs", &C::leaf_jobs, Range::at_least(1)},
+       {"parent_host", &C::parent_host},
+       {"parent_port", &C::parent_port, {0, 65535}},
+       {"parent_unit", &C::parent_unit, Range::at_least(-1)}},
+      {{"parent_host", "needs a parent_port", "parent_port",
+        [](const C& c) {
+          return c.parent_host.empty() || c.parent_port != 0;
+        }}}};
+  return section;
 }
 
 CtrlConfig ctrl_config_from_ini(const IniFile& ini) {
   CtrlConfig config;
-  apply_int(ini, "shard_size", config.shard_size);
-  apply_int(ini, "max_levels", config.max_levels);
-  apply_int(ini, "leaf_jobs", config.leaf_jobs);
-  if (const auto value = ini.get("ctrl", "parent_host")) {
-    config.parent_host = *value;
-  }
-  apply_int(ini, "parent_port", config.parent_port);
-  apply_int(ini, "parent_unit", config.parent_unit);
-  validate_ctrl_config(config);
+  read_section(ini, ctrl_section(), config);
   return config;
-}
-
-CtrlConfig ctrl_config_from_file(const std::string& path) {
-  return ctrl_config_from_ini(IniFile::load(path));
 }
 
 }  // namespace dps

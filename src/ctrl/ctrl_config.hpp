@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -41,14 +42,15 @@ struct CtrlConfig {
   int parent_unit = -1;
 };
 
-/// Applies the `[ctrl]` section on top of the defaults and validates:
-/// shard_size >= 1, max_levels >= 1, leaf_jobs >= 1, parent_port in
-/// [0, 65535], parent_unit >= -1. Throws std::runtime_error (with the
-/// offending key in the message) on a bad value.
+/// Applies the `[ctrl]` section on top of the defaults. ctrl_section()
+/// holds its rules: shard_size, max_levels and leaf_jobs >= 1,
+/// parent_port in [0, 65535], parent_unit >= -1, and a parent_host needs
+/// a parent_port. Throws std::invalid_argument "[ctrl]: key ... at line N"
+/// on a bad value.
 CtrlConfig ctrl_config_from_ini(const IniFile& ini);
-CtrlConfig ctrl_config_from_file(const std::string& path);
 
-/// Validation alone, for configs assembled from command-line flags.
-void validate_ctrl_config(const CtrlConfig& config);
+/// The [ctrl] table; check_section(ctrl_section(), c) validates a config
+/// assembled from command-line flags.
+const Section<CtrlConfig>& ctrl_section();
 
 }  // namespace dps

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <future>
 #include <limits>
@@ -66,7 +67,7 @@ TreeController::TreeController(const CtrlConfig& config,
     : config_(config),
       leaf_factory_(std::move(leaf_factory)),
       root_factory_(std::move(root_factory)) {
-  validate_ctrl_config(config_);
+  check_section(ctrl_section(), config_);
 }
 
 TreeController::TreeController(const CtrlConfig& config)
@@ -420,6 +421,39 @@ void TreeController::load_state(ByteReader& in) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     budgets_[s] = -1.0;  // force apply_shard_budget to propagate
     apply_shard_budget(s, budgets[s]);
+  }
+}
+
+void ProportionalShareRoot::decide(std::span<const Watts> power,
+                                   std::span<Watts> caps) {
+  constexpr double kSmoothing = 0.25;
+  constexpr double kFloorFraction = 0.5;
+  const Watts budget = ctx_.total_budget;
+  // Shares that stopped summing to the budget (it changed since the last
+  // decision) are rescaled to it first. Rounding alone stays far inside
+  // the tolerance, so steady-state shares are left bit for bit.
+  Watts share_sum = 0.0;
+  for (const Watts share : caps) share_sum += share;
+  if (share_sum > 0.0 && std::abs(share_sum - budget) > 1e-9 * budget) {
+    for (Watts& share : caps) share *= budget / share_sum;
+  }
+
+  Watts total_power = 0.0;
+  for (const Watts p : power) total_power += p;
+  if (total_power <= 0.0) return;
+
+  // Proportional targets above the floor, renormalized so they sum to the
+  // budget exactly; a convex step toward them keeps that sum.
+  const std::size_t n = caps.size();
+  const Watts floor = budget / n * kFloorFraction;
+  auto target = [&](std::size_t s) {
+    return floor + (budget - floor * n) * (power[s] / total_power);
+  };
+  Watts target_sum = 0.0;
+  for (std::size_t s = 0; s < n; ++s) target_sum += target(s);
+  const double normalize = budget / target_sum;
+  for (std::size_t s = 0; s < n; ++s) {
+    caps[s] += kSmoothing * (target(s) * normalize - caps[s]);
   }
 }
 

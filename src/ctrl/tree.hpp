@@ -31,12 +31,10 @@ using ManagerFactory = std::function<std::unique_ptr<PowerManager>()>;
 ///
 /// This is the Tegra-sysedp budget-flow pattern (SNIPPETS.md §1): a
 /// top-level budget fans out through per-domain cap tables, each tier
-/// re-running the same allocation logic over a bounded fan-out. Not to be
-/// confused with managers/hierarchical.hpp — that is a *manager policy*
-/// (the Argo-style two-level enclave heuristic evaluated as a baseline);
-/// this is a *control-plane topology* that composes any PowerManager,
-/// including DPS itself, and exists to bound per-controller fan-out. See
-/// docs/architecture.md ("Hierarchical control plane").
+/// re-running the same allocation logic over a bounded fan-out. Any
+/// PowerManager fits either tier: DPS for the fleet control plane, or
+/// ProportionalShareRoot over MIMD leaves for the Argo-style two-level
+/// baseline. See docs/architecture.md ("Hierarchical control plane").
 ///
 /// TreeController is itself a PowerManager, so it drops unchanged into
 /// SimulationEngine, ControlServer, checkpoints (save_state serializes the
@@ -129,6 +127,29 @@ class TreeController final : public PowerManager {
   obs::Counter* obs_budget_moves_ = nullptr;
   obs::Histogram* obs_root_seconds_ = nullptr;
   obs::Histogram* obs_leaf_seconds_ = nullptr;
+};
+
+/// Root policy of the Argo-style two-level manager (paper Related Work,
+/// refs [7-9]): every shard's budget moves a quarter of the way (EWMA
+/// smoothing 0.25) toward a share of the total proportional to the
+/// shard's measured power, above a floor of half the equal split so a
+/// momentarily idle shard keeps headroom for new jobs. After a budget
+/// change the shares are first rescaled to the new total. A TreeController
+/// with max_levels = 2, this root and SlurmStatelessManager(MimdConfig{})
+/// leaves is the baseline bench/ext_hierarchical compares with flat SLURM
+/// and DPS: the root only sees shard sums, at the price of cross-shard
+/// rebalancing lag.
+class ProportionalShareRoot final : public PowerManager {
+ public:
+  std::string_view name() const override { return "proportional_share"; }
+  void reset(const ManagerContext& ctx) override { ctx_ = ctx; }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override;
+  void update_budget(Watts new_total_budget) override {
+    ctx_.total_budget = new_total_budget;
+  }
+
+ private:
+  ManagerContext ctx_;
 };
 
 }  // namespace dps

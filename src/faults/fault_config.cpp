@@ -1,55 +1,40 @@
 #include "faults/fault_config.hpp"
 
-#include <stdexcept>
-
 namespace dps {
-namespace {
 
-void apply_double(const IniFile& ini, const char* key, double& field) {
-  if (const auto value = ini.get_double("faults", key)) field = *value;
+const Section<FaultPlanConfig>& faults_section() {
+  using C = FaultPlanConfig;
+  const Range rate = Range::at_least(0);
+  static const Section<C> section{
+      "faults",
+      {{"seed", &C::seed},
+       {"horizon", &C::horizon, Range::above(0)},
+       {"crash_rate", &C::crash_rate, rate},
+       {"sensor_dropout_rate", &C::sensor_dropout_rate, rate},
+       {"sensor_garbage_rate", &C::sensor_garbage_rate, rate},
+       {"cap_stuck_rate", &C::cap_stuck_rate, rate},
+       {"budget_sag_rate", &C::budget_sag_rate, rate},
+       {"net_connect_refuse_rate", &C::net_connect_refuse_rate, rate},
+       {"net_read_stall_rate", &C::net_read_stall_rate, rate},
+       {"net_disconnect_rate", &C::net_disconnect_rate, rate},
+       {"fan_degrade_rate", &C::fan_degrade_rate, rate},
+       {"temp_stuck_rate", &C::temp_stuck_rate, rate},
+       {"min_duration", &C::min_duration, Range::at_least(0)},
+       {"max_duration", &C::max_duration},
+       {"sag_floor", &C::sag_floor, {0, 1, true}},
+       {"fan_degrade_min", &C::fan_degrade_min, Range::at_least(1)},
+       {"fan_degrade_max", &C::fan_degrade_max}},
+      {{"max_duration", "must be >= min_duration", "min_duration",
+        [](const C& c) { return c.max_duration >= c.min_duration; }},
+       {"fan_degrade_max", "must be >= fan_degrade_min", "fan_degrade_min",
+        [](const C& c) { return c.fan_degrade_max >= c.fan_degrade_min; }}}};
+  return section;
 }
-
-}  // namespace
 
 FaultPlanConfig fault_plan_config_from_ini(const IniFile& ini) {
   FaultPlanConfig config;
-  if (const auto seed = ini.get_int("faults", "seed")) {
-    config.seed = static_cast<std::uint64_t>(*seed);
-  }
-  apply_double(ini, "horizon", config.horizon);
-  apply_double(ini, "crash_rate", config.crash_rate);
-  apply_double(ini, "sensor_dropout_rate", config.sensor_dropout_rate);
-  apply_double(ini, "sensor_garbage_rate", config.sensor_garbage_rate);
-  apply_double(ini, "cap_stuck_rate", config.cap_stuck_rate);
-  apply_double(ini, "budget_sag_rate", config.budget_sag_rate);
-  apply_double(ini, "net_connect_refuse_rate", config.net_connect_refuse_rate);
-  apply_double(ini, "net_read_stall_rate", config.net_read_stall_rate);
-  apply_double(ini, "net_disconnect_rate", config.net_disconnect_rate);
-  apply_double(ini, "fan_degrade_rate", config.fan_degrade_rate);
-  apply_double(ini, "temp_stuck_rate", config.temp_stuck_rate);
-  apply_double(ini, "min_duration", config.min_duration);
-  apply_double(ini, "max_duration", config.max_duration);
-  apply_double(ini, "sag_floor", config.sag_floor);
-  apply_double(ini, "fan_degrade_min", config.fan_degrade_min);
-  apply_double(ini, "fan_degrade_max", config.fan_degrade_max);
-
-  if (config.horizon <= 0.0 || config.min_duration < 0.0 ||
-      config.max_duration < config.min_duration || config.sag_floor <= 0.0 ||
-      config.sag_floor > 1.0 || config.crash_rate < 0.0 ||
-      config.sensor_dropout_rate < 0.0 || config.sensor_garbage_rate < 0.0 ||
-      config.cap_stuck_rate < 0.0 || config.budget_sag_rate < 0.0 ||
-      config.net_connect_refuse_rate < 0.0 ||
-      config.net_read_stall_rate < 0.0 || config.net_disconnect_rate < 0.0 ||
-      config.fan_degrade_rate < 0.0 || config.temp_stuck_rate < 0.0 ||
-      config.fan_degrade_min < 1.0 ||
-      config.fan_degrade_max < config.fan_degrade_min) {
-    throw std::invalid_argument("[faults]: out-of-range value");
-  }
+  read_section(ini, faults_section(), config);
   return config;
-}
-
-FaultPlanConfig fault_plan_config_from_file(const std::string& path) {
-  return fault_plan_config_from_ini(IniFile::load(path));
 }
 
 bool any_fault_rate(const FaultPlanConfig& config) {

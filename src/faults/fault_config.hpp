@@ -3,6 +3,7 @@
 #include <string>
 
 #include "faults/fault_plan.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -20,6 +21,9 @@ namespace dps {
 ///   sensor_garbage_rate = 0.5
 ///   cap_stuck_rate = 0.5
 ///   budget_sag_rate = 0.5
+///   net_connect_refuse_rate = 0.5 ; control-plane faults (src/net/)
+///   net_read_stall_rate = 0.5
+///   net_disconnect_rate = 0.5
 ///   fan_degrade_rate = 0.5     ; thermal faults (need [thermal] enabled)
 ///   temp_stuck_rate = 0.5
 ///   min_duration = 30          ; [s] fault active window, uniform
@@ -28,10 +32,14 @@ namespace dps {
 ///   fan_degrade_min = 1.25     ; resistance multiplier range, >= 1
 ///   fan_degrade_max = 2.0
 ///
-/// Throws std::runtime_error on unparsable values (propagated from
-/// IniFile) and std::invalid_argument on out-of-range ones.
+/// Throws std::invalid_argument "[faults]: key ... at line N" on a value
+/// that does not parse or breaks faults_section()'s rules: horizon > 0,
+/// rates >= 0, 0 <= min_duration <= max_duration, sag_floor in (0, 1],
+/// 1 <= fan_degrade_min <= fan_degrade_max. FaultPlan::generate checks
+/// the same rules.
 FaultPlanConfig fault_plan_config_from_ini(const IniFile& ini);
-FaultPlanConfig fault_plan_config_from_file(const std::string& path);
+
+const Section<FaultPlanConfig>& faults_section();
 
 /// True when the config would generate any events at all (any rate > 0).
 bool any_fault_rate(const FaultPlanConfig& config);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "faults/fault_config.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
@@ -78,12 +79,7 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config, int num_units) {
   if (num_units <= 0) {
     throw std::invalid_argument("FaultPlan::generate: num_units must be > 0");
   }
-  if (config.horizon <= 0.0 || config.min_duration < 0.0 ||
-      config.max_duration < config.min_duration || config.sag_floor <= 0.0 ||
-      config.sag_floor > 1.0 || config.fan_degrade_min < 1.0 ||
-      config.fan_degrade_max < config.fan_degrade_min) {
-    throw std::invalid_argument("FaultPlan::generate: invalid config");
-  }
+  check_section(faults_section(), config);
 
   struct KindRate {
     FaultKind kind;

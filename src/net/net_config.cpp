@@ -1,69 +1,33 @@
 #include "net/net_config.hpp"
 
-#include <stdexcept>
-
 namespace dps {
-namespace {
 
-void apply_double(const IniFile& ini, const char* key, double& field) {
-  if (const auto value = ini.get_double("net", key)) field = *value;
-}
-
-void apply_int(const IniFile& ini, const char* key, int& field) {
-  if (const auto value = ini.get_int("net", key)) {
-    field = static_cast<int>(*value);
-  }
-}
-
-void apply_size(const IniFile& ini, const char* key, std::size_t& field) {
-  if (const auto value = ini.get_int("net", key)) {
-    if (*value < 0) {
-      throw std::runtime_error(std::string("[net] ") + key +
-                               " must be >= 0");
-    }
-    field = static_cast<std::size_t>(*value);
-  }
-}
-
-}  // namespace
-
-void validate_net_config(const NetConfig& config) {
-  if (config.round_deadline_s < 0.0) {
-    throw std::runtime_error("[net] round_deadline_s must be >= 0");
-  }
-  if (config.reconnect_base_backoff_s <= 0.0 ||
-      config.reconnect_max_backoff_s <= 0.0) {
-    throw std::runtime_error("[net] reconnect backoffs must be > 0");
-  }
-  if (config.reconnect_max_backoff_s < config.reconnect_base_backoff_s) {
-    throw std::runtime_error(
-        "[net] reconnect_max_backoff_s must be >= reconnect_base_backoff_s");
-  }
-  if (config.reconnect_max_attempts < 1) {
-    throw std::runtime_error("[net] reconnect_max_attempts must be >= 1");
-  }
-  if (config.failsafe_cap_w < 0.0) {
-    throw std::runtime_error("[net] failsafe_cap_w must be >= 0");
-  }
-  if (config.checkpoint_interval_rounds < 1) {
-    throw std::runtime_error("[net] checkpoint_interval_rounds must be >= 1");
-  }
+const Section<NetConfig>& net_section() {
+  using C = NetConfig;
+  static const Section<C> section{
+      "net",
+      {{"round_deadline_s", &C::round_deadline_s, Range::at_least(0)},
+       {"reconnect_base_backoff_s", &C::reconnect_base_backoff_s,
+        Range::above(0)},
+       {"reconnect_max_backoff_s", &C::reconnect_max_backoff_s,
+        Range::above(0)},
+       {"reconnect_max_attempts", &C::reconnect_max_attempts,
+        Range::at_least(1)},
+       {"failsafe_cap_w", &C::failsafe_cap_w, Range::at_least(0)},
+       {"checkpoint_path", &C::checkpoint_path},
+       {"checkpoint_interval_rounds", &C::checkpoint_interval_rounds,
+        Range::at_least(1)}},
+      {{"reconnect_max_backoff_s", "must be >= reconnect_base_backoff_s",
+        "reconnect_base_backoff_s",
+        [](const C& c) {
+          return c.reconnect_max_backoff_s >= c.reconnect_base_backoff_s;
+        }}}};
+  return section;
 }
 
 NetConfig net_config_from_ini(const IniFile& ini) {
   NetConfig config;
-  apply_double(ini, "round_deadline_s", config.round_deadline_s);
-  apply_double(ini, "reconnect_base_backoff_s",
-               config.reconnect_base_backoff_s);
-  apply_double(ini, "reconnect_max_backoff_s", config.reconnect_max_backoff_s);
-  apply_int(ini, "reconnect_max_attempts", config.reconnect_max_attempts);
-  apply_double(ini, "failsafe_cap_w", config.failsafe_cap_w);
-  if (const auto value = ini.get("net", "checkpoint_path")) {
-    config.checkpoint_path = *value;
-  }
-  apply_size(ini, "checkpoint_interval_rounds",
-             config.checkpoint_interval_rounds);
-  validate_net_config(config);
+  read_section(ini, net_section(), config);
   return config;
 }
 

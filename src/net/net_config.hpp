@@ -4,6 +4,7 @@
 #include <string>
 
 #include "power/power_interface.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -36,15 +37,15 @@ struct NetConfig {
   std::size_t checkpoint_interval_rounds = 30;
 };
 
-/// Applies the `[net]` section on top of the defaults and validates:
-/// round_deadline_s >= 0, backoffs > 0 with max >= base, attempts >= 1,
-/// failsafe_cap_w >= 0, checkpoint_interval_rounds >= 1. Throws
-/// std::runtime_error (with the offending key in the message) on a bad
-/// value.
+/// Applies the `[net]` section on top of the defaults. net_section()
+/// holds its rules: round_deadline_s >= 0, backoffs > 0 with max >= base,
+/// attempts >= 1, failsafe_cap_w >= 0, checkpoint_interval_rounds >= 1.
+/// Throws std::invalid_argument "[net]: key ... at line N" on a bad value.
 NetConfig net_config_from_ini(const IniFile& ini);
 NetConfig net_config_from_file(const std::string& path);
 
-/// Validation alone, for configs assembled from command-line flags.
-void validate_net_config(const NetConfig& config);
+/// The [net] table; check_section(net_section(), c) validates a config
+/// assembled from command-line flags.
+const Section<NetConfig>& net_section();
 
 }  // namespace dps

@@ -42,7 +42,7 @@ ControlServer::ControlServer(std::uint16_t port, int expected_units,
   if (expected_units <= 0) {
     throw std::invalid_argument("ControlServer: expected_units must be > 0");
   }
-  validate_net_config(net_);
+  check_section(net_section(), net_);
   ignore_sigpipe();
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw_errno("socket");

@@ -7,30 +7,23 @@
 
 namespace dps::obs {
 
+const Section<ObsConfig>& obs_section() {
+  using C = ObsConfig;
+  static const Section<C> section{
+      "obs",
+      {{"enabled", &C::enabled},
+       {"events_capacity", &C::events_capacity, Range::at_least(1)},
+       {"span_events", &C::span_events},
+       {"export_prometheus", &C::export_prometheus},
+       {"export_metrics_csv", &C::export_metrics_csv},
+       {"export_events_csv", &C::export_events_csv},
+       {"export_trace_json", &C::export_trace_json}}};
+  return section;
+}
+
 ObsConfig obs_config_from_ini(const IniFile& ini) {
   ObsConfig config;
-  if (const auto v = ini.get_bool("obs", "enabled")) config.enabled = *v;
-  if (const auto v = ini.get_int("obs", "events_capacity")) {
-    if (*v <= 0) {
-      throw std::invalid_argument("[obs] events_capacity must be > 0");
-    }
-    config.events_capacity = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = ini.get_bool("obs", "span_events")) {
-    config.span_events = *v;
-  }
-  if (const auto v = ini.get("obs", "export_prometheus")) {
-    config.export_prometheus = *v;
-  }
-  if (const auto v = ini.get("obs", "export_metrics_csv")) {
-    config.export_metrics_csv = *v;
-  }
-  if (const auto v = ini.get("obs", "export_events_csv")) {
-    config.export_events_csv = *v;
-  }
-  if (const auto v = ini.get("obs", "export_trace_json")) {
-    config.export_trace_json = *v;
-  }
+  read_section(ini, obs_section(), config);
   return config;
 }
 

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "obs/sink.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps::obs {
@@ -37,9 +38,12 @@ struct ObsConfig {
   }
 };
 
-/// Throws std::invalid_argument on an events_capacity of 0.
+/// Throws std::invalid_argument "[obs]: key ... at line N" on a value that
+/// does not parse or an events_capacity of 0.
 ObsConfig obs_config_from_ini(const IniFile& ini);
 ObsConfig obs_config_from_file(const std::string& path);
+
+const Section<ObsConfig>& obs_section();
 
 /// A sink per the config: enabled ⇒ a fresh Observer, otherwise the
 /// disabled (free) sink.

@@ -1,7 +1,6 @@
 #include "sched/sched_config.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace dps::sched {
 namespace {
@@ -21,77 +20,43 @@ std::vector<std::string> split_names(const std::string& value) {
 
 }  // namespace
 
+const Section<JobScheduleConfig>& sched_section() {
+  using C = JobScheduleConfig;
+  static const Section<C> section{
+      "sched",
+      {{"seed", &C::seed},
+       {"arrival_rate", &C::arrival_rate_per_1000s, Range::above(0)},
+       {"job_count", &C::job_count, Range::at_least(0)},
+       {"min_units", &C::min_units, Range::at_least(1)},
+       {"max_units", &C::max_units, Range::at_least(1)},
+       {"retry_cap", &C::retry_cap, Range::at_least(0)},
+       {"slowdown_bound", &C::slowdown_bound, Range::above(0)},
+       {"walltime_factor", &C::walltime_factor, Range::above(0)},
+       {"power_fit_fraction", &C::power, &PowerAwareConfig::fit_fraction,
+        Range::above(0)},
+       {"min_shrink_fraction", &C::power,
+        &PowerAwareConfig::min_shrink_fraction, {0, 1, true}}},
+      {{"max_units", "must be >= min_units", "min_units",
+        [](const C& c) { return c.max_units >= c.min_units; }}}};
+  return section;
+}
+
 JobScheduleConfig sched_config_from_ini(const IniFile& ini) {
   JobScheduleConfig config;
-  const std::string section = "sched";
-
-  if (const auto v = ini.get(section, "policy")) {
-    if (!sched_policy_from_string(*v, config.policy)) {
-      throw std::invalid_argument("[sched] unknown policy: " + *v);
+  read_section(ini, sched_section(), config);
+  if (const auto v = ini.get("sched", "policy");
+      v && !sched_policy_from_string(*v, config.policy)) {
+    config_error("sched", "policy",
+                 "must be fcfs, backfill or power, got '" + *v + "'", &ini);
+  }
+  if (const auto v = ini.get("sched", "workload_mix")) {
+    config.workload_mix = split_names(*v);
+    if (config.workload_mix.empty()) {
+      config_error("sched", "workload_mix", "names no workloads", &ini);
     }
   }
-  if (const auto v = ini.get_int(section, "seed")) {
-    config.seed = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = ini.get_double(section, "arrival_rate")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] arrival_rate must be > 0");
-    }
-    config.arrival_rate_per_1000s = *v;
-  }
-  if (const auto v = ini.get_int(section, "job_count")) {
-    if (*v < 0) throw std::invalid_argument("[sched] job_count must be >= 0");
-    config.job_count = static_cast<int>(*v);
-  }
-  if (const auto v = ini.get_int(section, "min_units")) {
-    if (*v < 1) throw std::invalid_argument("[sched] min_units must be >= 1");
-    config.min_units = static_cast<int>(*v);
-  }
-  if (const auto v = ini.get_int(section, "max_units")) {
-    if (*v < 1) throw std::invalid_argument("[sched] max_units must be >= 1");
-    config.max_units = static_cast<int>(*v);
-  }
-  if (config.max_units < config.min_units) {
-    throw std::invalid_argument("[sched] max_units < min_units");
-  }
-  if (const auto v = ini.get(section, "workload_mix")) {
-    const auto names = split_names(*v);
-    if (names.empty()) {
-      throw std::invalid_argument("[sched] workload_mix names no workloads");
-    }
-    config.workload_mix = names;
-  }
-  if (const auto v = ini.get(section, "job_trace"); v && !v->empty()) {
+  if (const auto v = ini.get("sched", "job_trace"); v && !v->empty()) {
     config.trace = load_job_trace(*v);
-  }
-  if (const auto v = ini.get_int(section, "retry_cap")) {
-    if (*v < 0) throw std::invalid_argument("[sched] retry_cap must be >= 0");
-    config.retry_cap = static_cast<int>(*v);
-  }
-  if (const auto v = ini.get_double(section, "slowdown_bound")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] slowdown_bound must be > 0");
-    }
-    config.slowdown_bound = *v;
-  }
-  if (const auto v = ini.get_double(section, "walltime_factor")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] walltime_factor must be > 0");
-    }
-    config.walltime_factor = *v;
-  }
-  if (const auto v = ini.get_double(section, "power_fit_fraction")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] power_fit_fraction must be > 0");
-    }
-    config.power.fit_fraction = *v;
-  }
-  if (const auto v = ini.get_double(section, "min_shrink_fraction")) {
-    if (*v <= 0.0 || *v > 1.0) {
-      throw std::invalid_argument(
-          "[sched] min_shrink_fraction must be in (0, 1]");
-    }
-    config.power.min_shrink_fraction = *v;
   }
   return config;
 }

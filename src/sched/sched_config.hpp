@@ -3,6 +3,7 @@
 #include <string>
 
 #include "sched/runtime.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps::sched {
@@ -30,10 +31,14 @@ namespace dps::sched {
 /// returned config's trace records. The workload resolver is NOT set
 /// here — callers attach `workload_by_name` or their own table.
 ///
-/// Throws std::runtime_error on unparsable values or an unreadable trace
-/// file and std::invalid_argument on out-of-range ones (unknown policy,
-/// retry_cap < 0, non-positive rate/count/fractions).
+/// Throws std::runtime_error on an unreadable trace file and
+/// std::invalid_argument "[sched]: key ... at line N" on a value that does
+/// not parse or is out of range (unknown policy, empty workload_mix,
+/// retry_cap < 0, non-positive rates/fractions, max_units < min_units).
 JobScheduleConfig sched_config_from_ini(const IniFile& ini);
 JobScheduleConfig sched_config_from_file(const std::string& path);
+
+/// The scalar keys; policy, workload_mix and job_trace are read beside it.
+const Section<JobScheduleConfig>& sched_section();
 
 }  // namespace dps::sched

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "thermal/thermal_config.hpp"
+
 namespace dps {
 
 ThrottleGovernor::ThrottleGovernor(const ThermalConfig& config, int num_units)
     : config_(config) {
-  validate(config_);
+  check_section(thermal_section(), config_);
   if (num_units <= 0) {
     throw std::invalid_argument("ThrottleGovernor: num_units must be > 0");
   }

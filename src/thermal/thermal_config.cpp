@@ -1,90 +1,34 @@
 #include "thermal/thermal_config.hpp"
 
-#include <iomanip>
-#include <sstream>
-#include <stdexcept>
-
 namespace dps {
-namespace {
 
-constexpr const char* kSection = "thermal";
-
-[[noreturn]] void fail(const IniFile& ini, const char* key,
-                       const std::string& what) {
-  const int line = ini.line_of(kSection, key);
-  std::string msg = "[thermal]: " + what;
-  if (line > 0) msg += " at line " + std::to_string(line);
-  throw std::invalid_argument(msg);
+const Section<ThermalConfig>& thermal_section() {
+  using C = ThermalConfig;
+  static const Section<C> section{
+      "thermal",
+      {{"ambient", &C::ambient_c},
+       {"resistance", &C::resistance_c_per_w, Range::above(0)},
+       {"time_constant", &C::time_constant_s, Range::above(0)},
+       {"trip", &C::trip_c},
+       {"clear", &C::clear_c},
+       {"throttle_cap", &C::throttle_cap_w, Range::above(0)},
+       {"jitter", &C::jitter_fraction, {0, 1, false, true}},
+       {"seed", &C::seed}},
+      {{"trip", "must be > clear", "clear",
+        [](const C& c) { return c.trip_c > c.clear_c; }},
+       {"trip", "must be > ambient", "ambient",
+        [](const C& c) { return c.trip_c > c.ambient_c; }}}};
+  return section;
 }
-
-void apply_double(const IniFile& ini, const char* key, double& field) {
-  if (const auto value = ini.get_double(kSection, key)) field = *value;
-}
-
-}  // namespace
 
 std::optional<ThermalConfig> thermal_config_from_ini(const IniFile& ini) {
-  if (!ini.has_section(kSection)) return std::nullopt;
-  if (const auto enabled = ini.get_bool(kSection, "enabled");
-      enabled.has_value() && !*enabled) {
-    return std::nullopt;
-  }
-
+  if (!ini.has_section("thermal")) return std::nullopt;
+  bool enabled = true;
+  read_field(ini, "thermal", "enabled", &enabled);
+  if (!enabled) return std::nullopt;
   ThermalConfig config;
-  apply_double(ini, "ambient", config.ambient_c);
-  apply_double(ini, "resistance", config.resistance_c_per_w);
-  apply_double(ini, "time_constant", config.time_constant_s);
-  apply_double(ini, "trip", config.trip_c);
-  apply_double(ini, "clear", config.clear_c);
-  apply_double(ini, "throttle_cap", config.throttle_cap_w);
-  apply_double(ini, "jitter", config.jitter_fraction);
-  if (const auto seed = ini.get_int(kSection, "seed")) {
-    config.seed = static_cast<std::uint64_t>(*seed);
-  }
-
-  // Same checks as validate(), but blamed on the source line so a config
-  // author gets "which line", not just "which invariant".
-  if (config.resistance_c_per_w <= 0.0) {
-    fail(ini, "resistance", "resistance must be > 0");
-  }
-  if (config.time_constant_s <= 0.0) {
-    fail(ini, "time_constant", "time_constant must be > 0");
-  }
-  if (config.trip_c <= config.clear_c) {
-    fail(ini, ini.line_of(kSection, "trip") > 0 ? "trip" : "clear",
-         "trip must be > clear");
-  }
-  if (config.trip_c <= config.ambient_c) {
-    fail(ini, "trip", "trip must be > ambient");
-  }
-  if (config.throttle_cap_w <= 0.0) {
-    fail(ini, "throttle_cap", "throttle_cap must be > 0");
-  }
-  if (config.jitter_fraction < 0.0 || config.jitter_fraction >= 1.0) {
-    fail(ini, "jitter", "jitter must be in [0, 1)");
-  }
+  read_section(ini, thermal_section(), config);
   return config;
-}
-
-std::optional<ThermalConfig> thermal_config_from_file(
-    const std::string& path) {
-  return thermal_config_from_ini(IniFile::load(path));
-}
-
-std::string thermal_config_to_ini(const ThermalConfig& config) {
-  std::ostringstream out;
-  out << std::setprecision(17);
-  out << "[thermal]\n";
-  out << "enabled = true\n";
-  out << "ambient = " << config.ambient_c << "\n";
-  out << "resistance = " << config.resistance_c_per_w << "\n";
-  out << "time_constant = " << config.time_constant_s << "\n";
-  out << "trip = " << config.trip_c << "\n";
-  out << "clear = " << config.clear_c << "\n";
-  out << "throttle_cap = " << config.throttle_cap_w << "\n";
-  out << "jitter = " << config.jitter_fraction << "\n";
-  out << "seed = " << config.seed << "\n";
-  return out.str();
 }
 
 }  // namespace dps

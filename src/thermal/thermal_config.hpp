@@ -1,9 +1,9 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "thermal/thermal_model.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -24,16 +24,15 @@ namespace dps {
 ///   jitter = 0.05            ; per-unit R/tau jitter fraction
 ///   seed = 42
 ///
-/// Unset keys keep the defaults. Throws std::runtime_error on unparsable
-/// lines (propagated from IniFile) and std::invalid_argument with the
-/// offending key's line number on semantically invalid values (negative
-/// time constants, trip <= clear, ...).
+/// Unset keys keep the defaults. Throws std::invalid_argument
+/// "[thermal]: key ... at line N" on a value that does not parse or breaks
+/// thermal_section()'s rules (non-positive R/tau/throttle cap, trip not
+/// above clear and ambient, jitter outside [0, 1)).
 std::optional<ThermalConfig> thermal_config_from_ini(const IniFile& ini);
-std::optional<ThermalConfig> thermal_config_from_file(const std::string& path);
 
-/// Serializes a config back to a `[thermal]` section (every key explicit,
-/// enabled = true). parse(to_ini(c)) reproduces c exactly for any valid c;
-/// the fuzz driver leans on this round trip.
-std::string thermal_config_to_ini(const ThermalConfig& config);
+/// The [thermal] table (`enabled` is read beside it). ThermalModel and
+/// ThrottleGovernor run check_section(thermal_section(), c) on their
+/// config, so code-built configs meet the same rules.
+const Section<ThermalConfig>& thermal_section();
 
 }  // namespace dps

@@ -5,34 +5,14 @@
 #include <limits>
 #include <stdexcept>
 
+#include "thermal/thermal_config.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
 
-void validate(const ThermalConfig& config) {
-  if (config.resistance_c_per_w <= 0.0) {
-    throw std::invalid_argument("[thermal]: resistance must be > 0");
-  }
-  if (config.time_constant_s <= 0.0) {
-    throw std::invalid_argument("[thermal]: time_constant must be > 0");
-  }
-  if (config.trip_c <= config.clear_c) {
-    throw std::invalid_argument("[thermal]: trip must be > clear");
-  }
-  if (config.trip_c <= config.ambient_c) {
-    throw std::invalid_argument("[thermal]: trip must be > ambient");
-  }
-  if (config.throttle_cap_w <= 0.0) {
-    throw std::invalid_argument("[thermal]: throttle_cap must be > 0");
-  }
-  if (config.jitter_fraction < 0.0 || config.jitter_fraction >= 1.0) {
-    throw std::invalid_argument("[thermal]: jitter must be in [0, 1)");
-  }
-}
-
 ThermalModel::ThermalModel(const ThermalConfig& config, int num_units)
     : config_(config) {
-  validate(config_);
+  check_section(thermal_section(), config_);
   if (num_units <= 0) {
     throw std::invalid_argument("ThermalModel: num_units must be > 0");
   }

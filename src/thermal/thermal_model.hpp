@@ -41,10 +41,6 @@ struct ThermalConfig {
   std::uint64_t seed = 42;
 };
 
-/// Throws std::invalid_argument when a field is out of range (non-positive
-/// R/tau, trip not above clear, negative jitter, ...).
-void validate(const ThermalConfig& config);
-
 /// First-order RC thermal model, one node per unit. Each step advances the
 /// package temperature toward its steady state with the *exact* exponential
 /// update

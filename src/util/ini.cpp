@@ -1,6 +1,8 @@
 #include "util/ini.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +24,26 @@ std::string lower(std::string text) {
 }
 
 }  // namespace
+
+std::optional<double> parse_double(std::string_view text) {
+  // strtod needs a terminated string; it also accepts what the old
+  // getters did (leading '+', exponents, hex floats).
+  const std::string copy(text);
+  char* end = nullptr;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (copy.empty() || end != copy.c_str() + copy.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<bool> parse_bool(std::string_view text) {
+  const std::string v = lower(std::string(text));
+  if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
+  if (v == "false" || v == "no" || v == "off" || v == "0") return false;
+  return std::nullopt;
+}
 
 IniFile IniFile::parse(const std::string& text) {
   IniFile ini;
@@ -80,31 +102,19 @@ std::optional<std::string> IniFile::get(const std::string& section,
 std::optional<double> IniFile::get_double(const std::string& section,
                                           const std::string& key) const {
   const auto value = get(section, key);
-  if (!value) return std::nullopt;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') return std::nullopt;
-  return parsed;
+  return value ? parse_double(*value) : std::nullopt;
 }
 
 std::optional<long> IniFile::get_int(const std::string& section,
                                      const std::string& key) const {
   const auto value = get(section, key);
-  if (!value) return std::nullopt;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0') return std::nullopt;
-  return parsed;
+  return value ? parse_integer<long>(*value) : std::nullopt;
 }
 
 std::optional<bool> IniFile::get_bool(const std::string& section,
                                       const std::string& key) const {
   const auto value = get(section, key);
-  if (!value) return std::nullopt;
-  const std::string v = lower(*value);
-  if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
-  if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  return std::nullopt;
+  return value ? parse_bool(*value) : std::nullopt;
 }
 
 int IniFile::line_of(const std::string& section,

@@ -1,10 +1,32 @@
 #pragma once
 
+#include <charconv>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace dps {
+
+/// INI value syntax, shared by IniFile's typed getters and the config
+/// tables (util/config_table.hpp). The whole text must parse: a double must
+/// be finite, an integer must fit `Int` (an optional leading '+'; a '-'
+/// only for signed types), and a bool is true/yes/on/1 or false/no/off/0 in
+/// any case. nullopt otherwise.
+std::optional<double> parse_double(std::string_view text);
+std::optional<bool> parse_bool(std::string_view text);
+
+template <class Int>
+std::optional<Int> parse_integer(std::string_view text) {
+  if (text.size() > 1 && text[0] == '+' && text[1] != '-') {
+    text.remove_prefix(1);
+  }
+  Int value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// Minimal INI-style configuration parser (the C++ counterpart of the
 /// paper artifact's config.py). Supports `[section]` headers, `key = value`
@@ -20,6 +42,8 @@ class IniFile {
 
   std::optional<std::string> get(const std::string& section,
                                  const std::string& key) const;
+  /// get() through parse_double / parse_integer<long> / parse_bool:
+  /// nullopt when the key is absent or its value does not parse.
   std::optional<double> get_double(const std::string& section,
                                    const std::string& key) const;
   std::optional<long> get_int(const std::string& section,

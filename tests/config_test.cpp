@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 
 #include "core/config_io.hpp"
+#include "ctrl/ctrl_config.hpp"
+#include "faults/fault_config.hpp"
 #include "net/net_config.hpp"
+#include "obs/obs_config.hpp"
 #include "sched/sched_config.hpp"
+#include "thermal/thermal_config.hpp"
+#include "util/config_table.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -210,24 +216,24 @@ TEST(NetConfig, ShippedIniMatchesBuiltInDefaults) {
 TEST(NetConfig, RejectsInvalidValues) {
   EXPECT_THROW(net_config_from_ini(IniFile::parse(
                    "[net]\nround_deadline_s = -1\n")),
-               std::runtime_error);
+               std::invalid_argument);
   EXPECT_THROW(net_config_from_ini(IniFile::parse(
                    "[net]\nreconnect_base_backoff_s = 0\n")),
-               std::runtime_error);
+               std::invalid_argument);
   EXPECT_THROW(net_config_from_ini(IniFile::parse(
                    "[net]\n"
                    "reconnect_base_backoff_s = 2.0\n"
                    "reconnect_max_backoff_s = 1.0\n")),
-               std::runtime_error);
+               std::invalid_argument);
   EXPECT_THROW(net_config_from_ini(IniFile::parse(
                    "[net]\nreconnect_max_attempts = 0\n")),
-               std::runtime_error);
+               std::invalid_argument);
   EXPECT_THROW(net_config_from_ini(IniFile::parse(
                    "[net]\nfailsafe_cap_w = -5\n")),
-               std::runtime_error);
+               std::invalid_argument);
   EXPECT_THROW(net_config_from_ini(IniFile::parse(
                    "[net]\ncheckpoint_interval_rounds = 0\n")),
-               std::runtime_error);
+               std::invalid_argument);
 }
 
 // --- [sched] section (src/sched/sched_config) ---
@@ -308,6 +314,117 @@ TEST(SchedConfig, RejectsInvalidValues) {
   EXPECT_THROW(sched_config_from_ini(IniFile::parse(
                    "[sched]\nworkload_mix = ,\n")),
                std::invalid_argument);
+}
+
+// --- One field table per section (util/config_table) ---
+
+const std::string kShippedDir = std::string(DPS_SOURCE_DIR) + "/configs/";
+
+/// Every section reader over one INI.
+void read_every_section(const IniFile& ini) {
+  dps_config_from_ini(ini);
+  mimd_config_from_ini(ini, MimdConfig{});
+  ctrl_config_from_ini(ini);
+  fault_plan_config_from_ini(ini);
+  net_config_from_ini(ini);
+  obs::obs_config_from_ini(ini);
+  sched::sched_config_from_ini(ini);
+  thermal_config_from_ini(ini);
+}
+
+TEST(ConfigTable, MalformedValuesCiteSectionKeyAndLine) {
+  struct Case {
+    const char* ini;
+    const char* prefix;  // "[section]: key"
+    int line;
+  };
+  const Case cases[] = {
+      {"[dps]\nhistory_length = -1\n", "[dps]: history_length", 2},
+      {"[dps]\nhistory_length = 20\npeak_count_threshold = -1\n",
+       "[dps]: peak_count_threshold", 3},
+      {"[dps]\nuse_restore = maybe\n", "[dps]: use_restore", 2},
+      {"[stateless]\ndec_window_steps = 2.5\n", "[stateless]: dec_window_steps",
+       2},
+      {"[ctrl]\nshard_size = 4294967297\n", "[ctrl]: shard_size", 2},
+      {"[ctrl]\nshard_size = 1.5\n", "[ctrl]: shard_size", 2},
+      {"[ctrl]\nparent_port = 70000\n", "[ctrl]: parent_port", 2},
+      {"[faults]\ncrash_rate = abc\n", "[faults]: crash_rate", 2},
+      {"[faults]\n; drills\nseed = -1\n", "[faults]: seed", 3},
+      {"[faults]\ncrash_rate = nan\n", "[faults]: crash_rate", 2},
+      {"[faults]\nmin_duration = 50\nmax_duration = 40\n",
+       "[faults]: max_duration", 3},
+      {"[net]\nround_deadline_s = nan\n", "[net]: round_deadline_s", 2},
+      {"[net]\nreconnect_max_attempts = 1e3\n",
+       "[net]: reconnect_max_attempts", 2},
+      {"[obs]\nenabled = maybe\n", "[obs]: enabled", 2},
+      {"[sched]\njob_count = 4294967297\n", "[sched]: job_count", 2},
+      {"[sched]\narrival_rate = nan\n", "[sched]: arrival_rate", 2},
+      {"[sched]\npolicy = lottery\n", "[sched]: policy", 2},
+      {"[thermal]\nenabled = nah\n", "[thermal]: enabled", 2},
+      {"[thermal]\ntrip = nan\n", "[thermal]: trip", 2},
+      {"[thermal]\njitter = x\n", "[thermal]: jitter", 2},
+      // A broken cross-field rule cites its other key when only that one
+      // appears.
+      {"[thermal]\nambient = 30\nclear = 99\n", "[thermal]: trip", 3},
+  };
+  for (const Case& c : cases) {
+    try {
+      read_every_section(IniFile::parse(c.ini));
+      ADD_FAILURE() << "accepted:\n" << c.ini;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind(c.prefix, 0), 0u) << what;
+      EXPECT_TRUE(what.ends_with(" at line " + std::to_string(c.line)))
+          << what;
+    }
+  }
+}
+
+TEST(ConfigTable, CodeBuiltConfigsMeetTheSameRules) {
+  NetConfig net;
+  net.round_deadline_s = std::nan("");
+  EXPECT_THROW(check_section(net_section(), net), std::invalid_argument);
+
+  ThermalConfig thermal;
+  thermal.clear_c = thermal.trip_c;
+  try {
+    check_section(thermal_section(), thermal);
+    FAIL() << "trip == clear accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "[thermal]: trip must be > clear");
+  }
+
+  FaultPlanConfig faults;
+  faults.crash_rate = -1.0;
+  EXPECT_THROW(FaultPlan::generate(faults, 4), std::invalid_argument);
+}
+
+template <class C>
+void expect_every_key(const IniFile& ini, const Section<C>& section) {
+  for (const auto& field : section.fields) {
+    EXPECT_TRUE(ini.get(section.name, field.key).has_value())
+        << "[" << section.name << "] " << field.key
+        << " missing from configs/dps.ini";
+  }
+}
+
+TEST(ConfigTable, ShippedIniListsEveryKeyOfEveryTable) {
+  const auto ini = IniFile::load(kShippedDir + "dps.ini");
+  expect_every_key(ini, dps_section());
+  expect_every_key(ini, stateless_section());
+  expect_every_key(ini, ctrl_section());
+  expect_every_key(ini, faults_section());
+  expect_every_key(ini, net_section());
+  expect_every_key(ini, obs::obs_section());
+  expect_every_key(ini, sched::sched_section());
+  expect_every_key(ini, thermal_section());
+}
+
+TEST(ConfigTable, ShippedInisLoadThroughEveryReader) {
+  for (const char* name : {"dps.ini", "dps_noisy_sensors.ini"}) {
+    EXPECT_NO_THROW(read_every_section(IniFile::load(kShippedDir + name)))
+        << name;
+  }
 }
 
 }  // namespace

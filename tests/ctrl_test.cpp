@@ -391,13 +391,13 @@ TEST(CtrlConfig, IniRoundTripAndValidation) {
   EXPECT_EQ(defaults.parent_port, 0);
 
   EXPECT_THROW(ctrl_config_from_ini(IniFile::parse("[ctrl]\nshard_size = 0\n")),
-               std::runtime_error);
+               std::invalid_argument);
   EXPECT_THROW(
       ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_port = 70000\n")),
-      std::runtime_error);
+      std::invalid_argument);
   EXPECT_THROW(
       ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_host = h\n")),
-      std::runtime_error);  // host without port
+      std::invalid_argument);  // host without port
 }
 
 TEST(AggregatorCheckpoint, FileRoundTripAndCorruptionRejected) {

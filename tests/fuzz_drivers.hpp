@@ -9,15 +9,31 @@
 ///   * tests/fuzz_libfuzzer.cpp — LLVMFuzzerTestOneInput entry points,
 ///     built only with -DDPS_LIBFUZZER=ON (needs clang's libFuzzer).
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <variant>
 
+#include "core/config_io.hpp"
+#include "ctrl/ctrl_config.hpp"
+#include "faults/fault_config.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
+#include "net/net_config.hpp"
 #include "net/protocol.hpp"
+#include "obs/obs_config.hpp"
+#include "sched/sched_config.hpp"
 #include "thermal/thermal_config.hpp"
+#include "util/config_table.hpp"
 #include "util/csv_reader.hpp"
 #include "util/ini.hpp"
 
@@ -148,57 +164,152 @@ inline bool drive_fault_plan(const std::uint8_t* data, std::size_t size) {
          static_cast<int>(generated.size());
 }
 
-/// [thermal] sections: hostile key values — negative time constants, trip
-/// and clear in either order, out-of-range jitter — must either produce a
-/// validated config or throw a std::invalid_argument prefixed "[thermal]:"
-/// (with the offending source line appended when the key appears in the
-/// text). A config that parses must survive thermal_config_to_ini ->
-/// thermal_config_from_ini with every field exactly equal. Returns false
-/// if either invariant breaks.
-inline bool drive_thermal_config(const std::uint8_t* data, std::size_t size) {
+/// One hostile value for a table field, chosen by `control`: absent
+/// (nullopt), garbage, negative, zero, NaN, +inf, -inf, INT_MAX + 1, or a
+/// value its type and range accept. Absent and valid are drawn most often,
+/// so whole sections still parse and reach the round trip.
+inline std::optional<std::string> hostile_value(std::uint8_t control,
+                                                std::uint8_t pick,
+                                                const Range& range,
+                                                FieldRef ref) {
+  static const char* const kGarbage[] = {"abc", "",   "1.5.2", "0x1g",
+                                         "1e",  "--1", "maybe", "12abc"};
+  const int choice = control % 28;  // 0-10 absent, 11-20 valid, 21-27 hostile
+  if (choice < 11) return std::nullopt;
+  switch (choice) {
+    case 21: return kGarbage[pick % 8];
+    case 22: return "-" + std::to_string(1 + pick % 8);
+    case 23: return "0";
+    case 24: return "nan";
+    case 25: return "inf";
+    case 26: return "-inf";
+    case 27: return "2147483648";
+    default: break;
+  }
+  return std::visit(
+      [&](auto* member) -> std::string {
+        using T = std::remove_pointer_t<decltype(member)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return pick % 2 ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          return "v" + std::to_string(pick);
+        } else {
+          const double inf = std::numeric_limits<double>::infinity();
+          const double fraction = (pick + 1) / 257.0;  // in (0, 1)
+          double value = (pick - 128) / 4.0;
+          if (range.min > -inf && range.max < inf) {
+            value = range.min + (range.max - range.min) * fraction;
+          } else if (range.min > -inf) {
+            value = range.min + 1 + pick / 4.0;
+          }
+          if constexpr (std::is_same_v<T, double>) {
+            std::ostringstream out;
+            out << std::setprecision(17) << value;
+            return out.str();
+          } else {
+            const double rounded = std::ceil(std::max(value, range.min));
+            return std::to_string(static_cast<long long>(
+                std::is_unsigned_v<T> ? std::abs(rounded) : rounded));
+          }
+        }
+      },
+      ref);
+}
+
+/// True when every table field holds the same value in both configs
+/// (doubles compared bit for bit).
+template <class C>
+bool same_fields(const Section<C>& section, C& a, C& b) {
+  for (const auto& field : section.fields) {
+    const FieldRef other = field.ref(b);
+    const bool same = std::visit(
+        [&](auto* member) {
+          const auto* twin = std::get<decltype(member)>(other);
+          using T = std::remove_pointer_t<decltype(member)>;
+          if constexpr (std::is_same_v<T, double>) {
+            return std::bit_cast<std::uint64_t>(*member) ==
+                   std::bit_cast<std::uint64_t>(*twin);
+          } else {
+            return *member == *twin;
+          }
+        },
+        field.ref(a));
+    if (!same) return false;
+  }
+  return true;
+}
+
+/// One config section under hostile values: each key of the table gets a
+/// hostile_value from the input bytes. The section must either parse — and
+/// then write_section -> `read` must reproduce every field bit for bit —
+/// or throw std::invalid_argument starting with "[section]: ". Returns
+/// false if either invariant breaks.
+template <class C, class Read>
+bool drive_section(const Section<C>& section, Read read,
+                   const std::uint8_t* data, std::size_t size) {
   std::size_t pos = 0;
   auto next_byte = [&]() -> std::uint8_t {
     return pos < size ? data[pos++] : 0;
   };
-
-  std::string text = "[thermal]\n";
-  const char* keys[] = {"enabled",       "ambient", "resistance",
-                        "time_constant", "trip",    "clear",
-                        "throttle_cap",  "jitter",  "seed"};
-  for (const char* key : keys) {
+  C defaults{};
+  std::string text = "[" + std::string(section.name) + "]\n";
+  for (const auto& field : section.fields) {
     const std::uint8_t control = next_byte();
-    if (control % 4 == 0) continue;  // sometimes omitted -> defaults
-    std::string value;
-    if (std::string(key) == "enabled") {
-      value = control % 2 ? "true" : "false";
-    } else if (std::string(key) == "seed") {
-      value = std::to_string(static_cast<int>(next_byte()));
-    } else {
-      // In [-32, 95.5]: often negative or zero, so every semantic
-      // validator (resistance > 0, time_constant > 0, trip > clear, ...)
-      // gets exercised from real INI text.
-      value = std::to_string((static_cast<double>(next_byte()) - 64.0) * 0.5);
-    }
-    text += std::string(key) + " = " + value + "\n";
+    const auto value =
+        hostile_value(control, next_byte(), field.range, field.ref(defaults));
+    if (value) text += std::string(field.key) + " = " + *value + "\n";
   }
-
   try {
-    const auto parsed = thermal_config_from_ini(IniFile::parse(text));
-    if (!parsed) return true;  // enabled = false — nothing to round-trip
-    const auto round = thermal_config_from_ini(
-        IniFile::parse(thermal_config_to_ini(*parsed)));
-    if (!round) return false;
-    return round->ambient_c == parsed->ambient_c &&
-           round->resistance_c_per_w == parsed->resistance_c_per_w &&
-           round->time_constant_s == parsed->time_constant_s &&
-           round->trip_c == parsed->trip_c &&
-           round->clear_c == parsed->clear_c &&
-           round->throttle_cap_w == parsed->throttle_cap_w &&
-           round->jitter_fraction == parsed->jitter_fraction &&
-           round->seed == parsed->seed;
+    C parsed = read(IniFile::parse(text));
+    C round = read(IniFile::parse(write_section(section, parsed)));
+    return same_fields(section, parsed, round);
   } catch (const std::invalid_argument& error) {
-    // Semantic rejections must carry the section-qualified message.
-    return std::string(error.what()).rfind("[thermal]: ", 0) == 0;
+    const std::string prefix = "[" + std::string(section.name) + "]: ";
+    return std::string(error.what()).rfind(prefix, 0) == 0;
+  }
+}
+
+/// Number of sections drive_config_section covers.
+inline constexpr std::uint8_t kConfigSections = 8;
+
+/// Every INI section the repo reads, through its public reader: the first
+/// byte picks the section (modulo kConfigSections), the rest feeds
+/// drive_section.
+inline bool drive_config_section(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) return true;
+  const std::uint8_t selector = data[0] % kConfigSections;
+  ++data;
+  --size;
+  switch (selector) {
+    case 0:
+      return drive_section(dps_section(), dps_config_from_ini, data, size);
+    case 1:
+      return drive_section(
+          stateless_section(),
+          [](const IniFile& ini) { return mimd_config_from_ini(ini, {}); },
+          data, size);
+    case 2:
+      return drive_section(ctrl_section(), ctrl_config_from_ini, data, size);
+    case 3:
+      return drive_section(faults_section(), fault_plan_config_from_ini,
+                           data, size);
+    case 4:
+      return drive_section(net_section(), net_config_from_ini, data, size);
+    case 5:
+      return drive_section(obs::obs_section(), obs::obs_config_from_ini, data,
+                           size);
+    case 6:
+      return drive_section(sched::sched_section(),
+                           sched::sched_config_from_ini, data, size);
+    default:
+      // With no key written the section is absent and the reader returns
+      // nullopt; the defaults then stand in for the parsed config.
+      return drive_section(
+          thermal_section(),
+          [](const IniFile& ini) {
+            return thermal_config_from_ini(ini).value_or(ThermalConfig{});
+          },
+          data, size);
   }
 }
 

@@ -8,7 +8,7 @@
 /// them:
 ///   0 -> wire protocol codec     2 -> CSV parser
 ///   1 -> INI parser              3 -> fault-plan generator/injector
-///   4 -> [thermal] config parser/round-trip
+///   4 -> config sections: every INI table's reader and round trip
 
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (!dps::fuzz::drive_fault_plan(data, size)) std::abort();
       break;
     default:
-      if (!dps::fuzz::drive_thermal_config(data, size)) std::abort();
+      if (!dps::fuzz::drive_config_section(data, size)) std::abort();
       break;
   }
   return 0;

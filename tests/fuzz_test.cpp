@@ -132,19 +132,24 @@ TEST_P(FuzzSeeds, FaultPlanDriverInvariantsHold) {
   }
 }
 
-TEST_P(FuzzSeeds, ThermalConfigDriverInvariantsHold) {
-  // Arbitrary bytes -> hostile [thermal] sections (negative time
-  // constants, trip/clear inverted, out-of-range jitter); the driver
-  // checks that parsing either validates or throws a "[thermal]: "-
-  // prefixed error, and that accepted configs round-trip exactly through
-  // thermal_config_to_ini (see fuzz_drivers.hpp).
+TEST_P(FuzzSeeds, ConfigSectionDriverInvariantsHold) {
+  // Arbitrary bytes -> hostile values (garbage, negative, zero, NaN, +-inf,
+  // INT_MAX + 1) for the keys of every config table; the driver checks
+  // that each section either parses and round-trips bit for bit through
+  // write_section, or throws a "[section]: "-prefixed invalid_argument
+  // (see fuzz_drivers.hpp).
   Rng rng(GetParam() ^ 0x6666ULL);
   for (int i = 0; i < 300; ++i) {
-    std::vector<std::uint8_t> buffer(rng.uniform_int(64));
+    std::vector<std::uint8_t> buffer(1 + rng.uniform_int(64));
     for (auto& byte : buffer) {
       byte = static_cast<std::uint8_t>(rng.uniform_int(256));
     }
-    EXPECT_TRUE(fuzz::drive_thermal_config(buffer.data(), buffer.size()));
+    for (std::uint8_t section = 0; section < fuzz::kConfigSections;
+         ++section) {
+      buffer[0] = section;
+      EXPECT_TRUE(fuzz::drive_config_section(buffer.data(), buffer.size()))
+          << "section " << int(section) << ", buffer " << i;
+    }
   }
 }
 

@@ -314,7 +314,8 @@ TEST(ThermalConfigIo, RoundTripAndLineNumberedRejection) {
   config.clear_c = 80.25;
   config.seed = 7;
   const auto parsed =
-      thermal_config_from_ini(IniFile::parse(thermal_config_to_ini(config)));
+      thermal_config_from_ini(
+          IniFile::parse(write_section(thermal_section(), config)));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->trip_c, config.trip_c);
   EXPECT_DOUBLE_EQ(parsed->clear_c, config.clear_c);

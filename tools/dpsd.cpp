@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
     if (!parent_host.empty()) ctrl_config.parent_host = parent_host;
     if (parent_port > 0) ctrl_config.parent_port = parent_port;
     if (parent_unit > -2) ctrl_config.parent_unit = parent_unit;
-    validate_ctrl_config(ctrl_config);
+    check_section(ctrl_section(), ctrl_config);
     const bool aggregator_mode =
         !ctrl_config.parent_host.empty() && ctrl_config.parent_port != 0;
     // Explicit flags override the [net] section.
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
       net_config.checkpoint_interval_rounds =
           static_cast<std::size_t>(checkpoint_interval);
     }
-    validate_net_config(net_config);
+    check_section(net_section(), net_config);
     if (restore && net_config.checkpoint_path.empty()) {
       std::fprintf(stderr, "error: --restore needs --checkpoint FILE\n");
       return 2;

@@ -252,7 +252,7 @@ FileConfig load_file_config(const std::string& path) {
   fc.stateless = mimd_config_from_ini(ini, slurm_plugin_defaults());
   fc.obs = obs::obs_config_from_ini(ini);
   fc.thermal = thermal_config_from_ini(ini);
-  validate_net_config(net_config_from_ini(ini));
+  net_config_from_ini(ini);
   return fc;
 }
 
@@ -267,7 +267,7 @@ std::optional<ThermalConfig> resolve_thermal(const Options& options,
   if (options.thermal_trip) t.trip_c = *options.thermal_trip;
   if (options.thermal_clear) t.clear_c = *options.thermal_clear;
   if (options.thermal_cap) t.throttle_cap_w = *options.thermal_cap;
-  validate(t);
+  check_section(thermal_section(), t);
   return t;
 }
 
