@@ -16,9 +16,12 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "experiments/pair_runner.hpp"
 #include "experiments/sweep.hpp"
+#include "metrics/metrics.hpp"
+#include "sim/engine.hpp"
 #include "util/env.hpp"
 
 namespace dps::bench {
@@ -35,6 +38,35 @@ inline std::string out_dir() {
   const std::string dir = env_string("DPS_OUT", "bench_out");
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// One finished engine run and each group's harmonic-mean completion
+/// latency, in group order.
+struct GroupsRun {
+  EngineResult result;
+  std::vector<double> hmean;
+};
+
+inline GroupsRun with_hmeans(EngineResult result) {
+  GroupsRun run;
+  for (const auto& group : result.completions) {
+    std::vector<double> latencies;
+    for (const auto& c : group) latencies.push_back(c.latency());
+    run.hmean.push_back(hmean_latency(latencies));
+  }
+  run.result = std::move(result);
+  return run;
+}
+
+/// Runs `manager` through SimulationEngine on a fresh cluster of `groups`
+/// (each group seeds its own workload jitter) and the default simulated
+/// RAPL, under `config`.
+inline GroupsRun run_groups(std::vector<GroupSpec> groups,
+                            PowerManager& manager,
+                            const EngineConfig& config) {
+  Cluster cluster(std::move(groups));
+  SimulatedRapl rapl(cluster.total_units());
+  return with_hmeans(SimulationEngine(config).run(cluster, rapl, manager));
 }
 
 inline std::string percent(double ratio, int precision = 1) {

@@ -21,8 +21,6 @@
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
-#include "metrics/metrics.hpp"
-#include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "workloads/synthetic.hpp"
@@ -49,58 +47,53 @@ WorkloadSpec wave_of_period(Seconds period) {
   return spec;
 }
 
-double run_pair_gain(PowerManager& manager, const WorkloadSpec& wave,
-                     const WorkloadSpec& partner, double base_a,
-                     double base_b, double* high_freq_share = nullptr,
-                     DpsManager* dps = nullptr) {
-  Cluster cluster({GroupSpec{wave, 10, 51}, GroupSpec{partner, 10, 52}});
-  SimulatedRapl rapl(cluster.total_units());
+/// DPS, counting after every decision how many of the square-wave units
+/// (0-9) carry the high-frequency flag.
+class FlagCountingDps final : public PowerManager {
+ public:
+  std::string_view name() const override { return dps_.name(); }
+  void reset(const ManagerContext& ctx) override { dps_.reset(ctx); }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override {
+    dps_.decide(power, caps);
+    for (int u = 0; u < 10; ++u) {
+      flagged_ += dps_.priorities().high_frequency(u) ? 1 : 0;
+      ++samples_;
+    }
+  }
+  void update_budget(Watts new_total_budget) override {
+    dps_.update_budget(new_total_budget);
+  }
+  void set_obs(const obs::ObsSink& sink) override { dps_.set_obs(sink); }
+
+  /// Fraction of the counted flags that were set.
+  double share() const {
+    return samples_ > 0 ? static_cast<double>(flagged_) /
+                              static_cast<double>(samples_)
+                        : 0.0;
+  }
+
+ private:
+  DpsManager dps_;
+  long flagged_ = 0, samples_ = 0;
+};
+
+/// Harmonic-mean latency of each of `groups` under `manager`.
+std::vector<double> hmeans(std::vector<GroupSpec> groups, Watts budget,
+                           PowerManager& manager) {
   EngineConfig config;
-  config.total_budget = 110.0 * cluster.total_units();
+  config.total_budget = budget;
   config.target_completions = 2;
   config.max_time = 30000.0;
+  return dps::bench::run_groups(std::move(groups), manager, config).hmean;
+}
 
-  // Manual loop so DPS's high-frequency flags can be sampled.
-  ManagerContext ctx;
-  ctx.num_units = cluster.total_units();
-  ctx.total_budget = config.total_budget;
-  ctx.tdp = rapl.tdp();
-  ctx.min_cap = rapl.min_cap();
-  manager.reset(ctx);
-  std::vector<Watts> caps(ctx.num_units, ctx.constant_cap());
-  std::vector<Watts> power(ctx.num_units), measured(ctx.num_units);
-  for (int u = 0; u < ctx.num_units; ++u) rapl.set_cap(u, caps[u]);
-
-  long flagged = 0, samples = 0;
-  std::vector<Watts> effective(ctx.num_units);
-  while (cluster.min_completions() < config.target_completions &&
-         cluster.now() < config.max_time) {
-    for (int u = 0; u < ctx.num_units; ++u) {
-      effective[u] = rapl.effective_cap(u);
-    }
-    cluster.step(1.0, effective, power);
-    for (int u = 0; u < ctx.num_units; ++u) rapl.record(u, power[u], 1.0);
-    rapl.advance_step();
-    for (int u = 0; u < ctx.num_units; ++u) measured[u] = rapl.read_power(u);
-    manager.decide(measured, caps);
-    for (int u = 0; u < ctx.num_units; ++u) rapl.set_cap(u, caps[u]);
-    if (dps) {
-      for (int u = 0; u < 10; ++u) {
-        flagged += dps->priorities().high_frequency(u) ? 1 : 0;
-        ++samples;
-      }
-    }
-  }
-  if (high_freq_share && samples > 0) {
-    *high_freq_share = static_cast<double>(flagged) /
-                       static_cast<double>(samples);
-  }
-
-  std::vector<double> lat_a, lat_b;
-  for (const auto& c : cluster.completions(0)) lat_a.push_back(c.latency());
-  for (const auto& c : cluster.completions(1)) lat_b.push_back(c.latency());
-  return pair_hmean(base_a / hmean_latency(lat_a),
-                    base_b / hmean_latency(lat_b));
+double run_pair_gain(PowerManager& manager, const WorkloadSpec& wave,
+                     const WorkloadSpec& partner, double base_a,
+                     double base_b) {
+  const auto hmean = hmeans(
+      {GroupSpec{wave, 10, 51}, GroupSpec{partner, 10, 52}}, 110.0 * 20,
+      manager);
+  return pair_hmean(base_a / hmean[0], base_b / hmean[1]);
 }
 
 }  // namespace
@@ -128,38 +121,18 @@ int main() {
     const auto wave = wave_of_period(periods[i]);
 
     // Constant baselines for this wave and the partner.
-    ConstantManager constant_a;
-    Cluster solo_a({GroupSpec{wave, 10, 51}});
-    SimulatedRapl rapl_a(10);
-    EngineConfig solo_config;
-    solo_config.total_budget = 1100.0;
-    solo_config.target_completions = 2;
-    solo_config.max_time = 30000.0;
-    const auto base_run_a =
-        SimulationEngine(solo_config).run(solo_a, rapl_a, constant_a);
-    std::vector<double> base_lat_a;
-    for (const auto& c : base_run_a.completions[0]) {
-      base_lat_a.push_back(c.latency());
-    }
-    const double base_a = hmean_latency(base_lat_a);
-
-    ConstantManager constant_b;
-    Cluster solo_b({GroupSpec{partner, 10, 52}});
-    SimulatedRapl rapl_b(10);
-    const auto base_run_b =
-        SimulationEngine(solo_config).run(solo_b, rapl_b, constant_b);
-    std::vector<double> base_lat_b;
-    for (const auto& c : base_run_b.completions[0]) {
-      base_lat_b.push_back(c.latency());
-    }
-    const double base_b = hmean_latency(base_lat_b);
+    ConstantManager constant_a, constant_b;
+    const double base_a =
+        hmeans({GroupSpec{wave, 10, 51}}, 1100.0, constant_a)[0];
+    const double base_b =
+        hmeans({GroupSpec{partner, 10, 52}}, 1100.0, constant_b)[0];
 
     SweepPoint point;
     SlurmStatelessManager slurm;
     point.gain_slurm = run_pair_gain(slurm, wave, partner, base_a, base_b);
-    DpsManager dps;
-    point.gain_dps = run_pair_gain(dps, wave, partner, base_a, base_b,
-                                   &point.high_freq_share, &dps);
+    FlagCountingDps dps;
+    point.gain_dps = run_pair_gain(dps, wave, partner, base_a, base_b);
+    point.high_freq_share = dps.share();
     return point;
   });
 

@@ -26,8 +26,6 @@
 #include "faults/resilience.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
-#include "metrics/metrics.hpp"
-#include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -64,12 +62,7 @@ std::shared_ptr<const FaultPlan> plan_at_level(double level,
   return std::make_shared<FaultPlan>(FaultPlan::generate(config, kUnits));
 }
 
-struct Run {
-  double hmean_a = 0.0;
-  double hmean_b = 0.0;
-  std::vector<std::size_t> completed;  // per group
-  EngineResult result;
-};
+using Run = dps::bench::GroupsRun;
 
 Run run_level(PowerManager& manager, const WorkloadSpec& a,
               const WorkloadSpec& b, double level, int repeats,
@@ -79,18 +72,14 @@ Run run_level(PowerManager& manager, const WorkloadSpec& a,
   config.target_completions = repeats;
   config.max_time = 100000.0;
   config.fault_plan = plan_at_level(level, seed);
+  return dps::bench::with_hmeans(run_pair(a, b, manager, config, seed));
+}
 
-  Run run;
-  run.result = run_pair(a, b, manager, config, seed);
-  std::vector<double> lat_a, lat_b;
-  for (const auto& c : run.result.completions[0]) lat_a.push_back(c.latency());
-  for (const auto& c : run.result.completions[1]) lat_b.push_back(c.latency());
-  run.hmean_a = hmean_latency(lat_a);
-  run.hmean_b = hmean_latency(lat_b);
-  for (const auto& group : run.result.completions) {
-    run.completed.push_back(group.size());
-  }
-  return run;
+/// Completed runs per group.
+std::vector<std::size_t> completed(const EngineResult& result) {
+  std::vector<std::size_t> counts;
+  for (const auto& group : result.completions) counts.push_back(group.size());
+  return counts;
 }
 
 double mean_recovery(const EngineResult& result) {
@@ -175,9 +164,10 @@ int main() {
 
       // Normalized performance of each workload vs the fault-free constant
       // allocation; their harmonic mean is the bench's headline number.
-      const double norm = pair_hmean(clean_constant.hmean_a / run.hmean_a,
-                                     clean_constant.hmean_b / run.hmean_b);
-      const int lost = completions_lost(run.completed, entry.clean.completed);
+      const double norm = pair_hmean(clean_constant.hmean[0] / run.hmean[0],
+                                     clean_constant.hmean[1] / run.hmean[1]);
+      const int lost = completions_lost(completed(run.result),
+                                        completed(entry.clean.result));
       if (level > 0.0 && std::string(entry.name) == "dps") {
         dps_norm_at_faults += norm;
         ++faulted_levels;
@@ -193,8 +183,8 @@ int main() {
                      format_double(run.result.faulted_overshoot_ws, 1),
                      format_double(mean_recovery(run.result), 1)});
       csv.write_row(
-          {format_double(level, 2), entry.name, format_double(run.hmean_a, 2),
-           format_double(run.hmean_b, 2), format_double(norm, 4),
+          {format_double(level, 2), entry.name, format_double(run.hmean[0], 2),
+           format_double(run.hmean[1], 2), format_double(norm, 4),
            std::to_string(lost), std::to_string(run.result.faults_injected),
            format_double(run.result.faulted_time, 1),
            format_double(run.result.faulted_overshoot_ws, 2),

@@ -3,8 +3,9 @@
 /// support different scales — cores, sockets, or whole nodes. Here DPS
 /// manages the same 20-socket system at three granularities: per socket
 /// (20 units), per dual-socket node (10 units), and per 4-socket chassis
-/// (5 units); node-level caps are split across the node's sockets by the
-/// firmware-style proportional divider in sim/granularity.hpp.
+/// (5 units). Each run is a two-level TreeController: the studied manager
+/// at the root sees one unit per node, and a ProportionalSplitLeaf per node
+/// splits the node's cap across its sockets as node firmware would.
 ///
 /// Expected shape: coarser units blur the per-socket dynamics (a node's
 /// aggregated trace is smoother than its sockets'), so the manager's
@@ -12,15 +13,14 @@
 /// any granularity still beats constant allocation.
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/dps_manager.hpp"
+#include "ctrl/tree.hpp"
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
-#include "metrics/metrics.hpp"
-#include "sim/engine.hpp"
-#include "sim/granularity.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -28,58 +28,24 @@ namespace {
 
 using namespace dps;
 
-struct GranularityResult {
-  double hmean_a = 0.0;
-  double hmean_b = 0.0;
-};
-
-/// Manual engine loop with the aggregator between manager and hardware.
-GranularityResult run_at_granularity(PowerManager& manager,
-                                     int sockets_per_unit, int repeats) {
-  Cluster cluster({GroupSpec{workload_by_name("Kmeans"), 10, 41},
-                   GroupSpec{workload_by_name("GMM"), 10, 42}});
-  const int sockets = cluster.total_units();
-  SimulatedRapl rapl(sockets);
-  UnitAggregator aggregator(sockets, sockets_per_unit);
-  const int units = aggregator.num_units();
-
-  ManagerContext ctx;
-  ctx.num_units = units;
-  ctx.total_budget = 110.0 * sockets;
-  ctx.tdp = rapl.tdp() * sockets_per_unit;
-  ctx.min_cap = rapl.min_cap() * sockets_per_unit;
-  manager.reset(ctx);
-
-  std::vector<Watts> unit_caps(units, ctx.constant_cap());
-  std::vector<Watts> unit_power(units, 0.0);
-  std::vector<Watts> socket_caps(sockets, 110.0);
-  std::vector<Watts> socket_power(sockets, 0.0);
-  std::vector<Watts> measured(sockets, 0.0);
-
-  for (int s = 0; s < sockets; ++s) rapl.set_cap(s, socket_caps[s]);
-
-  const Seconds max_time = 40000.0;
-  while (cluster.min_completions() < repeats && cluster.now() < max_time) {
-    std::vector<Watts> effective(sockets);
-    for (int s = 0; s < sockets; ++s) effective[s] = rapl.effective_cap(s);
-    cluster.step(1.0, effective, socket_power);
-    for (int s = 0; s < sockets; ++s) rapl.record(s, socket_power[s], 1.0);
-    rapl.advance_step();
-    for (int s = 0; s < sockets; ++s) measured[s] = rapl.read_power(s);
-
-    aggregator.aggregate(measured, unit_power);
-    manager.decide(unit_power, unit_caps);
-    aggregator.split_caps(unit_caps, measured, socket_caps);
-    for (int s = 0; s < sockets; ++s) rapl.set_cap(s, socket_caps[s]);
-  }
-
-  GranularityResult result;
-  std::vector<double> lat_a, lat_b;
-  for (const auto& c : cluster.completions(0)) lat_a.push_back(c.latency());
-  for (const auto& c : cluster.completions(1)) lat_b.push_back(c.latency());
-  result.hmean_a = hmean_latency(lat_a);
-  result.hmean_b = hmean_latency(lat_b);
-  return result;
+/// Each group's harmonic-mean latency when the manager `manager` builds
+/// caps units of `sockets_per_unit` sockets.
+std::vector<double> run_at_granularity(ManagerFactory manager,
+                                       int sockets_per_unit, int repeats) {
+  CtrlConfig ctrl;
+  ctrl.shard_size = sockets_per_unit;
+  ctrl.max_levels = 2;
+  TreeController tree(
+      ctrl, [] { return std::make_unique<ProportionalSplitLeaf>(); },
+      std::move(manager));
+  EngineConfig config;
+  config.total_budget = 110.0 * 20;
+  config.target_completions = repeats;
+  config.max_time = 40000.0;
+  return dps::bench::run_groups({GroupSpec{workload_by_name("Kmeans"), 10, 41},
+                                 GroupSpec{workload_by_name("GMM"), 10, 42}},
+                                tree, config)
+      .hmean;
 }
 
 }  // namespace
@@ -99,13 +65,13 @@ int main() {
   const std::vector<int> spus = {1, 2, 4};
   const auto results = sweep_ordered(spus.size() + 1, [&](std::size_t i) {
     if (i == 0) {
-      ConstantManager constant;
-      return run_at_granularity(constant, 1, repeats);
+      return run_at_granularity(
+          [] { return std::make_unique<ConstantManager>(); }, 1, repeats);
     }
-    DpsManager dps;
-    return run_at_granularity(dps, spus[i - 1], repeats);
+    return run_at_granularity([] { return std::make_unique<DpsManager>(); },
+                              spus[i - 1], repeats);
   });
-  const GranularityResult& base = results[0];
+  const std::vector<double>& base = results[0];
 
   CsvWriter csv(dps::bench::out_dir() + "/ext_granularity.csv");
   csv.write_header({"sockets_per_unit", "units", "pair_gain"});
@@ -114,9 +80,9 @@ int main() {
                "pair gain"});
   for (std::size_t i = 0; i < spus.size(); ++i) {
     const int spu = spus[i];
-    const GranularityResult& result = results[i + 1];
-    const double gain_a = base.hmean_a / result.hmean_a;
-    const double gain_b = base.hmean_b / result.hmean_b;
+    const std::vector<double>& result = results[i + 1];
+    const double gain_a = base[0] / result[0];
+    const double gain_b = base[1] / result[1];
     const double pair = pair_hmean(gain_a, gain_b);
     table.add_row({spu == 1 ? "socket" : (spu == 2 ? "node" : "chassis"),
                    std::to_string(20 / spu), dps::bench::percent(gain_a),

@@ -19,8 +19,6 @@
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
-#include "metrics/metrics.hpp"
-#include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -40,51 +38,47 @@ WorkloadSpec scale_power(WorkloadSpec spec, double factor) {
   return spec;
 }
 
-struct HeteroResult {
-  double hmean_a = 0.0;
-  double hmean_b = 0.0;
+/// Tells the wrapped manager each unit's TDP (units 0-9 are 165 W
+/// sockets, 10-19 are 125 W) on top of the homogeneous context
+/// SimulationEngine hands it.
+class KnownTdps final : public PowerManager {
+ public:
+  explicit KnownTdps(PowerManager& inner) : inner_(inner) {}
+  std::string_view name() const override { return inner_.name(); }
+  void reset(const ManagerContext& ctx) override {
+    ManagerContext with_tdps = ctx;
+    with_tdps.unit_tdp.assign(20, 165.0);
+    for (int u = 10; u < 20; ++u) with_tdps.unit_tdp[u] = 125.0;
+    inner_.reset(with_tdps);
+  }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override {
+    inner_.decide(power, caps);
+  }
+  void update_budget(Watts new_total_budget) override {
+    inner_.update_budget(new_total_budget);
+  }
+  void set_obs(const obs::ObsSink& sink) override { inner_.set_obs(sink); }
+
+ private:
+  PowerManager& inner_;
 };
 
-HeteroResult run(PowerManager& manager, bool tdp_aware, int repeats) {
+/// Each group's harmonic-mean latency under `manager`.
+std::vector<double> run(PowerManager& manager, bool tdp_aware, int repeats) {
   const auto big = workload_by_name("Kmeans");
   const auto small = scale_power(workload_by_name("GMM"), 0.72);
 
-  Cluster cluster({GroupSpec{big, 10, 91}, GroupSpec{small, 10, 92}});
-  SimulatedRapl rapl(cluster.total_units());
-
-  ManagerContext ctx;
-  ctx.num_units = cluster.total_units();
+  EngineConfig config;
   // Budget: 2/3 of the heterogeneous fleet's aggregate TDP.
-  ctx.total_budget = (10 * 165.0 + 10 * 125.0) * 2.0 / 3.0;
-  ctx.tdp = 165.0;
-  ctx.min_cap = rapl.min_cap();
-  if (tdp_aware) {
-    ctx.unit_tdp.assign(20, 165.0);
-    for (int u = 10; u < 20; ++u) ctx.unit_tdp[u] = 125.0;
-  }
-  manager.reset(ctx);
-
-  std::vector<Watts> caps(20, ctx.constant_cap());
-  std::vector<Watts> power(20), measured(20);
-  for (int u = 0; u < 20; ++u) rapl.set_cap(u, caps[u]);
-  while (cluster.min_completions() < repeats && cluster.now() < 60000.0) {
-    std::vector<Watts> effective(20);
-    for (int u = 0; u < 20; ++u) effective[u] = rapl.effective_cap(u);
-    cluster.step(1.0, effective, power);
-    for (int u = 0; u < 20; ++u) rapl.record(u, power[u], 1.0);
-    rapl.advance_step();
-    for (int u = 0; u < 20; ++u) measured[u] = rapl.read_power(u);
-    manager.decide(measured, caps);
-    for (int u = 0; u < 20; ++u) rapl.set_cap(u, caps[u]);
-  }
-
-  HeteroResult result;
-  std::vector<double> lat_a, lat_b;
-  for (const auto& c : cluster.completions(0)) lat_a.push_back(c.latency());
-  for (const auto& c : cluster.completions(1)) lat_b.push_back(c.latency());
-  result.hmean_a = hmean_latency(lat_a);
-  result.hmean_b = hmean_latency(lat_b);
-  return result;
+  config.total_budget = (10 * 165.0 + 10 * 125.0) * 2.0 / 3.0;
+  config.target_completions = repeats;
+  config.max_time = 60000.0;
+  KnownTdps aware(manager);
+  PowerManager& decider = tdp_aware ? aware : manager;
+  return dps::bench::run_groups(
+             {GroupSpec{big, 10, 91}, GroupSpec{small, 10, 92}}, decider,
+             config)
+      .hmean;
 }
 
 }  // namespace
@@ -107,8 +101,8 @@ int main() {
   auto report = [&](const char* label, PowerManager& manager,
                     bool tdp_aware) {
     const auto result = run(manager, tdp_aware, repeats);
-    const double gain = pair_hmean(base.hmean_a / result.hmean_a,
-                                   base.hmean_b / result.hmean_b);
+    const double gain =
+        pair_hmean(base[0] / result[0], base[1] / result[1]);
     table.add_row({label, dps::bench::percent(gain)});
     csv.write_row({label, format_double(gain, 4)});
   };

@@ -18,9 +18,7 @@
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
-#include "metrics/metrics.hpp"
 #include "p2p/p2p_manager.hpp"
-#include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -31,35 +29,24 @@ using namespace dps;
 double pair_gain(PowerManager& manager, const WorkloadSpec& a,
                  const WorkloadSpec& b, double base_a, double base_b,
                  int repeats) {
-  Cluster cluster({GroupSpec{a, 10, 61}, GroupSpec{b, 10, 62}});
-  SimulatedRapl rapl(cluster.total_units());
   EngineConfig config;
-  config.total_budget = 110.0 * cluster.total_units();
+  config.total_budget = 110.0 * 20;
   config.target_completions = repeats;
   config.max_time = 60000.0;
-  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
-  std::vector<double> lat_a, lat_b;
-  for (const auto& c : result.completions[0]) lat_a.push_back(c.latency());
-  for (const auto& c : result.completions[1]) lat_b.push_back(c.latency());
-  return pair_hmean(base_a / hmean_latency(lat_a),
-                    base_b / hmean_latency(lat_b));
+  const auto hmean = dps::bench::run_groups(
+      {GroupSpec{a, 10, 61}, GroupSpec{b, 10, 62}}, manager, config).hmean;
+  return pair_hmean(base_a / hmean[0], base_b / hmean[1]);
 }
 
 double solo_baseline(const WorkloadSpec& spec, std::uint64_t seed,
                      int repeats) {
-  Cluster cluster({GroupSpec{spec, 10, seed}});
-  SimulatedRapl rapl(10);
   EngineConfig config;
   config.total_budget = 1100.0;
   config.target_completions = repeats;
   config.max_time = 60000.0;
   ConstantManager constant;
-  const auto result = SimulationEngine(config).run(cluster, rapl, constant);
-  std::vector<double> latencies;
-  for (const auto& c : result.completions[0]) {
-    latencies.push_back(c.latency());
-  }
-  return hmean_latency(latencies);
+  return dps::bench::run_groups({GroupSpec{spec, 10, seed}}, constant, config)
+      .hmean[0];
 }
 
 }  // namespace

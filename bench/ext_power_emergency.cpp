@@ -18,8 +18,6 @@
 #include "managers/constant.hpp"
 #include "managers/feedback.hpp"
 #include "managers/slurm_stateless.hpp"
-#include "metrics/metrics.hpp"
-#include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -27,35 +25,17 @@ namespace {
 
 using namespace dps;
 
-struct Run {
-  double hmean_a = 0.0;
-  double hmean_b = 0.0;
-  Watts overshoot = 0.0;
-  int overshoot_steps = 0;
-};
-
-Run run_with_schedule(PowerManager& manager, const WorkloadSpec& a,
-                      const WorkloadSpec& b, int repeats) {
-  Cluster cluster({GroupSpec{a, 10, 21}, GroupSpec{b, 10, 22}});
-  SimulatedRapl rapl(cluster.total_units());
+dps::bench::GroupsRun run_with_schedule(PowerManager& manager,
+                                        const WorkloadSpec& a,
+                                        const WorkloadSpec& b, int repeats) {
   EngineConfig config;
-  config.total_budget = 110.0 * cluster.total_units();
+  config.total_budget = 110.0 * 20;
   config.target_completions = repeats;
   config.max_time = 100000.0;
   // Emergency window: drop to 85 W/socket for 600 s, then restore.
-  config.budget_schedule = {{600.0, 85.0 * cluster.total_units()},
-                            {1200.0, 110.0 * cluster.total_units()}};
-  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
-
-  Run run;
-  std::vector<double> lat_a, lat_b;
-  for (const auto& c : result.completions[0]) lat_a.push_back(c.latency());
-  for (const auto& c : result.completions[1]) lat_b.push_back(c.latency());
-  run.hmean_a = hmean_latency(lat_a);
-  run.hmean_b = hmean_latency(lat_b);
-  run.overshoot = result.max_budget_overshoot;
-  run.overshoot_steps = result.overshoot_steps;
-  return run;
+  config.budget_schedule = {{600.0, 85.0 * 20}, {1200.0, 110.0 * 20}};
+  return dps::bench::run_groups({GroupSpec{a, 10, 21}, GroupSpec{b, 10, 22}},
+                                manager, config);
 }
 
 }  // namespace
@@ -73,7 +53,7 @@ int main() {
       "85 W/socket at t=600 s, restored at t=1200 s (Kmeans + GMM).\n\n");
 
   ConstantManager constant;
-  const Run base = run_with_schedule(constant, a, b, repeats);
+  const auto base = run_with_schedule(constant, a, b, repeats);
 
   CsvWriter csv(dps::bench::out_dir() + "/ext_power_emergency.csv");
   csv.write_header({"manager", "hmean_a", "hmean_b", "pair_gain",
@@ -82,24 +62,25 @@ int main() {
   Table table({"manager", "Kmeans hmean [s]", "GMM hmean [s]", "pair gain",
                "max overshoot [W]", "overshoot steps"});
   auto report = [&](PowerManager& manager) {
-    const Run run = run_with_schedule(manager, a, b, repeats);
-    const double gain = pair_hmean(base.hmean_a / run.hmean_a,
-                                   base.hmean_b / run.hmean_b);
+    const auto run = run_with_schedule(manager, a, b, repeats);
+    const double gain =
+        pair_hmean(base.hmean[0] / run.hmean[0], base.hmean[1] / run.hmean[1]);
     table.add_row({std::string(manager.name()),
-                   format_double(run.hmean_a, 1), format_double(run.hmean_b, 1),
-                   dps::bench::percent(gain),
-                   format_double(run.overshoot, 1),
-                   std::to_string(run.overshoot_steps)});
-    csv.write_row({std::string(manager.name()), format_double(run.hmean_a, 2),
-                   format_double(run.hmean_b, 2), format_double(gain, 4),
-                   format_double(run.overshoot, 2),
-                   std::to_string(run.overshoot_steps)});
+                   format_double(run.hmean[0], 1),
+                   format_double(run.hmean[1], 1), dps::bench::percent(gain),
+                   format_double(run.result.max_budget_overshoot, 1),
+                   std::to_string(run.result.overshoot_steps)});
+    csv.write_row({std::string(manager.name()),
+                   format_double(run.hmean[0], 2),
+                   format_double(run.hmean[1], 2), format_double(gain, 4),
+                   format_double(run.result.max_budget_overshoot, 2),
+                   std::to_string(run.result.overshoot_steps)});
   };
 
-  table.add_row({"constant", format_double(base.hmean_a, 1),
-                 format_double(base.hmean_b, 1), "+0.0%",
-                 format_double(base.overshoot, 1),
-                 std::to_string(base.overshoot_steps)});
+  table.add_row({"constant", format_double(base.hmean[0], 1),
+                 format_double(base.hmean[1], 1), "+0.0%",
+                 format_double(base.result.max_budget_overshoot, 1),
+                 std::to_string(base.result.overshoot_steps)});
   SlurmStatelessManager slurm;
   report(slurm);
   FeedbackManager feedback;

@@ -457,4 +457,19 @@ void ProportionalShareRoot::decide(std::span<const Watts> power,
   }
 }
 
+void ProportionalSplitLeaf::decide(std::span<const Watts> power,
+                                   std::span<Watts> caps) {
+  constexpr double kFloorFraction = 0.4;
+  const auto sockets = static_cast<double>(caps.size());
+  const Watts floor = budget_ / sockets * kFloorFraction;
+  Watts power_sum = 0.0;
+  for (const Watts p : power) power_sum += p;
+  const Watts distributable = budget_ - floor * sockets;
+  for (std::size_t s = 0; s < caps.size(); ++s) {
+    const double weight =
+        power_sum > 0.0 ? power[s] / power_sum : 1.0 / sockets;
+    caps[s] = floor + std::max(0.0, distributable) * weight;
+  }
+}
+
 }  // namespace dps

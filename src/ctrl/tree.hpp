@@ -152,4 +152,28 @@ class ProportionalShareRoot final : public PowerManager {
   ManagerContext ctx_;
 };
 
+/// Leaf policy of the capping-granularity tree (paper Section 3: machines
+/// cap cores, sockets or whole nodes). Each shard is one node-level unit
+/// of the manager at the root, and this leaf plays the node firmware that
+/// splits the node's cap across its sockets: every socket gets 40 % of the
+/// equal share, the rest goes by the socket's share of the shard's
+/// measured power, or equally when the shard draws 0 W. Stateless apart
+/// from the shard budget. A TreeController with shard_size = sockets per
+/// unit, max_levels = 2, these leaves and the studied manager at the root
+/// is what bench/ext_granularity runs.
+class ProportionalSplitLeaf final : public PowerManager {
+ public:
+  std::string_view name() const override { return "proportional_split"; }
+  void reset(const ManagerContext& ctx) override {
+    budget_ = ctx.total_budget;
+  }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override;
+  void update_budget(Watts new_total_budget) override {
+    budget_ = new_total_budget;
+  }
+
+ private:
+  Watts budget_ = 0.0;
+};
+
 }  // namespace dps

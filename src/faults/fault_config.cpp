@@ -14,9 +14,6 @@ const Section<FaultPlanConfig>& faults_section() {
        {"sensor_garbage_rate", &C::sensor_garbage_rate, rate},
        {"cap_stuck_rate", &C::cap_stuck_rate, rate},
        {"budget_sag_rate", &C::budget_sag_rate, rate},
-       {"net_connect_refuse_rate", &C::net_connect_refuse_rate, rate},
-       {"net_read_stall_rate", &C::net_read_stall_rate, rate},
-       {"net_disconnect_rate", &C::net_disconnect_rate, rate},
        {"fan_degrade_rate", &C::fan_degrade_rate, rate},
        {"temp_stuck_rate", &C::temp_stuck_rate, rate},
        {"min_duration", &C::min_duration, Range::at_least(0)},
@@ -40,10 +37,7 @@ FaultPlanConfig fault_plan_config_from_ini(const IniFile& ini) {
 bool any_fault_rate(const FaultPlanConfig& config) {
   return config.crash_rate > 0.0 || config.sensor_dropout_rate > 0.0 ||
          config.sensor_garbage_rate > 0.0 || config.cap_stuck_rate > 0.0 ||
-         config.budget_sag_rate > 0.0 ||
-         config.net_connect_refuse_rate > 0.0 ||
-         config.net_read_stall_rate > 0.0 ||
-         config.net_disconnect_rate > 0.0 || config.fan_degrade_rate > 0.0 ||
+         config.budget_sag_rate > 0.0 || config.fan_degrade_rate > 0.0 ||
          config.temp_stuck_rate > 0.0;
 }
 

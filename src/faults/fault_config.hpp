@@ -21,9 +21,6 @@ namespace dps {
 ///   sensor_garbage_rate = 0.5
 ///   cap_stuck_rate = 0.5
 ///   budget_sag_rate = 0.5
-///   net_connect_refuse_rate = 0.5 ; control-plane faults (src/net/)
-///   net_read_stall_rate = 0.5
-///   net_disconnect_rate = 0.5
 ///   fan_degrade_rate = 0.5     ; thermal faults (need [thermal] enabled)
 ///   temp_stuck_rate = 0.5
 ///   min_duration = 30          ; [s] fault active window, uniform

@@ -11,17 +11,14 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int num_units)
       dropout_(static_cast<std::size_t>(num_units), 0),
       garbage_(static_cast<std::size_t>(num_units), 0),
       stuck_(static_cast<std::size_t>(num_units), 0),
-      stall_(static_cast<std::size_t>(num_units), 0),
-      disconnect_(static_cast<std::size_t>(num_units), 0),
       fan_degrade_(static_cast<std::size_t>(num_units), 0),
       temp_stuck_(static_cast<std::size_t>(num_units), 0) {
   if (num_units <= 0) {
     throw std::invalid_argument("FaultInjector: num_units must be > 0");
   }
   for (const auto& e : schedule_) {
-    const bool cluster_scoped = e.kind == FaultKind::kBudgetSag ||
-                                e.kind == FaultKind::kNetConnectRefuse;
-    if (!cluster_scoped && (e.unit < 0 || e.unit >= num_units)) {
+    if (e.kind != FaultKind::kBudgetSag &&
+        (e.unit < 0 || e.unit >= num_units)) {
       throw std::invalid_argument("FaultInjector: plan unit out of range");
     }
   }
@@ -49,15 +46,6 @@ void FaultInjector::apply(const FaultEvent& e, int delta) {
             std::find(sag_factors_.begin(), sag_factors_.end(), e.magnitude);
         if (it != sag_factors_.end()) sag_factors_.erase(it);
       }
-      break;
-    case FaultKind::kNetConnectRefuse:
-      refuse_count_ += delta;
-      break;
-    case FaultKind::kNetReadStall:
-      stall_[static_cast<std::size_t>(e.unit)] += delta;
-      break;
-    case FaultKind::kNetDisconnect:
-      disconnect_[static_cast<std::size_t>(e.unit)] += delta;
       break;
     case FaultKind::kFanDegrade:
       fan_degrade_[static_cast<std::size_t>(e.unit)] += delta;

@@ -27,14 +27,6 @@ class FaultInjector {
   bool sensor_garbage(int unit) const { return garbage_[unit] > 0; }
   bool cap_stuck(int unit) const { return stuck_[unit] > 0; }
 
-  /// Control-plane fault queries (kNet*); live-stack drivers map these
-  /// onto real socket behaviour (src/faults/net_faults.hpp), while the
-  /// simulated engine treats a stalled/disconnected client's unit like a
-  /// crash from the manager's viewpoint (it reports 0 W).
-  bool net_stalled(int unit) const { return stall_[unit] > 0; }
-  bool net_disconnected(int unit) const { return disconnect_[unit] > 0; }
-  bool connect_refused() const { return refuse_count_ > 0; }
-
   /// Thermal fault queries (only consumed when EngineConfig::thermal is
   /// set; the events still activate/clear cleanly without it).
   /// Product of the unit's active fan-degradation magnitudes, exactly 1.0
@@ -74,14 +66,13 @@ class FaultInjector {
   std::vector<FaultEvent> schedule_;  // time-sorted, from the plan
   std::size_t next_ = 0;
   std::vector<ActiveEvent> active_;
-  std::vector<int> crash_, dropout_, garbage_, stuck_, stall_, disconnect_,
-      fan_degrade_, temp_stuck_;
+  std::vector<int> crash_, dropout_, garbage_, stuck_, fan_degrade_,
+      temp_stuck_;
   std::vector<double> sag_factors_;  // magnitudes of active sags
   // Magnitudes of the active fan-degradation faults (unit, multiplier);
   // a linear list like sag_factors_ — overlaps are rare and the product
   // is recomputed on query, so clears restore exactly 1.0.
   std::vector<std::pair<int, double>> fan_factors_;
-  int refuse_count_ = 0;
   int active_count_ = 0;
   int activated_total_ = 0;
   std::vector<FaultEvent> activated_, cleared_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "faults/fault_config.hpp"
@@ -16,9 +17,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kSensorGarbage: return "sensor_garbage";
     case FaultKind::kCapStuck: return "cap_stuck";
     case FaultKind::kBudgetSag: return "budget_sag";
-    case FaultKind::kNetConnectRefuse: return "net_connect_refuse";
-    case FaultKind::kNetReadStall: return "net_read_stall";
-    case FaultKind::kNetDisconnect: return "net_disconnect";
     case FaultKind::kFanDegrade: return "fan_degrade";
     case FaultKind::kTempSensorStuck: return "temp_sensor_stuck";
   }
@@ -49,8 +47,6 @@ void validate(const std::vector<FaultEvent>& events, int num_units) {
         throw std::invalid_argument(
             "FaultPlan: budget sag magnitude must be in (0, 1]");
       }
-    } else if (e.kind == FaultKind::kNetConnectRefuse) {
-      // Cluster-scoped like a budget sag: the whole controller refuses.
     } else if (e.kind == FaultKind::kFanDegrade) {
       if (!(e.magnitude >= 1.0) || !std::isfinite(e.magnitude)) {
         throw std::invalid_argument(
@@ -85,28 +81,30 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config, int num_units) {
     FaultKind kind;
     double rate;  // events per 1000 s
   };
-  const KindRate kinds[] = {
-      {FaultKind::kUnitCrash, config.crash_rate},
-      {FaultKind::kSensorDropout, config.sensor_dropout_rate},
-      {FaultKind::kSensorGarbage, config.sensor_garbage_rate},
-      {FaultKind::kCapStuck, config.cap_stuck_rate},
-      {FaultKind::kBudgetSag, config.budget_sag_rate},
-      {FaultKind::kNetConnectRefuse, config.net_connect_refuse_rate},
-      {FaultKind::kNetReadStall, config.net_read_stall_rate},
-      {FaultKind::kNetDisconnect, config.net_disconnect_rate},
-      // New kinds go at the end: each kind's stream is split off in array
-      // order, so appending never reshuffles existing plans.
-      {FaultKind::kFanDegrade, config.fan_degrade_rate},
-      {FaultKind::kTempSensorStuck, config.temp_stuck_rate},
+  // Each kind draws from its own child stream, split off in array order,
+  // so adding one kind to a config never reshuffles the arrivals of the
+  // others. New kinds go at the end. The three empty slots held retired
+  // control-plane kinds; their streams are still split off so the kinds
+  // after them keep their plans.
+  const std::optional<KindRate> kinds[] = {
+      KindRate{FaultKind::kUnitCrash, config.crash_rate},
+      KindRate{FaultKind::kSensorDropout, config.sensor_dropout_rate},
+      KindRate{FaultKind::kSensorGarbage, config.sensor_garbage_rate},
+      KindRate{FaultKind::kCapStuck, config.cap_stuck_rate},
+      KindRate{FaultKind::kBudgetSag, config.budget_sag_rate},
+      std::nullopt,
+      std::nullopt,
+      std::nullopt,
+      KindRate{FaultKind::kFanDegrade, config.fan_degrade_rate},
+      KindRate{FaultKind::kTempSensorStuck, config.temp_stuck_rate},
   };
 
   Rng rng(config.seed);
   std::vector<FaultEvent> events;
-  for (const auto& [kind, rate] : kinds) {
-    // Each kind draws from its own child stream so adding one kind to a
-    // config never reshuffles the arrivals of the others.
+  for (const auto& entry : kinds) {
     Rng stream = rng.split();
-    if (rate <= 0.0) continue;
+    if (!entry || entry->rate <= 0.0) continue;
+    const auto [kind, rate] = *entry;
     const double lambda = rate / 1000.0;  // events per second
     Seconds t = 0.0;
     while (true) {
@@ -122,8 +120,6 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config, int num_units) {
       if (kind == FaultKind::kBudgetSag) {
         e.unit = -1;
         e.magnitude = stream.uniform(config.sag_floor, 1.0);
-      } else if (kind == FaultKind::kNetConnectRefuse) {
-        e.unit = -1;
       } else if (kind == FaultKind::kFanDegrade) {
         e.unit = static_cast<int>(
             stream.uniform_int(static_cast<std::uint64_t>(num_units)));

@@ -28,17 +28,6 @@ enum class FaultKind {
   /// Transient facility budget sag: the cluster-wide budget is scaled by
   /// `magnitude` (e.g. 0.7) while the fault is active.
   kBudgetSag,
-  /// Control-plane fault: the controller refuses new connections while
-  /// active (a dead/partitioned head node from the clients' view). Not
-  /// unit-scoped (use -1).
-  kNetConnectRefuse,
-  /// Control-plane fault: the unit's client stalls mid-session — its
-  /// socket stays open but no report is sent while the fault is active
-  /// (a wedged node agent). Exercises the server's round deadline.
-  kNetReadStall,
-  /// Control-plane fault: the unit's client drops its TCP connection,
-  /// then reconnects (restarted node agent) once the fault clears.
-  kNetDisconnect,
   /// Thermal fault: the unit's cooling degrades (clogged fan, failed
   /// blower) — its thermal resistance is scaled by `magnitude` (>= 1)
   /// while the fault is active. Only bites when EngineConfig::thermal is
@@ -83,9 +72,6 @@ struct FaultPlanConfig {
   double sensor_garbage_rate = 0.0;
   double cap_stuck_rate = 0.0;
   double budget_sag_rate = 0.0;
-  double net_connect_refuse_rate = 0.0;
-  double net_read_stall_rate = 0.0;
-  double net_disconnect_rate = 0.0;
   double fan_degrade_rate = 0.0;
   double temp_stuck_rate = 0.0;
   /// Fault durations are uniform in [min_duration, max_duration].

@@ -99,24 +99,6 @@ std::optional<std::string> IniFile::get(const std::string& section,
   return it->second;
 }
 
-std::optional<double> IniFile::get_double(const std::string& section,
-                                          const std::string& key) const {
-  const auto value = get(section, key);
-  return value ? parse_double(*value) : std::nullopt;
-}
-
-std::optional<long> IniFile::get_int(const std::string& section,
-                                     const std::string& key) const {
-  const auto value = get(section, key);
-  return value ? parse_integer<long>(*value) : std::nullopt;
-}
-
-std::optional<bool> IniFile::get_bool(const std::string& section,
-                                      const std::string& key) const {
-  const auto value = get(section, key);
-  return value ? parse_bool(*value) : std::nullopt;
-}
-
 int IniFile::line_of(const std::string& section,
                      const std::string& key) const {
   const auto it = lines_.find({section, key});

@@ -8,11 +8,10 @@
 
 namespace dps {
 
-/// INI value syntax, shared by IniFile's typed getters and the config
-/// tables (util/config_table.hpp). The whole text must parse: a double must
-/// be finite, an integer must fit `Int` (an optional leading '+'; a '-'
-/// only for signed types), and a bool is true/yes/on/1 or false/no/off/0 in
-/// any case. nullopt otherwise.
+/// INI value syntax of the config tables (util/config_table.hpp). The
+/// whole text must parse: a double must be finite, an integer must fit
+/// `Int` (an optional leading '+'; a '-' only for signed types), and a bool
+/// is true/yes/on/1 or false/no/off/0 in any case. nullopt otherwise.
 std::optional<double> parse_double(std::string_view text);
 std::optional<bool> parse_bool(std::string_view text);
 
@@ -42,14 +41,6 @@ class IniFile {
 
   std::optional<std::string> get(const std::string& section,
                                  const std::string& key) const;
-  /// get() through parse_double / parse_integer<long> / parse_bool:
-  /// nullopt when the key is absent or its value does not parse.
-  std::optional<double> get_double(const std::string& section,
-                                   const std::string& key) const;
-  std::optional<long> get_int(const std::string& section,
-                              const std::string& key) const;
-  std::optional<bool> get_bool(const std::string& section,
-                               const std::string& key) const;
 
   bool has_section(const std::string& section) const;
   std::size_t size() const { return values_.size(); }

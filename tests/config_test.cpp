@@ -27,9 +27,10 @@ TEST(Ini, ParsesSectionsKeysAndComments) {
       "[stateless]\n"
       "inc_percentile = 1.25\n");
   EXPECT_EQ(ini.get("", "top"), "1");
-  EXPECT_EQ(ini.get_int("dps", "history_length"), 30);
-  EXPECT_EQ(ini.get_bool("dps", "use_restore"), false);
-  EXPECT_DOUBLE_EQ(*ini.get_double("stateless", "inc_percentile"), 1.25);
+  EXPECT_EQ(parse_integer<long>(*ini.get("dps", "history_length")), 30);
+  EXPECT_EQ(parse_bool(*ini.get("dps", "use_restore")), false);
+  EXPECT_DOUBLE_EQ(*parse_double(*ini.get("stateless", "inc_percentile")),
+                   1.25);
   EXPECT_TRUE(ini.has_section("dps"));
   EXPECT_FALSE(ini.has_section("nope"));
 }
@@ -38,26 +39,25 @@ TEST(Ini, MissingKeysReturnNullopt) {
   const auto ini = IniFile::parse("[a]\nx = 1\n");
   EXPECT_FALSE(ini.get("a", "y").has_value());
   EXPECT_FALSE(ini.get("b", "x").has_value());
-  EXPECT_FALSE(ini.get_double("a", "y").has_value());
 }
 
 TEST(Ini, UnparsableValuesReturnNullopt) {
   const auto ini = IniFile::parse("[a]\nx = hello\nb = maybe\n");
-  EXPECT_FALSE(ini.get_int("a", "x").has_value());
-  EXPECT_FALSE(ini.get_double("a", "x").has_value());
-  EXPECT_FALSE(ini.get_bool("a", "b").has_value());
+  EXPECT_FALSE(parse_integer<long>(*ini.get("a", "x")).has_value());
+  EXPECT_FALSE(parse_double(*ini.get("a", "x")).has_value());
+  EXPECT_FALSE(parse_bool(*ini.get("a", "b")).has_value());
   EXPECT_EQ(ini.get("a", "x"), "hello");
 }
 
 TEST(Ini, BoolSpellings) {
   const auto ini = IniFile::parse(
       "a = true\nb = YES\nc = on\nd = 1\ne = False\nf = off\n");
-  EXPECT_EQ(ini.get_bool("", "a"), true);
-  EXPECT_EQ(ini.get_bool("", "b"), true);
-  EXPECT_EQ(ini.get_bool("", "c"), true);
-  EXPECT_EQ(ini.get_bool("", "d"), true);
-  EXPECT_EQ(ini.get_bool("", "e"), false);
-  EXPECT_EQ(ini.get_bool("", "f"), false);
+  EXPECT_EQ(parse_bool(*ini.get("", "a")), true);
+  EXPECT_EQ(parse_bool(*ini.get("", "b")), true);
+  EXPECT_EQ(parse_bool(*ini.get("", "c")), true);
+  EXPECT_EQ(parse_bool(*ini.get("", "d")), true);
+  EXPECT_EQ(parse_bool(*ini.get("", "e")), false);
+  EXPECT_EQ(parse_bool(*ini.get("", "f")), false);
 }
 
 TEST(Ini, MalformedLinesThrow) {

@@ -15,7 +15,6 @@
 #include "faults/fault_config.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
-#include "faults/net_faults.hpp"
 #include "faults/faulty_power.hpp"
 #include "faults/resilience.hpp"
 #include "managers/constant.hpp"
@@ -62,6 +61,32 @@ TEST(FaultPlan, DifferentSeedsDiffer) {
     }
   }
   EXPECT_FALSE(identical);
+}
+
+// The thermal kinds draw from the child streams after three retired
+// control-plane kinds, whose streams are still split off. This plan was
+// recorded while those kinds existed: each kind keeps its old stream.
+TEST(FaultPlan, ThermalKindsKeepTheirStreams) {
+  FaultPlanConfig config;
+  config.horizon = 1000.0;
+  config.fan_degrade_rate = 4.0;
+  config.temp_stuck_rate = 4.0;
+  const std::vector<FaultEvent> expected = {
+      {.at = 176.4805620496179,
+       .duration = 121.88390761606297,
+       .unit = 3,
+       .kind = FaultKind::kFanDegrade,
+       .magnitude = 1.5145047494141952},
+      {.at = 443.51698212703974,
+       .duration = 126.4145597133117,
+       .unit = 2,
+       .kind = FaultKind::kTempSensorStuck},
+      {.at = 823.35287758610411,
+       .duration = 48.380498525833474,
+       .unit = 0,
+       .kind = FaultKind::kTempSensorStuck},
+  };
+  EXPECT_EQ(FaultPlan::generate(config, 4).events(), expected);
 }
 
 TEST(FaultPlan, EventsAreSortedAndInHorizon) {
@@ -503,100 +528,6 @@ TEST(FaultedEngine, DpsBeatsStatelessUnderFaults) {
   EXPECT_GT(dps_result.faults_injected, 0);
   EXPECT_LT(mean_latency(dps_result), mean_latency(slurm_result));
   EXPECT_LE(dps_result.peak_cap_sum, config.total_budget + 1e-6);
-}
-
-// --- Control-plane faults (kNet*) ---
-
-TEST(NetFaults, ScriptMapsFaultTimesOntoRounds) {
-  const FaultPlan plan(
-      {
-          FaultEvent{.at = 2.0,
-                     .duration = 3.0,
-                     .unit = 1,
-                     .kind = FaultKind::kNetReadStall},
-          FaultEvent{.at = 5.0,
-                     .duration = 0.0,  // never clears
-                     .unit = 0,
-                     .kind = FaultKind::kNetDisconnect},
-          FaultEvent{.at = 1.0,
-                     .duration = 2.0,
-                     .unit = -1,
-                     .kind = FaultKind::kNetConnectRefuse},
-      },
-      2);
-  const NetFaultScript script(plan, 2, 1.0);
-  EXPECT_TRUE(script.any_net_faults());
-
-  // Round r covers time r * round_period: the stall spans [2, 5).
-  EXPECT_FALSE(script.stalled(1, 1));
-  EXPECT_TRUE(script.stalled(1, 2));
-  EXPECT_TRUE(script.stalled(1, 4));
-  EXPECT_FALSE(script.stalled(1, 5));
-  EXPECT_FALSE(script.stalled(0, 3));  // wrong unit
-
-  EXPECT_FALSE(script.disconnected(0, 4));
-  EXPECT_TRUE(script.disconnected(0, 5));
-  EXPECT_TRUE(script.disconnected(0, 5000));  // duration <= 0 never clears
-  EXPECT_FALSE(script.disconnected(1, 5));
-
-  EXPECT_FALSE(script.connect_refused(0));
-  EXPECT_TRUE(script.connect_refused(1));
-  EXPECT_TRUE(script.connect_refused(2));
-  EXPECT_FALSE(script.connect_refused(3));
-
-  // Halving the round period doubles the round index of every window.
-  const NetFaultScript half(plan, 2, 0.5);
-  EXPECT_FALSE(half.stalled(1, 3));
-  EXPECT_TRUE(half.stalled(1, 4));
-
-  EXPECT_THROW(NetFaultScript(plan, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(NetFaultScript(plan, 2, 0.0), std::invalid_argument);
-}
-
-TEST(NetFaults, GeneratorEmitsNetKindsAtConfiguredRates) {
-  FaultPlanConfig config;
-  config.net_connect_refuse_rate = 2.0;
-  config.net_read_stall_rate = 5.0;
-  config.net_disconnect_rate = 5.0;
-  const auto plan = FaultPlan::generate(config, 4);
-  int refuse = 0, stall = 0, disconnect = 0;
-  for (const auto& event : plan.events()) {
-    switch (event.kind) {
-      case FaultKind::kNetConnectRefuse:
-        ++refuse;
-        EXPECT_EQ(event.unit, -1);  // cluster-scoped, like budget sags
-        break;
-      case FaultKind::kNetReadStall:
-        ++stall;
-        EXPECT_GE(event.unit, 0);
-        EXPECT_LT(event.unit, 4);
-        break;
-      case FaultKind::kNetDisconnect:
-        ++disconnect;
-        break;
-      default:
-        ADD_FAILURE() << "unexpected kind with only net rates configured";
-    }
-  }
-  EXPECT_GT(refuse, 0);
-  EXPECT_GT(stall, 0);
-  EXPECT_GT(disconnect, 0);
-  // Determinism — same config, same plan.
-  EXPECT_EQ(FaultPlan::generate(config, 4).events(), plan.events());
-}
-
-TEST(NetFaults, IniParsesNetRates) {
-  const auto config = fault_plan_config_from_ini(IniFile::parse(
-      "[faults]\n"
-      "net_connect_refuse_rate = 1.5\n"
-      "net_read_stall_rate = 2.5\n"
-      "net_disconnect_rate = 3.5\n"));
-  EXPECT_DOUBLE_EQ(config.net_connect_refuse_rate, 1.5);
-  EXPECT_DOUBLE_EQ(config.net_read_stall_rate, 2.5);
-  EXPECT_DOUBLE_EQ(config.net_disconnect_rate, 3.5);
-  EXPECT_THROW(fault_plan_config_from_ini(
-                   IniFile::parse("[faults]\nnet_read_stall_rate = -1\n")),
-               std::invalid_argument);
 }
 
 }  // namespace

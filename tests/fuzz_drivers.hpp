@@ -67,9 +67,9 @@ inline void drive_ini(const std::uint8_t* data, std::size_t size) {
   try {
     const auto ini = IniFile::parse(text);
     (void)ini.get("a", "b");
-    (void)ini.get_double("", "x");
-    (void)ini.get_int("s", "k");
-    (void)ini.get_bool("s", "b");
+    if (const auto x = ini.get("", "x")) (void)parse_double(*x);
+    if (const auto k = ini.get("s", "k")) (void)parse_integer<long>(*k);
+    if (const auto b = ini.get("s", "b")) (void)parse_bool(*b);
     (void)ini.has_section("s");
   } catch (const std::runtime_error&) {
   }

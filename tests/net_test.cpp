@@ -234,8 +234,12 @@ TEST(ControlPlane, DeadClientBudgetRedistributedOverTcp) {
       // Survivors pin at their cap (always hungry); unit 0 dies after
       // two rounds (the destructor closes the socket).
       Watts cap = 110.0;
+      // Claim unit u: the server otherwise numbers clients in connection
+      // order, and the assertions below name units by role.
+      NodeClientConfig config;
+      config.unit_hint = u;
       NodeClient client([&] { return cap * 0.99; },
-                        [&](Watts c) { cap = c; });
+                        [&](Watts c) { cap = c; }, config);
       client.connect(server.port());
       if (u == 0) {
         for (int r = 0; r < 2; ++r) client.run_round();
@@ -801,6 +805,10 @@ TEST(EndToEnd, RestartFromCheckpointMatchesUninterruptedAndBeatsColdRestart) {
         config.backoff_base_s = 0.01;
         config.backoff_max_s = 0.05;
         config.jitter_seed = static_cast<std::uint64_t>(u) + 1;
+        // Claim unit u, so the role below (hungry or idle) belongs to the
+        // same unit in every run; by default the server numbers clients
+        // in connection order.
+        config.unit_hint = u;
         std::shared_ptr<double> cap = std::make_shared<double>(110.0);
         NodeClient client(
             [cap, u] { return u % 2 == 1 ? *cap * 0.99 : 30.0; },
