@@ -20,12 +20,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/dps_manager.hpp"
+#include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/resilience.hpp"
 #include "managers/constant.hpp"
-#include "managers/slurm_stateless.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -118,26 +117,12 @@ int main() {
                "faulted [s]", "overshoot [Ws]", "recovery [s]"});
 
   struct Entry {
-    const char* name;
-    std::unique_ptr<PowerManager> (*make)();
+    ManagerKind kind;
     Run clean;  // the manager's own fault-free twin (completions-lost ref)
   };
-  std::vector<Entry> managers;
-  managers.push_back({"constant",
-                      []() -> std::unique_ptr<PowerManager> {
-                        return std::make_unique<ConstantManager>();
-                      },
-                      {}});
-  managers.push_back({"slurm",
-                      []() -> std::unique_ptr<PowerManager> {
-                        return std::make_unique<SlurmStatelessManager>();
-                      },
-                      {}});
-  managers.push_back({"dps",
-                      []() -> std::unique_ptr<PowerManager> {
-                        return std::make_unique<DpsManager>();
-                      },
-                      {}});
+  std::vector<Entry> managers = {{ManagerKind::kConstant, {}},
+                                 {ManagerKind::kSlurm, {}},
+                                 {ManagerKind::kDps, {}}};
 
   // Every (level, manager) run — plus the fault-free constant reference —
   // faces its own deterministic fault plan and manager instance, so the
@@ -149,7 +134,8 @@ int main() {
   const auto runs =
       sweep_ordered(levels.size() * managers.size(), [&](std::size_t i) {
         const double level = levels[i / managers.size()];
-        auto manager = managers[i % managers.size()].make();
+        const auto manager =
+            make_manager(managers[i % managers.size()].kind);
         return run_level(*manager, a, b, level, repeats, seed);
       });
 
@@ -168,22 +154,23 @@ int main() {
                                      clean_constant.hmean[1] / run.hmean[1]);
       const int lost = completions_lost(completed(run.result),
                                         completed(entry.clean.result));
-      if (level > 0.0 && std::string(entry.name) == "dps") {
+      if (level > 0.0 && entry.kind == ManagerKind::kDps) {
         dps_norm_at_faults += norm;
         ++faulted_levels;
       }
-      if (level > 0.0 && std::string(entry.name) == "slurm") {
+      if (level > 0.0 && entry.kind == ManagerKind::kSlurm) {
         slurm_norm_at_faults += norm;
       }
 
-      table.add_row({format_double(level, 1), entry.name,
+      const char* name = to_string(entry.kind);
+      table.add_row({format_double(level, 1), name,
                      format_double(norm, 3), std::to_string(lost),
                      std::to_string(run.result.faults_injected),
                      format_double(run.result.faulted_time, 0),
                      format_double(run.result.faulted_overshoot_ws, 1),
                      format_double(mean_recovery(run.result), 1)});
       csv.write_row(
-          {format_double(level, 2), entry.name, format_double(run.hmean[0], 2),
+          {format_double(level, 2), name, format_double(run.hmean[0], 2),
            format_double(run.hmean[1], 2), format_double(norm, 4),
            std::to_string(lost), std::to_string(run.result.faults_injected),
            format_double(run.result.faulted_time, 1),

@@ -18,10 +18,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/dps_manager.hpp"
+#include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
-#include "managers/constant.hpp"
-#include "managers/slurm_stateless.hpp"
 #include "sched/job.hpp"
 #include "sim/engine.hpp"
 #include "util/csv.hpp"
@@ -53,12 +51,6 @@ EngineResult run_stream(PowerManager& manager, sched::SchedPolicy policy,
   return run_jobs(manager, config, kUnits);
 }
 
-std::unique_ptr<PowerManager> make_manager(const std::string& name) {
-  if (name == "constant") return std::make_unique<ConstantManager>();
-  if (name == "slurm") return std::make_unique<SlurmStatelessManager>();
-  return std::make_unique<DpsManager>();
-}
-
 }  // namespace
 
 int main() {
@@ -76,7 +68,8 @@ int main() {
   const std::vector<sched::SchedPolicy> policies = {
       sched::SchedPolicy::kFcfs, sched::SchedPolicy::kEasyBackfill,
       sched::SchedPolicy::kPowerAware};
-  const std::vector<std::string> managers = {"constant", "slurm", "dps"};
+  const std::vector<ManagerKind> managers = {
+      ManagerKind::kConstant, ManagerKind::kSlurm, ManagerKind::kDps};
 
   std::printf(
       "Extension: job scheduling under a cluster power budget (%d units,\n"
@@ -100,8 +93,9 @@ int main() {
 
   for (const double rate : rates) {
     for (const auto policy : policies) {
-      for (const auto& name : managers) {
-        auto manager = make_manager(name);
+      for (const auto kind : managers) {
+        const std::string name = to_string(kind);
+        const auto manager = make_manager(kind);
         const EngineResult result =
             run_stream(*manager, policy, rate, jobs, seed);
         const auto& s = result.sched;
@@ -110,7 +104,7 @@ int main() {
         if (result.timed_out || s.completed + s.abandoned < s.submitted) {
           all_completed = false;
         }
-        if (rate == rates.back() && name == "dps") {
+        if (rate == rates.back() && kind == ManagerKind::kDps) {
           if (policy == sched::SchedPolicy::kFcfs) {
             fcfs_slowdown_dps = s.mean_bounded_slowdown;
           }

@@ -36,9 +36,8 @@
 #include "bench_common.hpp"
 #include "core/dps_manager.hpp"
 #include "ctrl/tree.hpp"
+#include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
-#include "managers/constant.hpp"
-#include "managers/slurm_stateless.hpp"
 #include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "workloads/synthetic.hpp"
@@ -63,14 +62,6 @@ struct Scenario {
   }
 };
 
-std::unique_ptr<PowerManager> manager_by_name(const std::string& name) {
-  if (name == "constant") return std::make_unique<ConstantManager>();
-  if (name == "slurm") {
-    return std::make_unique<SlurmStatelessManager>(slurm_plugin_defaults());
-  }
-  return std::make_unique<DpsManager>();
-}
-
 /// Same generous stop bound the PairRunner uses.
 Seconds time_bound(const WorkloadSpec& a, const WorkloadSpec& b,
                    int repeats) {
@@ -81,15 +72,14 @@ Seconds time_bound(const WorkloadSpec& a, const WorkloadSpec& b,
 }
 
 /// The 6 pairs of the perf_smoke grid under one manager, timed end to end.
-Scenario run_pair20(const std::string& manager_name, int repeats,
-                    std::uint64_t seed) {
+Scenario run_pair20(ManagerKind kind, int repeats, std::uint64_t seed) {
   const std::vector<std::string> spark = {"Kmeans", "LDA", "Sort"};
   const std::vector<std::string> npb = {"EP", "CG"};
   const PerfModel model;
 
   Scenario s;
   s.name = "pair20";
-  s.manager = manager_name;
+  s.manager = to_string(kind);
   s.units = 20;
   const auto start = std::chrono::steady_clock::now();
   for (const auto& a_name : spark) {
@@ -101,7 +91,7 @@ Scenario run_pair20(const std::string& manager_name, int repeats,
       config.total_budget = 110.0 * 20;
       config.target_completions = repeats;
       config.max_time = time_bound(a, b, repeats);
-      const auto manager = manager_by_name(manager_name);
+      const auto manager = make_manager(kind);
       const auto result = run_pair(a, b, *manager, config, seed, model);
       s.engine_steps += result.steps;
       s.unit_steps += static_cast<long>(result.steps) * s.units;
@@ -211,8 +201,9 @@ int main() {
       repeats, rounds);
 
   std::vector<Scenario> scenarios;
-  for (const std::string manager : {"constant", "slurm", "dps"}) {
-    scenarios.push_back(run_pair20(manager, repeats, seed));
+  for (const auto kind :
+       {ManagerKind::kConstant, ManagerKind::kSlurm, ManagerKind::kDps}) {
+    scenarios.push_back(run_pair20(kind, repeats, seed));
   }
   scenarios.push_back(run_synthetic("units1k", 1000, rounds, seed));
   scenarios.push_back(run_synthetic("units10k", 10000, rounds, seed));

@@ -6,17 +6,15 @@
 ///
 /// Usage: trace_explorer [workloadA] [workloadB] [manager] [csv_path]
 ///   workloads: any Table 2 / Table 4 name        (default: LDA EP)
-///   manager:   constant | slurm | oracle | dps   (default: dps)
+///   manager:   constant | slurm | oracle | dps | feedback | p2p
+///              (default: dps)
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
-#include "core/dps_manager.hpp"
+#include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
-#include "managers/constant.hpp"
-#include "managers/oracle.hpp"
-#include "managers/slurm_stateless.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -68,15 +66,11 @@ int main(int argc, char** argv) {
                    GroupSpec{workload_b, 10, 12}});
   SimulatedRapl rapl(cluster.total_units());
 
-  ConstantManager constant;
-  SlurmStatelessManager slurm;
-  OracleManager oracle(
+  ManagerKind kind = ManagerKind::kDps;  // an unknown name runs DPS
+  manager_kind_from_string(manager_name, kind);
+  const auto manager = make_manager(
+      kind, {}, slurm_plugin_defaults(),
       [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
-  DpsManager dps;
-  PowerManager* manager = &dps;
-  if (manager_name == "constant") manager = &constant;
-  if (manager_name == "slurm") manager = &slurm;
-  if (manager_name == "oracle") manager = &oracle;
 
   const auto result = SimulationEngine(config).run(cluster, rapl, *manager);
   result.trace->write_csv(csv_path);

@@ -77,7 +77,9 @@ void AggregatorNode::set_obs(const obs::ObsSink& sink) {
   if (uplink_) uplink_->set_obs(sink);
 }
 
-void AggregatorNode::accept_children() { server_.accept_all(); }
+void AggregatorNode::accept_children(const std::atomic<bool>* stop) {
+  server_.accept_all(stop);
+}
 
 std::unique_ptr<NodeClient> AggregatorNode::make_uplink(int unit_hint) {
   // The uplink carries per-unit means: aggregate / child count upward, and

@@ -78,8 +78,9 @@ class AggregatorNode {
   /// Port the children connect to (useful with listen_port 0).
   std::uint16_t port() const { return server_.port(); }
 
-  /// Blocks until all ctx.num_units children completed their hello.
-  void accept_children();
+  /// Blocks until all ctx.num_units children completed their hello, or
+  /// until `*stop` is set (see ControlServer::accept_all).
+  void accept_children(const std::atomic<bool>* stop = nullptr);
 
   /// Connects the uplink and performs the hello handshake, reclaiming the
   /// configured (or checkpoint-restored) parent slot. No-op for a root

@@ -8,6 +8,7 @@
 #include "managers/oracle.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "metrics/metrics.hpp"
+#include "p2p/p2p_manager.hpp"
 
 namespace dps {
 
@@ -23,8 +24,47 @@ const char* to_string(ManagerKind kind) {
       return "dps";
     case ManagerKind::kFeedback:
       return "feedback";
+    case ManagerKind::kP2p:
+      return "p2p";
   }
   return "unknown";
+}
+
+bool manager_kind_from_string(std::string_view name, ManagerKind& kind) {
+  for (const auto k : {ManagerKind::kConstant, ManagerKind::kSlurm,
+                       ManagerKind::kOracle, ManagerKind::kDps,
+                       ManagerKind::kFeedback, ManagerKind::kP2p}) {
+    if (name == to_string(k)) {
+      kind = k;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::unique_ptr<PowerManager> make_manager(
+    ManagerKind kind, const DpsConfig& dps, const MimdConfig& slurm,
+    std::function<void(std::span<Watts>)> demand) {
+  switch (kind) {
+    case ManagerKind::kConstant:
+      return std::make_unique<ConstantManager>();
+    case ManagerKind::kSlurm:
+      return std::make_unique<SlurmStatelessManager>(slurm);
+    case ManagerKind::kOracle:
+      if (!demand) {
+        throw std::invalid_argument(
+            "the oracle needs the cluster's true-demand view, which only a "
+            "flat simulated pair run has");
+      }
+      return std::make_unique<OracleManager>(std::move(demand));
+    case ManagerKind::kDps:
+      return std::make_unique<DpsManager>(dps);
+    case ManagerKind::kFeedback:
+      return std::make_unique<FeedbackManager>();
+    case ManagerKind::kP2p:
+      return std::make_unique<P2pManager>();
+  }
+  throw std::invalid_argument("make_manager: unknown kind");
 }
 
 PairRunner::PairRunner(const ExperimentParams& params) : params_(params) {
@@ -34,25 +74,6 @@ PairRunner::PairRunner(const ExperimentParams& params) : params_(params) {
 }
 
 namespace {
-
-std::unique_ptr<PowerManager> make_manager(ManagerKind kind,
-                                           const ExperimentParams& params,
-                                           Cluster* cluster) {
-  switch (kind) {
-    case ManagerKind::kConstant:
-      return std::make_unique<ConstantManager>();
-    case ManagerKind::kSlurm:
-      return std::make_unique<SlurmStatelessManager>(params.slurm);
-    case ManagerKind::kOracle:
-      return std::make_unique<OracleManager>(
-          [cluster](std::span<Watts> out) { cluster->true_demands(out); });
-    case ManagerKind::kDps:
-      return std::make_unique<DpsManager>(params.dps);
-    case ManagerKind::kFeedback:
-      return std::make_unique<FeedbackManager>();
-  }
-  throw std::invalid_argument("make_manager: unknown kind");
-}
 
 /// Generous stop bound: enough time for `repeats` runs of the slower
 /// workload at worst-case slowdown, plus warmup slack.
@@ -105,7 +126,9 @@ PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
   engine_config.obs = params_.obs;
   engine_config.thermal = params_.thermal;
 
-  const auto manager = make_manager(kind, params_, &cluster);
+  const auto manager = make_manager(
+      kind, params_.dps, params_.slurm,
+      [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
   const auto result =
       SimulationEngine(engine_config).run(cluster, rapl, *manager);
 

@@ -1,10 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dps_config.hpp"
@@ -15,10 +18,26 @@
 namespace dps {
 
 /// The four power managers the paper evaluates, plus the feedback-shifter
-/// extension baseline (PShifter-style, see managers/feedback.hpp).
-enum class ManagerKind { kConstant, kSlurm, kOracle, kDps, kFeedback };
+/// extension baseline (PShifter-style, see managers/feedback.hpp) and the
+/// decentralized peer-to-peer manager (src/p2p/).
+enum class ManagerKind { kConstant, kSlurm, kOracle, kDps, kFeedback, kP2p };
 
 const char* to_string(ManagerKind kind);
+
+/// Sets `kind` to the manager `name` names (to_string's inverse); false
+/// when no manager has that name.
+bool manager_kind_from_string(std::string_view name, ManagerKind& kind);
+
+/// A fresh manager of `kind`, the one place managers are built by kind:
+/// DPS from `dps` (the [dps] section), SLURM from `slurm` (the [stateless]
+/// section over slurm_plugin_defaults()), and the oracle over `demand`,
+/// the simulated cluster's true-demand view. Throws std::invalid_argument
+/// for the oracle without one: a job stream, a tree leaf and a live
+/// daemon have none.
+std::unique_ptr<PowerManager> make_manager(
+    ManagerKind kind, const DpsConfig& dps = {},
+    const MimdConfig& slurm = slurm_plugin_defaults(),
+    std::function<void(std::span<Watts>)> demand = {});
 
 /// Common parameters of a simulated experiment, defaulting to the paper's
 /// setup: two 10-socket clusters, 1 s decision loop, 110 W per socket of

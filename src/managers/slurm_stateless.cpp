@@ -9,6 +9,10 @@ void SlurmStatelessManager::reset(const ManagerContext& ctx) {
   mimd_.reset(ctx);
 }
 
+void SlurmStatelessManager::load_state(ByteReader& in) {
+  if (!in.exhausted()) mimd_.load_state(in);
+}
+
 void SlurmStatelessManager::decide(std::span<const Watts> power,
                                    std::span<Watts> caps) {
   mimd_.decide(power, caps);

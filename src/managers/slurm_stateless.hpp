@@ -23,6 +23,11 @@ class SlurmStatelessManager final : public PowerManager {
   void update_budget(Watts new_total_budget) override {
     mimd_.update_budget(new_total_budget);
   }
+  /// The MIMD controller's RNG stream, windows and cadence. An empty
+  /// snapshot, as written before this manager saved its state, restores
+  /// cold.
+  void save_state(ByteWriter& out) const override { mimd_.save_state(out); }
+  void load_state(ByteReader& in) override;
 
  private:
   MimdController mimd_;

@@ -172,10 +172,10 @@ int ControlServer::admit_one(double hello_timeout_s) {
   return unit;
 }
 
-void ControlServer::accept_all() {
+void ControlServer::accept_all(const std::atomic<bool>* stop) {
   const double hello_timeout =
       net_.round_deadline_s > 0.0 ? net_.round_deadline_s : 5.0;
-  while (true) {
+  while (stop == nullptr || !*stop) {
     const bool all_connected =
         std::all_of(slots_.begin(), slots_.end(),
                     [](const Slot& slot) { return slot.fd >= 0; });

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -54,8 +55,10 @@ class ControlServer {
   /// Blocks until all expected units have connected and completed the
   /// hello handshake. A fresh client (hello unit = kHelloAnyUnit) gets the
   /// next free id in connection order; a reconnecting client naming a
-  /// valid id gets that slot.
-  void accept_all();
+  /// valid id gets that slot. Returns early, with slots still empty, once
+  /// `*stop` is set: a signal handler sets it, and a handler installed
+  /// without SA_RESTART interrupts the blocking accept().
+  void accept_all(const std::atomic<bool>* stop = nullptr);
 
   /// Runs `rounds` decision rounds with `manager`, starting from the
   /// constant allocation defined by `ctx`. Returns the total wall-clock

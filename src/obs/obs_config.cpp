@@ -14,10 +14,15 @@ const Section<ObsConfig>& obs_section() {
       {{"enabled", &C::enabled},
        {"events_capacity", &C::events_capacity, Range::at_least(1)},
        {"span_events", &C::span_events},
-       {"export_prometheus", &C::export_prometheus},
+       {"export_prometheus", &C::export_prometheus, {},
+        {"--obs-metrics",
+         "write Prometheus metrics (any --obs-* flag enables "
+         "observability)"}},
        {"export_metrics_csv", &C::export_metrics_csv},
-       {"export_events_csv", &C::export_events_csv},
-       {"export_trace_json", &C::export_trace_json}}};
+       {"export_events_csv", &C::export_events_csv, {},
+        {"--obs-events", "write the event-log CSV"}},
+       {"export_trace_json", &C::export_trace_json, {},
+        {"--obs-trace", "write Chrome trace_event JSON"}}}};
   return section;
 }
 

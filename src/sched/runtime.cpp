@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sched/sched_config.hpp"
 #include "util/rng.hpp"
 #include "workloads/instance.hpp"
 
@@ -42,10 +43,7 @@ SchedRuntime::SchedRuntime(const JobScheduleConfig& config, int total_units,
     throw std::invalid_argument(
         "JobScheduleConfig: a workload resolver is required");
   }
-  if (config.retry_cap < 0 || config.walltime_factor <= 0.0 ||
-      config.slowdown_bound <= 0.0) {
-    throw std::invalid_argument("JobScheduleConfig: invalid parameters");
-  }
+  check_section(sched_section(), config);
   if (!config.trace.empty()) {
     arrivals_ = ArrivalStream::from_records(config.trace);
   } else {

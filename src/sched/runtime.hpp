@@ -50,6 +50,8 @@ struct JobScheduleConfig {
 /// end_tick after it.
 class SchedRuntime {
  public:
+  /// Throws std::invalid_argument without a resolver, or when `config`
+  /// breaks a rule of sched_section() ("[sched]: retry_cap ...").
   SchedRuntime(const JobScheduleConfig& config, int total_units,
                const obs::ObsSink& obs);
 

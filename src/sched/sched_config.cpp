@@ -25,8 +25,10 @@ const Section<JobScheduleConfig>& sched_section() {
   static const Section<C> section{
       "sched",
       {{"seed", &C::seed},
-       {"arrival_rate", &C::arrival_rate_per_1000s, Range::above(0)},
-       {"job_count", &C::job_count, Range::at_least(0)},
+       {"arrival_rate", &C::arrival_rate_per_1000s, Range::above(0),
+        {"--arrival-rate", "expected jobs per 1000 s"}},
+       {"job_count", &C::job_count, Range::at_least(0),
+        {"--jobs", "jobs in the generated stream"}},
        {"min_units", &C::min_units, Range::at_least(1)},
        {"max_units", &C::max_units, Range::at_least(1)},
        {"retry_cap", &C::retry_cap, Range::at_least(0)},

@@ -9,9 +9,14 @@ const Section<ThermalConfig>& thermal_section() {
       {{"ambient", &C::ambient_c},
        {"resistance", &C::resistance_c_per_w, Range::above(0)},
        {"time_constant", &C::time_constant_s, Range::above(0)},
-       {"trip", &C::trip_c},
-       {"clear", &C::clear_c},
-       {"throttle_cap", &C::throttle_cap_w, Range::above(0)},
+       {"trip", &C::trip_c, {},
+        {"--thermal-trip",
+         "governor trip temperature, C (any --thermal* flag enables the "
+         "model)"}},
+       {"clear", &C::clear_c, {},
+        {"--thermal-clear", "governor clear temperature, C"}},
+       {"throttle_cap", &C::throttle_cap_w, Range::above(0),
+        {"--thermal-cap", "cap forced while a unit is throttled, W"}},
        {"jitter", &C::jitter_fraction, {0, 1, false, true}},
        {"seed", &C::seed}},
       {{"trip", "must be > clear", "clear",

@@ -2,9 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -35,24 +38,39 @@ struct Range {
 using FieldRef =
     std::variant<double*, int*, std::size_t*, bool*, std::string*>;
 
+/// The command-line flag that sets a field as its INI key would
+/// (`dpsd --round-deadline 2` is `[net] round_deadline_s = 2`). A bool
+/// field's flag takes no value and sets it true; a flag with an `implicit`
+/// value takes the next argument only when one follows that does not
+/// start with '-', and is set to `implicit` otherwise.
+struct Flag {
+  const char* name = nullptr;  // nullptr: the INI key has no flag
+  const char* help = "";
+  const char* implicit = nullptr;
+};
+
 /// One `key = value` of an INI section, bound to a member of C.
 template <class C>
 struct Field {
   template <class T>
-  Field(const char* key, T C::*member, Range range = {})
+  Field(const char* key, T C::*member, Range range = {}, Flag flag = {})
       : key(key),
         ref([member](C& c) { return FieldRef(&(c.*member)); }),
-        range(range) {}
+        range(range),
+        flag(flag) {}
   /// A member of a nested struct (`[sched] power_fit_fraction`).
   template <class S, class T>
-  Field(const char* key, S C::*outer, T S::*member, Range range = {})
+  Field(const char* key, S C::*outer, T S::*member, Range range = {},
+        Flag flag = {})
       : key(key),
         ref([outer, member](C& c) { return FieldRef(&((c.*outer).*member)); }),
-        range(range) {}
+        range(range),
+        flag(flag) {}
 
   const char* key;
   std::function<FieldRef(C&)> ref;
   Range range;
+  Flag flag;
 };
 
 /// A rule spanning two fields, e.g. trip > clear. A broken rule is blamed
@@ -66,7 +84,9 @@ struct Rule {
 };
 
 /// One INI section: its name, a field per key, and the cross-field rules.
-/// Defaults live in C itself; keys not in the table are ignored.
+/// Defaults live in C itself; keys not in the table are ignored. A section
+/// with an empty name holds a tool's own options: it is read from the
+/// command line only, and each field's key is its flag (`--repeats`).
 template <class C>
 struct Section {
   const char* name;
@@ -75,8 +95,10 @@ struct Section {
 };
 
 /// Throws std::invalid_argument("[section]: key what at line N"), citing
-/// the line of `key` in `ini`, else of `other`; no line when neither
-/// appears or `ini` is null. Every config error goes through here.
+/// where `ini` set `key`, else `other`: a line, or "from --flag" for a
+/// command-line value. Nothing is cited when neither appears or `ini` is
+/// null, and an options section's key is its flag ("--repeats what").
+/// Every config error goes through here.
 [[noreturn]] void config_error(const char* section, const char* key,
                                const std::string& what,
                                const IniFile* ini = nullptr,
@@ -134,5 +156,59 @@ std::string write_section(const Section<C>& section, const C& config) {
   }
   return out.str();
 }
+
+/// A tool's command line, declared by config tables instead of by hand:
+/// every field of an options section (empty name) and the flagged fields
+/// of the INI sections whose keys the tool lets flags set. parse() only
+/// collects the flags as INI assignments; reading a section from them
+/// (merged over the --config file for an INI section) parses the values
+/// and checks the section once, so a flag obeys its key's rules.
+class CommandLine {
+ public:
+  explicit CommandLine(std::string about) : about_(std::move(about)) {}
+
+  /// Accepts the flags of `section`: of an INI section only those of the
+  /// fields named in `keys`, or of every flagged field when it is empty.
+  template <class C>
+  CommandLine& add(const Section<C>& section,
+                   std::initializer_list<const char*> keys = {}) {
+    C defaults{};
+    for (const auto& field : section.fields) {
+      const char* flag = *section.name == '\0' ? field.key : field.flag.name;
+      bool listed = keys.size() == 0;
+      for (const char* key : keys) listed |= std::strcmp(key, field.key) == 0;
+      if (flag != nullptr && listed) {
+        add_flag(flag, section.name, field.key, field.flag,
+                 field.ref(defaults));
+      }
+    }
+    return *this;
+  }
+
+  /// The flags of argv[1..] as INI assignments, each at its field's
+  /// section and key and tagged with the flag for error messages; a later
+  /// flag overrides an earlier one. nullopt on --help or -h. Throws
+  /// std::invalid_argument naming the flag on an unknown argument or a
+  /// missing value.
+  std::optional<IniFile> parse(int argc, const char* const* argv) const;
+
+  /// `about`, then one line per flag: value type, help and default.
+  std::string help() const;
+
+ private:
+  struct Entry {
+    std::string flag;
+    const char* section;
+    const char* key;
+    Flag spec;
+    const char* value;  // the value's placeholder; nullptr: takes none
+    std::string fallback;
+  };
+  void add_flag(const char* flag, const char* section, const char* key,
+                const Flag& spec, FieldRef defaults);
+
+  std::string about_;
+  std::vector<Entry> entries_;
+};
 
 }  // namespace dps

@@ -79,7 +79,7 @@ IniFile IniFile::parse(const std::string& text) {
                                std::to_string(line_number));
     }
     ini.values_[{section, key}] = value;
-    ini.lines_[{section, key}] = line_number;
+    ini.origins_[{section, key}] = "at line " + std::to_string(line_number);
   }
   return ini;
 }
@@ -99,10 +99,21 @@ std::optional<std::string> IniFile::get(const std::string& section,
   return it->second;
 }
 
-int IniFile::line_of(const std::string& section,
-                     const std::string& key) const {
-  const auto it = lines_.find({section, key});
-  return it == lines_.end() ? 0 : it->second;
+void IniFile::set(const std::string& section, const std::string& key,
+                  const std::string& value, const std::string& flag) {
+  values_[{section, key}] = value;
+  origins_[{section, key}] = "from " + flag;
+}
+
+void IniFile::merge(const IniFile& other) {
+  for (const auto& [entry, value] : other.values_) values_[entry] = value;
+  for (const auto& [entry, origin] : other.origins_) origins_[entry] = origin;
+}
+
+std::string IniFile::origin_of(const std::string& section,
+                               const std::string& key) const {
+  const auto it = origins_.find({section, key});
+  return it == origins_.end() ? "" : it->second;
 }
 
 bool IniFile::has_section(const std::string& section) const {

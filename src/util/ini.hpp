@@ -45,16 +45,26 @@ class IniFile {
   bool has_section(const std::string& section) const;
   std::size_t size() const { return values_.size(); }
 
-  /// 1-based line of the `key = value` pair in the parsed text, or 0 when
-  /// the key is absent. Lets semantic validators (not just the syntax
-  /// layer) report "bad value at line N".
-  int line_of(const std::string& section, const std::string& key) const;
+  /// Sets `key` as the command-line flag `flag` did; errors about the key
+  /// then cite the flag instead of a line.
+  void set(const std::string& section, const std::string& key,
+           const std::string& value, const std::string& flag);
+
+  /// Copies every entry of `other` over this file's, with its origin:
+  /// flags applied over a --config file.
+  void merge(const IniFile& other);
+
+  /// Where the key was set: "at line N" of the parsed text, "from --flag",
+  /// or "" when it is absent. Lets semantic validators (not just the syntax
+  /// layer) point at the bad value.
+  std::string origin_of(const std::string& section,
+                        const std::string& key) const;
 
  private:
   // (section, key) -> value
   std::map<std::pair<std::string, std::string>, std::string> values_;
-  // (section, key) -> 1-based source line, for semantic error messages.
-  std::map<std::pair<std::string, std::string>, int> lines_;
+  // (section, key) -> origin_of's answer, for semantic error messages.
+  std::map<std::pair<std::string, std::string>, std::string> origins_;
 };
 
 }  // namespace dps

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Config-rejection smoke test: a malformed INI value must stop exp and dpsd
-# at startup with an error naming its section, key and line, and the
-# shipped configs/dps.ini must load and run. Registered with ctest by
-# tests/CMakeLists.txt, which passes the build directory as $1.
+# at startup with an error naming its section, key and line, a malformed
+# flag must stop exp, dpsd and dps_node naming the flag, each tool's --help
+# must list exactly its flags, and the shipped configs/dps.ini must load
+# and run. Registered with ctest by tests/CMakeLists.txt, which passes the
+# build directory as $1.
 set -eu
 
 BUILD_DIR="${1:?usage: config_smoke_test.sh <build_dir>}"
@@ -41,7 +43,7 @@ expect_rejected() {
     echo "FAIL: status $status from: $*" >&2
     exit 1
   fi
-  if ! grep -qF "$message" "$WORK/err"; then
+  if ! grep -qF -- "$message" "$WORK/err"; then
     echo "FAIL: no '$message' on stderr of: $*" >&2
     cat "$WORK/err" >&2
     exit 1
@@ -57,6 +59,52 @@ printf '[net]\nround_deadline_s = abc\n' > "$WORK/bad_net.ini"
 expect_rejected "[net]: round_deadline_s" \
   "$BUILD_DIR/tools/dpsd" --units 1 --port 0 --config "$WORK/bad_net.ini"
 grep -q "at line 2" "$WORK/err"
+
+# --manager slurm builds SLURM from the file's [stateless], in dpsd as in
+# exp, so a value its controller refuses stops both.
+printf '[stateless]\ndec_window_steps = 0\n' > "$WORK/bad_stateless.ini"
+expect_rejected "MimdConfig" "$BUILD_DIR/tools/dpsd" --units 1 --port 0 \
+  --manager slurm --config "$WORK/bad_stateless.ini"
+expect_rejected "MimdConfig" "$BUILD_DIR/tools/exp" --manager slurm \
+  --repeats 1 --config "$WORK/bad_stateless.ini"
+
+# A flag's value obeys its field's type and range; the error names the flag.
+expect_rejected "--repeats" "$BUILD_DIR/tools/exp" --repeats 1x
+expect_rejected "--jobs" "$BUILD_DIR/tools/exp" --sched-policy fcfs --jobs abc
+expect_rejected "--tree-shard" "$BUILD_DIR/tools/exp" --sched-policy fcfs \
+  --jobs 5 --tree-shard abc
+expect_rejected "--port" "$BUILD_DIR/tools/dpsd" --units 2 --port 70000
+expect_rejected "--round-deadline" "$BUILD_DIR/tools/dpsd" --units 1 \
+  --round-deadline -1
+expect_rejected "--attempts" "$BUILD_DIR/tools/dps_node" --simulate 1 \
+  --attempts 0
+
+# expect_flags <tool> <flag...>: --help (and -h) lists exactly these flags.
+expect_flags() {
+  tool="$1"
+  shift
+  "$BUILD_DIR/tools/$tool" --help > "$WORK/help"
+  "$BUILD_DIR/tools/$tool" -h | cmp -s - "$WORK/help"
+  grep -q -- "-h, --help" "$WORK/help"
+  grep -oE '^  --[a-z-]+' "$WORK/help" | sed 's/^  //' | sort > "$WORK/listed"
+  printf '%s\n' "$@" | sort > "$WORK/expected"
+  if ! cmp -s "$WORK/listed" "$WORK/expected"; then
+    echo "FAIL: $tool --help lists other flags than expected" >&2
+    diff "$WORK/expected" "$WORK/listed" >&2 || true
+    exit 1
+  fi
+}
+
+expect_flags exp --a --b --manager --repeats --seed --budget --sockets \
+  --trace --config --obs-metrics --obs-events --obs-trace --list \
+  --sched-policy --arrival-rate --jobs --job-trace --units --tree-shard \
+  --tree-jobs --thermal --thermal-trip --thermal-clear --thermal-cap
+expect_flags dpsd --units --port --budget --tdp --min-cap --manager \
+  --config --period --rounds --bind-any --round-deadline --checkpoint \
+  --checkpoint-interval --restore --parent-host --parent-port --parent-unit \
+  --obs-metrics --obs-events --obs-trace
+expect_flags dps_node --host --port --sysfs --simulate --seed --failsafe-cap \
+  --attempts --backoff-base --backoff-max
 
 "$BUILD_DIR/tools/exp" --config "$SOURCE_DIR/configs/dps.ini" --repeats 1 \
   > "$WORK/out"

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "ctrl/ctrl_config.hpp"
@@ -425,6 +428,128 @@ TEST(ConfigTable, ShippedInisLoadThroughEveryReader) {
     EXPECT_NO_THROW(read_every_section(IniFile::load(kShippedDir + name)))
         << name;
   }
+}
+
+// --- Command-line flags as config-table fields ---
+
+/// A tool's own options, as the tools declare them: an options section
+/// (no name) whose keys are the flags.
+struct ToolOptions {
+  int count = 2;
+  double rate = 1.5;
+  std::string root;
+  bool verbose = false;
+};
+
+const Section<ToolOptions>& tool_section() {
+  using T = ToolOptions;
+  static const Section<T> section{
+      "",
+      {{"--count", &T::count, Range::at_least(1), {.help = "how many"}},
+       {"--rate", &T::rate, Range::above(0), {.help = "how fast"}},
+       {"--root", &T::root, {},
+        {.help = "where", .implicit = "/srv/default"}},
+       {"--verbose", &T::verbose, {}, {.help = "say more"}}}};
+  return section;
+}
+
+CommandLine tool_command_line() {
+  CommandLine cli("tool — a test tool");
+  cli.add(tool_section())
+      .add(net_section(), {"round_deadline_s", "checkpoint_path"});
+  return cli;
+}
+
+IniFile parse_args(std::vector<const char*> args) {
+  args.insert(args.begin(), "tool");
+  auto flags = tool_command_line().parse(static_cast<int>(args.size()),
+                                         args.data());
+  if (!flags) throw std::logic_error("--help");
+  return *flags;
+}
+
+/// The std::invalid_argument message of `read` on the parsed args.
+template <class Read>
+std::string flag_error(std::vector<const char*> args, Read read) {
+  try {
+    read(parse_args(std::move(args)));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(CommandLine, FlagsSetTheirFieldsAndOverrideTheFile) {
+  const IniFile flags =
+      parse_args({"--count", "7", "--verbose", "--rate", "0.25", "--root",
+                  "--round-deadline", "2.5"});
+  ToolOptions options;
+  read_section(flags, tool_section(), options);
+  EXPECT_EQ(options.count, 7);
+  EXPECT_EQ(options.rate, 0.25);
+  EXPECT_EQ(options.root, "/srv/default");  // bare: the implicit value
+  EXPECT_TRUE(options.verbose);
+
+  IniFile ini = IniFile::parse(
+      "[net]\nround_deadline_s = 9\ncheckpoint_interval_rounds = 7\n");
+  ini.merge(flags);
+  const NetConfig net = net_config_from_ini(ini);
+  EXPECT_EQ(net.round_deadline_s, 2.5);        // the flag wins
+  EXPECT_EQ(net.checkpoint_interval_rounds, 7u);  // the file's key stays
+  EXPECT_TRUE(net.checkpoint_path.empty());    // the default stays
+
+  // A later flag overrides an earlier one; an explicit value for the
+  // optional-value flag is taken when it does not start with '-'.
+  const IniFile again = parse_args({"--count", "3", "--root", "/x",
+                                    "--count", "4"});
+  ToolOptions later;
+  read_section(again, tool_section(), later);
+  EXPECT_EQ(later.count, 4);
+  EXPECT_EQ(later.root, "/x");
+}
+
+TEST(CommandLine, ErrorsNameTheFlag) {
+  auto options = [](const IniFile& flags) {
+    ToolOptions o;
+    read_section(flags, tool_section(), o);
+  };
+  auto net = [](const IniFile& flags) { net_config_from_ini(flags); };
+  EXPECT_EQ(flag_error({"--count", "1x"}, options),
+            "--count must be a 32-bit integer, got '1x'");
+  EXPECT_EQ(flag_error({"--count", "0"}, options),
+            "--count must be in [1, inf)");
+  EXPECT_EQ(flag_error({"--rate", "nan"}, options),
+            "--rate must be a finite number, got 'nan'");
+  EXPECT_EQ(flag_error({"--round-deadline", "-1"}, net),
+            "[net]: round_deadline_s must be in [0, inf) from "
+            "--round-deadline");
+  // Parsing itself: a flag without its value, an unknown argument, and a
+  // flag this tool does not take although its section has it.
+  EXPECT_EQ(flag_error({"--verbose", "--count"}, options),
+            "--count needs a value");
+  EXPECT_EQ(flag_error({"--verbose", "yes"}, options),
+            "unknown argument 'yes' after --verbose");
+  EXPECT_EQ(flag_error({"--attempts", "3"}, options),
+            "unknown argument '--attempts'");
+  // A value is taken as given, even when it looks like a flag.
+  EXPECT_EQ(flag_error({"--count", "--rate"}, options),
+            "--count must be a 32-bit integer, got '--rate'");
+}
+
+TEST(CommandLine, HelpListsEveryFlagFromTheTables) {
+  const CommandLine cli = tool_command_line();
+  const char* help_args[] = {"tool", "--count", "3", "-h"};
+  EXPECT_FALSE(cli.parse(4, help_args).has_value());
+  const std::string help = cli.help();
+  for (const char* flag :
+       {"--count INT", "--rate NUM", "--root [TEXT]", "--verbose",
+        "--round-deadline NUM", "--checkpoint TEXT", "-h, --help"}) {
+    EXPECT_NE(help.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_NE(help.find("how many [2]"), std::string::npos);
+  EXPECT_NE(help.find("[/srv/default]"), std::string::npos);
+  EXPECT_NE(help.find("round_deadline_s: "), std::string::npos);
+  EXPECT_EQ(help.find("--attempts"), std::string::npos);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "ctrl/aggregator.hpp"
 #include "ctrl/ctrl_config.hpp"
 #include "ctrl/tree.hpp"
+#include "managers/slurm_stateless.hpp"
 #include "obs/sink.hpp"
 #include "util/bytes.hpp"
 #include "util/ini.hpp"
@@ -286,36 +287,49 @@ TEST(TreeController, SaveLoadRoundTripContinuesIdentically) {
   CtrlConfig config;
   config.shard_size = 5;
   const auto ctx = make_ctx(units);
+  // DPS at both tiers, and the Argo-style tree: a proportional-share root
+  // over SLURM leaves, whose MIMD state must ride along too.
+  CtrlConfig argo = config;
+  argo.max_levels = 2;
+  auto make_tree = [&](bool slurm_leaves) {
+    if (!slurm_leaves) return std::make_unique<TreeController>(config);
+    return std::make_unique<TreeController>(
+        argo, [] { return std::make_unique<SlurmStatelessManager>(); },
+        [] { return std::make_unique<ProportionalShareRoot>(); });
+  };
 
-  TreeController original(config);
-  original.reset(ctx);
-  std::vector<Watts> caps_a(units, ctx.constant_cap());
-  std::vector<Watts> power(units, 0.0);
-  for (int r = 0; r < 30; ++r) {
-    fill_power(caps_a, power);
-    original.decide(power, caps_a);
-  }
+  for (const bool slurm_leaves : {false, true}) {
+    SCOPED_TRACE(slurm_leaves ? "slurm leaves" : "dps tree");
+    const auto original = make_tree(slurm_leaves);
+    original->reset(ctx);
+    std::vector<Watts> caps_a(units, ctx.constant_cap());
+    std::vector<Watts> power(units, 0.0);
+    for (int r = 0; r < 30; ++r) {
+      fill_power(caps_a, power);
+      original->decide(power, caps_a);
+    }
 
-  ByteWriter out;
-  original.save_state(out);
+    ByteWriter out;
+    original->save_state(out);
 
-  TreeController restored(config);
-  restored.reset(ctx);
-  ByteReader in(out.bytes());
-  restored.load_state(in);
-  EXPECT_TRUE(in.exhausted());
-  EXPECT_EQ(restored.shard_budgets(), original.shard_budgets());
+    const auto restored = make_tree(slurm_leaves);
+    restored->reset(ctx);
+    ByteReader in(out.bytes());
+    restored->load_state(in);
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(restored->shard_budgets(), original->shard_budgets());
 
-  // Both controllers must continue bit-identically from the snapshot.
-  std::vector<Watts> caps_b = caps_a;
-  for (int r = 0; r < 25; ++r) {
-    fill_power(caps_a, power);
-    original.decide(power, caps_a);
-    std::vector<Watts> power_b(units);
-    fill_power(caps_b, std::span<Watts>(power_b));
-    restored.decide(power_b, caps_b);
-    for (int u = 0; u < units; ++u) {
-      ASSERT_EQ(caps_a[u], caps_b[u]) << "round " << r << " unit " << u;
+    // Both controllers must continue bit-identically from the snapshot.
+    std::vector<Watts> caps_b = caps_a;
+    for (int r = 0; r < 25; ++r) {
+      fill_power(caps_a, power);
+      original->decide(power, caps_a);
+      std::vector<Watts> power_b(units);
+      fill_power(caps_b, std::span<Watts>(power_b));
+      restored->decide(power_b, caps_b);
+      for (int u = 0; u < units; ++u) {
+        ASSERT_EQ(caps_a[u], caps_b[u]) << "round " << r << " unit " << u;
+      }
     }
   }
 }

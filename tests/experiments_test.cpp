@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "core/config_io.hpp"
 #include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
+#include "managers/slurm_stateless.hpp"
 #include "metrics/metrics.hpp"
+#include "util/ini.hpp"
 
 namespace dps {
 namespace {
@@ -113,6 +120,61 @@ TEST(PairRunner, ManagerNames) {
   EXPECT_STREQ(to_string(ManagerKind::kSlurm), "slurm");
   EXPECT_STREQ(to_string(ManagerKind::kOracle), "oracle");
   EXPECT_STREQ(to_string(ManagerKind::kDps), "dps");
+  EXPECT_STREQ(to_string(ManagerKind::kFeedback), "feedback");
+  EXPECT_STREQ(to_string(ManagerKind::kP2p), "p2p");
+}
+
+TEST(ManagerFactory, BuildsEveryKindByName) {
+  for (const auto kind :
+       {ManagerKind::kConstant, ManagerKind::kSlurm, ManagerKind::kOracle,
+        ManagerKind::kDps, ManagerKind::kFeedback, ManagerKind::kP2p}) {
+    ManagerKind parsed = ManagerKind::kConstant;
+    ASSERT_TRUE(manager_kind_from_string(to_string(kind), parsed));
+    EXPECT_EQ(parsed, kind);
+    const auto manager = make_manager(
+        kind, {}, slurm_plugin_defaults(),
+        [](std::span<Watts> out) { std::fill(out.begin(), out.end(), 80.0); });
+    EXPECT_EQ(manager->name(), to_string(kind));
+  }
+  ManagerKind kind = ManagerKind::kDps;
+  EXPECT_FALSE(manager_kind_from_string("DPS", kind));
+  EXPECT_FALSE(manager_kind_from_string("", kind));
+  // Without a demand view there is no oracle to build.
+  EXPECT_THROW(make_manager(ManagerKind::kOracle), std::invalid_argument);
+}
+
+TEST(ManagerFactory, BuildsSlurmFromTheStatelessValuesGiven) {
+  // A [stateless] section far from the plugin defaults: the factory's
+  // SLURM must decide as one built from it, not as the default one.
+  const MimdConfig tuned = mimd_config_from_ini(
+      IniFile::parse("[stateless]\ninc_percentile = 1.05\n"
+                     "dec_percentile = 0.9\ndec_window_steps = 3\n"),
+      slurm_plugin_defaults());
+  const auto built = make_manager(ManagerKind::kSlurm, {}, tuned);
+  SlurmStatelessManager direct(tuned);
+  SlurmStatelessManager defaults;
+  ManagerContext ctx;
+  ctx.num_units = 6;
+  ctx.total_budget = 600.0;
+  for (PowerManager* m : {built.get(), static_cast<PowerManager*>(&direct),
+                          static_cast<PowerManager*>(&defaults)}) {
+    m->reset(ctx);
+  }
+  std::vector<Watts> caps_built(6, 100.0), caps_direct(6, 100.0),
+      caps_default(6, 100.0), power(6, 0.0);
+  bool differs_from_default = false;
+  for (int r = 0; r < 40; ++r) {
+    for (int u = 0; u < 6; ++u) {
+      power[static_cast<std::size_t>(u)] =
+          u % 2 == 0 ? 150.0 : 40.0 + 5.0 * (r % 4);
+    }
+    built->decide(power, caps_built);
+    direct.decide(power, caps_direct);
+    defaults.decide(power, caps_default);
+    ASSERT_EQ(caps_built, caps_direct) << "round " << r;
+    differs_from_default |= caps_built != caps_default;
+  }
+  EXPECT_TRUE(differs_from_default);
 }
 
 TEST(PairRunner, RejectsBadParams) {

@@ -8,6 +8,7 @@
 ///     buffers; always built, so tier-1 ctest exercises every driver.
 ///   * tests/fuzz_libfuzzer.cpp — LLVMFuzzerTestOneInput entry points,
 ///     built only with -DDPS_LIBFUZZER=ON (needs clang's libFuzzer).
+/// drive_command_line covers the tools' flag parser the same way.
 
 #include <algorithm>
 #include <bit>
@@ -22,6 +23,7 @@
 #include <string>
 #include <type_traits>
 #include <variant>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "ctrl/ctrl_config.hpp"
@@ -311,6 +313,130 @@ inline bool drive_config_section(const std::uint8_t* data, std::size_t size) {
           },
           data, size);
   }
+}
+
+/// The command-line flag parser's test-local options table: a field of
+/// each type with a range, a switch, an optional value and a rule.
+struct FuzzOptions {
+  int count = 1;
+  double rate = 1.0;
+  std::size_t seed = 7;
+  std::string path;
+  std::string root;
+  bool on = false;
+};
+
+inline const Section<FuzzOptions>& fuzz_options_section() {
+  using O = FuzzOptions;
+  static const Section<O> section{
+      "",
+      {{"--count", &O::count, Range::at_least(1), {.help = "count"}},
+       {"--rate", &O::rate, Range::above(0), {.help = "rate"}},
+       {"--seed", &O::seed, {}, {.help = "seed"}},
+       {"--path", &O::path, {}, {.help = "path"}},
+       {"--root", &O::root, {}, {.help = "root", .implicit = "/srv"}},
+       {"--on", &O::on, {}, {.help = "switch"}}},
+      {{"--count", "must be <= 1000", nullptr,
+        [](const O& o) { return o.count <= 1000; }}}};
+  return section;
+}
+
+/// One flag of drive_command_line's argv, with what hostile_value needs.
+struct FuzzFlag {
+  const char* name;
+  Range range;
+  FieldRef ref;
+};
+
+template <class C>
+void add_fuzz_flags(const Section<C>& section, C& defaults,
+                    std::vector<FuzzFlag>& flags) {
+  for (const auto& field : section.fields) {
+    const char* name = *section.name == '\0' ? field.key : field.flag.name;
+    if (name != nullptr) {
+      flags.push_back({name, field.range, field.ref(defaults)});
+    }
+  }
+}
+
+/// The command-line parser over a random argv of the shared sections'
+/// flags and the test-local options table. Each flag gets a hostile_value
+/// (garbage, negative, NaN, +-inf, INT_MAX + 1, valid) or none, so the
+/// next flag becomes its value or it ends argv without one. Reading every
+/// section from the flags must yield configs that pass check_section, or
+/// throw std::invalid_argument naming one of the flags. Returns false if
+/// either invariant breaks.
+inline bool drive_command_line(const std::uint8_t* data, std::size_t size) {
+  std::size_t pos = 0;
+  auto next_byte = [&]() -> std::uint8_t {
+    return pos < size ? data[pos++] : 0;
+  };
+  CommandLine cli("fuzz");
+  cli.add(fuzz_options_section())
+      .add(net_section())
+      .add(ctrl_section())
+      .add(obs::obs_section())
+      .add(thermal_section())
+      .add(sched::sched_section());
+  static FuzzOptions options_defaults;
+  static NetConfig net_defaults;
+  static CtrlConfig ctrl_defaults;
+  static obs::ObsConfig obs_defaults;
+  static ThermalConfig thermal_defaults;
+  static sched::JobScheduleConfig sched_defaults;
+  std::vector<FuzzFlag> flags;
+  add_fuzz_flags(fuzz_options_section(), options_defaults, flags);
+  add_fuzz_flags(net_section(), net_defaults, flags);
+  add_fuzz_flags(ctrl_section(), ctrl_defaults, flags);
+  add_fuzz_flags(obs::obs_section(), obs_defaults, flags);
+  add_fuzz_flags(thermal_section(), thermal_defaults, flags);
+  add_fuzz_flags(sched::sched_section(), sched_defaults, flags);
+
+  std::vector<std::string> tokens;
+  const int count = next_byte() % 12;
+  for (int i = 0; i < count; ++i) {
+    const FuzzFlag& flag = flags[next_byte() % flags.size()];
+    tokens.push_back(flag.name);
+    const std::uint8_t control = next_byte();
+    const auto value =
+        hostile_value(control, next_byte(), flag.range, flag.ref);
+    if (value) tokens.push_back(*value);
+  }
+  std::vector<const char*> argv = {"fuzz"};
+  for (const auto& token : tokens) argv.push_back(token.c_str());
+
+  FuzzOptions options;
+  NetConfig net;
+  CtrlConfig ctrl;
+  obs::ObsConfig obs;
+  ThermalConfig thermal;
+  sched::JobScheduleConfig sched;
+  try {
+    const auto parsed = cli.parse(static_cast<int>(argv.size()), argv.data());
+    if (!parsed) return false;  // no --help was generated
+    read_section(*parsed, fuzz_options_section(), options);
+    net = net_config_from_ini(*parsed);
+    ctrl = ctrl_config_from_ini(*parsed);
+    obs = obs::obs_config_from_ini(*parsed);
+    thermal = thermal_config_from_ini(*parsed).value_or(ThermalConfig{});
+    sched = sched::sched_config_from_ini(*parsed);
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    return std::any_of(flags.begin(), flags.end(), [&](const FuzzFlag& f) {
+      return what.find(f.name) != std::string::npos;
+    });
+  }
+  try {
+    check_section(fuzz_options_section(), options);
+    check_section(net_section(), net);
+    check_section(ctrl_section(), ctrl);
+    check_section(obs::obs_section(), obs);
+    check_section(thermal_section(), thermal);
+    check_section(sched::sched_section(), sched);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace dps::fuzz

@@ -9,6 +9,7 @@
 ///   0 -> wire protocol codec     2 -> CSV parser
 ///   1 -> INI parser              3 -> fault-plan generator/injector
 ///   4 -> config sections: every INI table's reader and round trip
+///   5 -> the tools' command-line flag parser
 
 #include <cstddef>
 #include <cstdint>
@@ -19,7 +20,7 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
-  const std::uint8_t selector = data[0] % 5;
+  const std::uint8_t selector = data[0] % 6;
   ++data;
   --size;
   switch (selector) {
@@ -35,8 +36,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case 3:
       if (!dps::fuzz::drive_fault_plan(data, size)) std::abort();
       break;
-    default:
+    case 4:
       if (!dps::fuzz::drive_config_section(data, size)) std::abort();
+      break;
+    default:
+      if (!dps::fuzz::drive_command_line(data, size)) std::abort();
       break;
   }
   return 0;

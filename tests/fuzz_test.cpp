@@ -153,6 +153,23 @@ TEST_P(FuzzSeeds, ConfigSectionDriverInvariantsHold) {
   }
 }
 
+TEST_P(FuzzSeeds, CommandLineParserInvariantsHold) {
+  // Arbitrary bytes -> argv of the shared sections' flags and a test-local
+  // options table, each flag with a hostile value, no value, or none at the
+  // end of argv; drive_command_line checks that every config read from the
+  // flags passes check_section, or that the error names a flag (see
+  // fuzz_drivers.hpp).
+  Rng rng(GetParam() ^ 0x7777ULL);
+  for (int i = 0; i < 500; ++i) {
+    std::vector<std::uint8_t> buffer(rng.uniform_int(48));
+    for (auto& byte : buffer) {
+      byte = static_cast<std::uint8_t>(rng.uniform_int(256));
+    }
+    EXPECT_TRUE(fuzz::drive_command_line(buffer.data(), buffer.size()))
+        << "buffer " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
                          testing::Values(42u, 4242u, 424242u));
 

@@ -14,6 +14,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/dps_manager.hpp"
+#include "experiments/pair_runner.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "net/client.hpp"
@@ -496,9 +497,9 @@ TEST(RoundDeadline, StallEvictionReadmissionAppearInEventCsvInOrder) {
 
 // --- Checkpoint / restore ---
 
-ControlCheckpoint sample_dps_checkpoint(DpsManager& manager,
-                                        ManagerContext& ctx,
-                                        std::vector<Watts>& caps) {
+ControlCheckpoint sample_checkpoint(PowerManager& manager,
+                                    ManagerContext& ctx,
+                                    std::vector<Watts>& caps) {
   ctx.num_units = 4;
   ctx.total_budget = 440.0;
   manager.reset(ctx);
@@ -514,41 +515,72 @@ ControlCheckpoint sample_dps_checkpoint(DpsManager& manager,
 }
 
 TEST(Checkpoint, DpsRoundTripContinuesBitIdentically) {
-  DpsManager original;
+  // DPS, and the SLURM baseline, whose MIMD controller keeps an RNG
+  // stream, averaging windows and a cadence counter between rounds.
+  for (const ManagerKind kind : {ManagerKind::kDps, ManagerKind::kSlurm}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto original = make_manager(kind);
+    ManagerContext ctx;
+    std::vector<Watts> caps_a;
+    const auto ckpt = sample_checkpoint(*original, ctx, caps_a);
+    EXPECT_EQ(ckpt.round, 30u);
+    EXPECT_EQ(ckpt.manager_name, to_string(kind));
+    EXPECT_FALSE(ckpt.manager_state.empty());
+
+    const auto decoded = decode_checkpoint(encode_checkpoint(ckpt));
+    EXPECT_EQ(decoded.round, ckpt.round);
+    EXPECT_EQ(decoded.manager_name, ckpt.manager_name);
+    EXPECT_EQ(decoded.caps, ckpt.caps);
+    EXPECT_EQ(decoded.previous_caps, ckpt.previous_caps);
+    EXPECT_EQ(decoded.manager_state, ckpt.manager_state);
+    EXPECT_EQ(decoded.ctx.num_units, ctx.num_units);
+    EXPECT_EQ(decoded.ctx.total_budget, ctx.total_budget);
+
+    const auto restored = make_manager(kind);
+    restore_manager(*restored, decoded);
+    // Both managers must now continue bit-identically: the snapshot
+    // carries every decision-relevant internal (exact EXPECT_EQ on
+    // doubles).
+    std::vector<Watts> caps_b = decoded.caps;
+    std::vector<Watts> power(4, 0.0);
+    for (int r = 30; r < 50; ++r) {
+      for (std::size_t u = 0; u < 4; ++u) {
+        power[u] = u % 2 == 1 ? caps_a[u] * 0.99 : 30.0 + (r % 5);
+      }
+      original->decide(power, caps_a);
+      for (std::size_t u = 0; u < 4; ++u) {
+        power[u] = u % 2 == 1 ? caps_b[u] * 0.99 : 30.0 + (r % 5);
+      }
+      restored->decide(power, caps_b);
+      for (std::size_t u = 0; u < 4; ++u) {
+        ASSERT_EQ(caps_a[u], caps_b[u]) << "round " << r << " unit " << u;
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, SlurmSnapshotWithoutStateRestoresCold) {
+  // Snapshots of the SLURM manager written before it saved its MIMD state
+  // hold no state bytes: they still restore, into a freshly reset manager.
+  SlurmStatelessManager original;
   ManagerContext ctx;
   std::vector<Watts> caps_a;
-  const auto ckpt = sample_dps_checkpoint(original, ctx, caps_a);
-  EXPECT_EQ(ckpt.round, 30u);
-  EXPECT_EQ(ckpt.manager_name, "dps");
-  EXPECT_FALSE(ckpt.manager_state.empty());
+  auto ckpt = sample_checkpoint(original, ctx, caps_a);
+  ckpt.manager_state.clear();
+  SlurmStatelessManager restored;
+  restore_manager(restored, decode_checkpoint(encode_checkpoint(ckpt)));
 
-  const auto decoded = decode_checkpoint(encode_checkpoint(ckpt));
-  EXPECT_EQ(decoded.round, ckpt.round);
-  EXPECT_EQ(decoded.manager_name, ckpt.manager_name);
-  EXPECT_EQ(decoded.caps, ckpt.caps);
-  EXPECT_EQ(decoded.previous_caps, ckpt.previous_caps);
-  EXPECT_EQ(decoded.manager_state, ckpt.manager_state);
-  EXPECT_EQ(decoded.ctx.num_units, ctx.num_units);
-  EXPECT_EQ(decoded.ctx.total_budget, ctx.total_budget);
-
-  DpsManager restored;
-  restore_manager(restored, decoded);
-  // Both managers must now continue bit-identically: the snapshot carries
-  // every decision-relevant internal (exact EXPECT_EQ on doubles).
-  std::vector<Watts> caps_b = decoded.caps;
+  SlurmStatelessManager cold;
+  cold.reset(ctx);
+  std::vector<Watts> caps_b = caps_a;
   std::vector<Watts> power(4, 0.0);
-  for (int r = 30; r < 50; ++r) {
+  for (int r = 0; r < 20; ++r) {
     for (std::size_t u = 0; u < 4; ++u) {
       power[u] = u % 2 == 1 ? caps_a[u] * 0.99 : 30.0 + (r % 5);
     }
-    original.decide(power, caps_a);
-    for (std::size_t u = 0; u < 4; ++u) {
-      power[u] = u % 2 == 1 ? caps_b[u] * 0.99 : 30.0 + (r % 5);
-    }
-    restored.decide(power, caps_b);
-    for (std::size_t u = 0; u < 4; ++u) {
-      ASSERT_EQ(caps_a[u], caps_b[u]) << "round " << r << " unit " << u;
-    }
+    restored.decide(power, caps_a);
+    cold.decide(power, caps_b);
+    ASSERT_EQ(caps_a, caps_b) << "round " << r;
   }
 }
 
@@ -556,7 +588,7 @@ TEST(Checkpoint, FileRoundTripSurvivesExactly) {
   DpsManager manager;
   ManagerContext ctx;
   std::vector<Watts> caps;
-  const auto ckpt = sample_dps_checkpoint(manager, ctx, caps);
+  const auto ckpt = sample_checkpoint(manager, ctx, caps);
   const std::string path = testing::TempDir() + "/roundtrip.ckpt";
   write_checkpoint_file(path, ckpt);
   const auto back = read_checkpoint_file(path);
@@ -571,7 +603,7 @@ TEST(Checkpoint, CorruptedAndTruncatedSnapshotsRejected) {
   DpsManager manager;
   ManagerContext ctx;
   std::vector<Watts> caps;
-  const auto ckpt = sample_dps_checkpoint(manager, ctx, caps);
+  const auto ckpt = sample_checkpoint(manager, ctx, caps);
   const std::string path = testing::TempDir() + "/corrupt.ckpt";
   write_checkpoint_file(path, ckpt);
 
@@ -617,7 +649,7 @@ TEST(Checkpoint, WrongManagerSnapshotRejected) {
   DpsManager manager;
   ManagerContext ctx;
   std::vector<Watts> caps;
-  const auto ckpt = sample_dps_checkpoint(manager, ctx, caps);
+  const auto ckpt = sample_checkpoint(manager, ctx, caps);
   SlurmStatelessManager other;
   EXPECT_THROW(restore_manager(other, ckpt), std::runtime_error);
 }

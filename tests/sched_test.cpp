@@ -265,6 +265,22 @@ TEST(PowerAwareTest, ShrinksTheHeadBeforeDelayingIt) {
 
 // ------------------------------------------------------- runtime / faults
 
+TEST(SchedRuntimeTest, CodeBuiltConfigMeetsTheSchedTable) {
+  JobScheduleConfig config;
+  config.retry_cap = -1;
+  config.resolve = [](const std::string&) {
+    return flat_spec("short", 10.0, 100.0);
+  };
+  obs::ObsSink obs;  // disabled
+  try {
+    SchedRuntime runtime(config, 4, obs);
+    FAIL() << "retry_cap -1 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("[sched]: retry_cap", 0), 0u)
+        << error.what();
+  }
+}
+
 TEST(SchedRuntimeTest, RequeuesCrashVictimsUpToRetryCap) {
   JobScheduleConfig config;
   config.policy = SchedPolicy::kFcfs;

@@ -15,6 +15,7 @@
 
 #include "analysis/trace_analysis.hpp"
 #include "util/csv.hpp"
+#include "util/ini.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -26,7 +27,14 @@ int main(int argc, char** argv) {
   const std::string path = argv[1];
   int split = -1;
   for (int i = 2; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--split") split = std::atoi(argv[i + 1]);
+    if (std::string(argv[i]) != "--split") continue;
+    const auto value = parse_integer<int>(argv[i + 1]);
+    if (!value) {
+      std::fprintf(stderr, "analyze: --split must be an integer, got '%s'\n",
+                   argv[i + 1]);
+      return 2;
+    }
+    split = *value;
   }
 
   try {

@@ -1,6 +1,6 @@
 /// dps_node — the per-node client daemon. Connects every local
 /// power-capping unit to a dpsd controller, reporting its power each round
-/// and applying the caps it receives.
+/// and applying the caps it receives. `dps_node --help` lists every flag.
 ///
 /// Two backends:
 ///   --sysfs [ROOT]   real Intel RAPL through the Linux powercap tree
@@ -10,39 +10,53 @@
 ///                    trace — lets the whole control plane be exercised on
 ///                    any machine (this is what the smoke test drives).
 ///
-/// Usage:
+/// Examples:
 ///   dps_node --host 10.0.0.1 --port 9571 --sysfs
-///   dps_node --port 9571 --simulate 2 --seed 7 [--rounds N]
+///   dps_node --port 9571 --simulate 2 --seed 7
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/net_config.hpp"
 #include "power/rapl_sysfs.hpp"
+#include "util/config_table.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace dps;
 
-void print_usage() {
-  std::printf(
-      "dps_node — per-node DPS client daemon\n\n"
-      "  --host ADDR      controller IPv4 address   [127.0.0.1]\n"
-      "  --port P         controller TCP port       [9571]\n"
-      "  --sysfs [ROOT]   drive real RAPL domains (default powercap root)\n"
-      "  --simulate N     drive N synthetic units instead\n"
-      "  --seed S         random-walk seed for --simulate [1]\n"
-      "  --failsafe-cap W cap self-applied when the controller is lost\n"
-      "                   (0 = keep the last commanded cap)     [0]\n"
-      "  --attempts N     connect/reconnect attempts per cycle  [10]\n"
-      "  --backoff-base S first retry delay (doubles per try)   [0.05]\n"
-      "  --backoff-max S  retry delay ceiling                   [2.0]\n");
+/// dps_node's own options. The reconnect and failsafe flags set [net] keys
+/// and reach the clients through NodeClientConfig::from_net.
+struct Options {
+  std::string host = "127.0.0.1";
+  int port = 9571;
+  std::string sysfs;  // the powercap root; empty: not the sysfs backend
+  int simulate = 0;
+  std::size_t seed = 1;
+};
+
+const Section<Options>& options_section() {
+  using O = Options;
+  static const Section<O> section{
+      "",
+      {{"--host", &O::host, {}, {.help = "controller address"}},
+       {"--port", &O::port, {0, 65535}, {.help = "controller TCP port"}},
+       {"--sysfs", &O::sysfs, {},
+        {.help = "drive the real RAPL domains under this powercap root",
+         .implicit = SysfsRapl::kDefaultRoot}},
+       {"--simulate", &O::simulate, Range::at_least(0),
+        {.help = "drive this many synthetic units instead"}},
+       {"--seed", &O::seed, {}, {.help = "random-walk seed for --simulate"}}},
+      {{"--sysfs", "or --simulate N: pass exactly one", nullptr,
+        [](const O& o) { return o.sysfs.empty() == (o.simulate > 0); }}}};
+  return section;
 }
 
 /// Synthetic unit for --simulate: a bounded random walk that respects the
@@ -68,94 +82,72 @@ class SimulatedUnit {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace dps;
-
-  std::string host = "127.0.0.1";
-  int port = 9571;
-  bool use_sysfs = false;
-  std::string sysfs_root = SysfsRapl::kDefaultRoot;
-  int simulate = 0;
-  std::uint64_t seed = 1;
-  NodeClientConfig client_config;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
+  CommandLine cli("dps_node — per-node DPS client daemon");
+  cli.add(options_section())
+      .add(net_section(),
+           {"failsafe_cap_w", "reconnect_max_attempts",
+            "reconnect_base_backoff_s", "reconnect_max_backoff_s"});
+  Options options;
+  NetConfig net;
+  try {
+    const auto flags = cli.parse(argc, argv);
+    if (!flags) {
+      std::fputs(cli.help().c_str(), stdout);
       return 0;
-    } else if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (arg == "--sysfs") {
-      use_sysfs = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') sysfs_root = argv[++i];
-    } else if (arg == "--simulate" && i + 1 < argc) {
-      simulate = std::atoi(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--failsafe-cap" && i + 1 < argc) {
-      client_config.failsafe_cap_w = std::atof(argv[++i]);
-    } else if (arg == "--attempts" && i + 1 < argc) {
-      client_config.connect_attempts = std::atoi(argv[++i]);
-    } else if (arg == "--backoff-base" && i + 1 < argc) {
-      client_config.backoff_base_s = std::atof(argv[++i]);
-    } else if (arg == "--backoff-max" && i + 1 < argc) {
-      client_config.backoff_max_s = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      print_usage();
-      return 2;
     }
-  }
-  if (use_sysfs == (simulate > 0)) {
-    std::fprintf(stderr,
-                 "error: pass exactly one of --sysfs or --simulate N\n");
+    read_section(*flags, options_section(), options);
+    net = net_config_from_ini(*flags);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "dps_node: %s\n", error.what());
     return 2;
   }
 
+  // One client per unit, each on its own thread. A client that fails for
+  // good reports it and ends its thread; the others run on.
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> unit_threads;
+  auto start = [&](int u, std::uint64_t jitter_seed,
+                   NodeClient::PowerSource source, NodeClient::CapSink sink) {
+    unit_threads.emplace_back([=, &failed] {
+      try {
+        NodeClient client(source, sink,
+                          NodeClientConfig::from_net(net, jitter_seed));
+        const int rounds = client.run_resilient(
+            static_cast<std::uint16_t>(options.port), options.host);
+        std::printf("dps_node: unit %d finished after %d rounds\n", u,
+                    rounds);
+      } catch (const std::exception& error) {
+        std::fprintf(stderr, "dps_node: unit %d: fatal: %s\n", u,
+                     error.what());
+        failed = true;
+      }
+    });
+  };
   try {
-    std::vector<std::thread> unit_threads;
-    if (use_sysfs) {
-      auto rapl = std::make_shared<SysfsRapl>(sysfs_root);
+    if (!options.sysfs.empty()) {
+      auto rapl = std::make_shared<SysfsRapl>(options.sysfs);
       std::printf("dps_node: %d RAPL package domains under %s\n",
-                  rapl->num_units(), sysfs_root.c_str());
+                  rapl->num_units(), options.sysfs.c_str());
       for (int u = 0; u < rapl->num_units(); ++u) {
-        unit_threads.emplace_back([rapl, u, host, port, client_config] {
-          NodeClientConfig config = client_config;
-          config.jitter_seed = 0x9d5ULL + static_cast<std::uint64_t>(u);
-          NodeClient client([rapl, u] { return rapl->read_power(u); },
-                            [rapl, u](Watts cap) { rapl->set_cap(u, cap); },
-                            config);
-          const int rounds =
-              client.run_resilient(static_cast<std::uint16_t>(port), host);
-          std::printf("dps_node: unit %d finished after %d rounds\n", u,
-                      rounds);
-        });
+        start(u, 0x9d5ULL + static_cast<std::uint64_t>(u),
+              [rapl, u] { return rapl->read_power(u); },
+              [rapl, u](Watts cap) { rapl->set_cap(u, cap); });
       }
     } else {
-      std::printf("dps_node: %d simulated units -> %s:%d\n", simulate,
-                  host.c_str(), port);
-      for (int u = 0; u < simulate; ++u) {
-        unit_threads.emplace_back([u, host, port, seed, client_config] {
-          auto unit = std::make_shared<SimulatedUnit>(
-              seed + static_cast<std::uint64_t>(u) * 7919);
-          NodeClientConfig config = client_config;
-          config.jitter_seed = seed + static_cast<std::uint64_t>(u) * 31;
-          NodeClient client([unit] { return unit->read_power(); },
-                            [unit](Watts cap) { unit->set_cap(cap); },
-                            config);
-          const int rounds =
-              client.run_resilient(static_cast<std::uint16_t>(port), host);
-          std::printf("dps_node: unit %d finished after %d rounds\n", u,
-                      rounds);
-        });
+      std::printf("dps_node: %d simulated units -> %s:%d\n",
+                  options.simulate, options.host.c_str(), options.port);
+      for (int u = 0; u < options.simulate; ++u) {
+        const auto unit = std::make_shared<SimulatedUnit>(
+            options.seed + static_cast<std::uint64_t>(u) * 7919);
+        start(u, options.seed + static_cast<std::uint64_t>(u) * 31,
+              [unit] { return unit->read_power(); },
+              [unit](Watts cap) { unit->set_cap(cap); });
       }
     }
-    for (auto& t : unit_threads) t.join();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "dps_node: fatal: %s\n", error.what());
-    return 1;
+    failed = true;
   }
-  return 0;
+  for (auto& t : unit_threads) t.join();
+  return failed ? 1 : 0;
 }
