@@ -1,6 +1,5 @@
 #include "ctrl/aggregator.hpp"
 
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -15,16 +14,17 @@ constexpr std::uint32_t kAggrFormatVersion = 1;
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_aggregator_checkpoint(
-    const AggregatorCheckpoint& ckpt) {
+void write_aggregator_checkpoint_file(const std::string& path,
+                                      const AggregatorCheckpoint& ckpt) {
   ByteWriter out;
   out.i64(ckpt.parent_unit);
   out.blob(encode_checkpoint(ckpt.inner));
-  return out.take();
+  write_framed_file(path, kAggrMagic, kAggrFormatVersion, out.bytes());
 }
 
-AggregatorCheckpoint decode_aggregator_checkpoint(
-    std::span<const std::uint8_t> payload) {
+AggregatorCheckpoint read_aggregator_checkpoint_file(const std::string& path) {
+  const std::vector<std::uint8_t> payload =
+      read_framed_file(path, kAggrMagic, kAggrFormatVersion);
   ByteReader in(payload);
   AggregatorCheckpoint ckpt;
   ckpt.parent_unit = static_cast<int>(in.i64());
@@ -33,17 +33,6 @@ AggregatorCheckpoint decode_aggregator_checkpoint(
     throw std::runtime_error("aggregator checkpoint has trailing bytes");
   }
   return ckpt;
-}
-
-void write_aggregator_checkpoint_file(const std::string& path,
-                                      const AggregatorCheckpoint& ckpt) {
-  write_framed_file(path, kAggrMagic, kAggrFormatVersion,
-                    encode_aggregator_checkpoint(ckpt));
-}
-
-AggregatorCheckpoint read_aggregator_checkpoint_file(const std::string& path) {
-  return decode_aggregator_checkpoint(
-      read_framed_file(path, kAggrMagic, kAggrFormatVersion));
 }
 
 AggregatorNode::AggregatorNode(PowerManager& manager,
@@ -56,14 +45,12 @@ AggregatorNode::AggregatorNode(PowerManager& manager,
       net_(net),
       server_(listen_port, ctx.num_units, bind_any, net) {
   check_section(ctrl_section(), ctrl_);
-  if (ctx_.num_units < 1) {
-    throw std::invalid_argument("AggregatorNode: num_units must be >= 1");
-  }
 }
 
 void AggregatorNode::set_obs(const obs::ObsSink& sink) {
   obs_ = sink;
   server_.set_obs(sink);
+  if (!has_parent()) return;
   obs_reports_ = sink.counter("ctrl_shard_reports_total",
                               "Shard aggregates reported to the parent");
   obs_budget_changes_ = sink.counter(
@@ -85,22 +72,22 @@ std::unique_ptr<NodeClient> AggregatorNode::make_uplink(int unit_hint) {
   // The uplink carries per-unit means: aggregate / child count upward, and
   // the received per-unit budget scaled back by the child count — keeping
   // any shard size within the codec's 6553.5 W deciwatt range.
-  NodeClientConfig config = NodeClientConfig::from_net(
-      net_, static_cast<std::uint64_t>(server_.port()) * 2654435761ULL + 1);
-  config.unit_hint = unit_hint;
+  NetConfig uplink_net = net_;
   // The shard rides out uplink outages at its last budget; never let the
   // generic client failsafe rewrite the local manager's budget.
-  config.failsafe_cap_w = 0.0;
+  uplink_net.failsafe_cap_w = 0.0;
   auto client = std::make_unique<NodeClient>(
       [this]() -> Watts { return last_aggregate_ / ctx_.num_units; },
       [this](Watts per_unit_budget) { apply_parent_budget(per_unit_budget); },
-      config);
+      uplink_net,
+      static_cast<std::uint64_t>(server_.port()) * 2654435761ULL + 1,
+      unit_hint);
   if (obs_) client->set_obs(obs_);
   return client;
 }
 
 void AggregatorNode::connect_parent() {
-  if (ctrl_.parent_host.empty() || ctrl_.parent_port == 0) return;
+  if (!has_parent()) return;
   auto client = make_uplink(parent_unit_ >= 0 ? parent_unit_
                                               : ctrl_.parent_unit);
   client->connect(static_cast<std::uint16_t>(ctrl_.parent_port),
@@ -124,33 +111,49 @@ void AggregatorNode::begin() {
   session_live_ = true;
 }
 
-void AggregatorNode::resume(const AggregatorCheckpoint& ckpt) {
-  if (ckpt.inner.ctx.num_units != ctx_.num_units) {
+std::uint64_t AggregatorNode::restore() {
+  AggregatorCheckpoint ckpt;
+  if (has_parent()) {
+    ckpt = read_aggregator_checkpoint_file(net_.checkpoint_path);
+  } else {
+    ckpt.inner = read_checkpoint_file(net_.checkpoint_path);
+  }
+  const ControlCheckpoint& inner = ckpt.inner;
+  if (inner.ctx.num_units != ctx_.num_units) {
     throw std::runtime_error(
-        "aggregator checkpoint unit count mismatch: snapshot has " +
-        std::to_string(ckpt.inner.ctx.num_units) + ", configured " +
+        "checkpoint unit count mismatch: snapshot has " +
+        std::to_string(inner.ctx.num_units) + ", configured " +
         std::to_string(ctx_.num_units));
   }
-  restore_manager(manager_, ckpt.inner);
-  // The snapshot's context carries the live shard budget the parent last
-  // assigned — resume under it, not under the boot-time fair share.
-  ctx_ = ckpt.inner.ctx;
-  server_.resume_session(manager_, ctx_, ckpt.inner.round, ckpt.inner.caps,
-                         ckpt.inner.previous_caps);
+  restore_manager(manager_, inner);
+  // The snapshot's context carries the live budget (for an aggregator, the
+  // one the parent last assigned): resume under it, not the boot value.
+  ctx_ = inner.ctx;
+  server_.resume_session(manager_, ctx_, inner.round, inner.caps,
+                         inner.previous_caps);
   parent_unit_ = ckpt.parent_unit;
   session_live_ = true;
+  obs_.event(obs::EventKind::kCheckpointRestore, -1,
+             static_cast<double>(inner.round));
+  return inner.round;
 }
 
 bool AggregatorNode::run_round() {
   if (!session_live_) {
-    throw std::logic_error("AggregatorNode::run_round before begin/resume");
+    throw std::logic_error("AggregatorNode::run_round before begin/restore");
   }
   decide_ns_ += server_.run_round(manager_);
   const auto& power = server_.last_power();
   last_aggregate_ = std::accumulate(power.begin(), power.end(), 0.0);
+  const bool keep_going = !has_parent() || exchange_with_parent();
+  if (!net_.checkpoint_path.empty() &&
+      server_.rounds() % net_.checkpoint_interval_rounds == 0) {
+    write_checkpoint();
+  }
+  return keep_going;
+}
 
-  if (ctrl_.parent_host.empty() || ctrl_.parent_port == 0) return true;
-
+bool AggregatorNode::exchange_with_parent() {
   if (uplink_ == nullptr) {
     // Uplink lost in an earlier round: one quick attempt per round, so the
     // children's cadence never stalls behind a long backoff.
@@ -182,29 +185,20 @@ bool AggregatorNode::run_round() {
   return true;
 }
 
-int AggregatorNode::run(int max_rounds) {
-  int completed = 0;
-  while (max_rounds < 0 || completed < max_rounds) {
-    const bool keep_going = run_round();
-    ++completed;
-    if (!net_.checkpoint_path.empty() &&
-        server_.rounds() % net_.checkpoint_interval_rounds == 0) {
-      write_aggregator_checkpoint_file(net_.checkpoint_path,
-                                       make_checkpoint());
-    }
-    if (!keep_going) break;
+void AggregatorNode::write_checkpoint() {
+  ControlCheckpoint ckpt =
+      make_checkpoint(manager_, ctx_, server_.rounds(), server_.last_caps(),
+                      server_.previous_caps());
+  const std::size_t state_bytes = ckpt.manager_state.size();
+  if (has_parent()) {
+    write_aggregator_checkpoint_file(net_.checkpoint_path,
+                                     {parent_unit_, std::move(ckpt)});
+  } else {
+    write_checkpoint_file(net_.checkpoint_path, ckpt);
   }
-  shutdown_children();
-  return completed;
-}
-
-AggregatorCheckpoint AggregatorNode::make_checkpoint() const {
-  AggregatorCheckpoint ckpt;
-  ckpt.parent_unit = parent_unit_;
-  ckpt.inner = dps::make_checkpoint(manager_, ctx_, server_.rounds(),
-                                    server_.last_caps(),
-                                    server_.previous_caps());
-  return ckpt;
+  obs_.event(obs::EventKind::kCheckpointWrite, -1,
+             static_cast<double>(server_.rounds()),
+             static_cast<double>(state_bytes));
 }
 
 }  // namespace dps

@@ -22,6 +22,14 @@ const Section<CtrlConfig>& ctrl_section() {
       {{"parent_host", "needs a parent_port", "parent_port",
         [](const C& c) {
           return c.parent_host.empty() || c.parent_port != 0;
+        }},
+       {"parent_port", "needs a parent_host", "parent_host",
+        [](const C& c) {
+          return c.parent_port == 0 || !c.parent_host.empty();
+        }},
+       {"parent_unit", "needs a parent_host", "parent_host",
+        [](const C& c) {
+          return c.parent_unit == -1 || !c.parent_host.empty();
         }}}};
   return section;
 }

@@ -18,7 +18,7 @@ namespace dps {
 ///   max_levels = 3             ; tree depth cap (2 = one root, one leaf tier)
 ///   leaf_jobs = 1              ; in-sim: threads for parallel leaf decides
 ///   parent_host = head0        ; aggregator mode: where the parent listens
-///   parent_port = 9570         ; 0 = this process is the root
+///   parent_port = 9570         ; needed with a parent_host
 ///   parent_unit = -1           ; slot to reclaim at the parent on restart
 struct CtrlConfig {
   /// Units per leaf shard. The leaf tier runs the full stateless+stateful
@@ -34,18 +34,20 @@ struct CtrlConfig {
   /// value produces bit-identical decisions; 1 runs them inline.
   int leaf_jobs = 1;
   /// TCP aggregator mode: the parent controller this process reports its
-  /// shard aggregate to. Empty host / port 0 = no parent (root).
+  /// shard aggregate to. An empty host means no parent (the root); a host
+  /// needs a port, and a port needs a host.
   std::string parent_host;
   int parent_port = 0;
-  /// Parent-side slot to reclaim when this aggregator restarts from a
-  /// checkpoint (-1 = ask for any free slot).
+  /// Parent-side slot to reclaim when this aggregator restarts without a
+  /// checkpoint (-1 = ask for any free slot); needs a parent_host.
   int parent_unit = -1;
 };
 
 /// Applies the `[ctrl]` section on top of the defaults. ctrl_section()
 /// holds its rules: shard_size, max_levels and leaf_jobs >= 1,
-/// parent_port in [0, 65535], parent_unit >= -1, and a parent_host needs
-/// a parent_port. Throws std::invalid_argument "[ctrl]: key ... at line N"
+/// parent_port in [0, 65535], parent_unit >= -1, a parent_host needs a
+/// parent_port, and a parent_port or a parent_unit other than -1 needs a
+/// parent_host. Throws std::invalid_argument "[ctrl]: key ... at line N"
 /// on a bad value.
 CtrlConfig ctrl_config_from_ini(const IniFile& ini);
 

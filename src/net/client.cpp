@@ -33,21 +33,17 @@ double next_jitter(std::uint64_t& state) {
 }  // namespace
 
 NodeClient::NodeClient(PowerSource power_source, CapSink cap_sink,
-                       const NodeClientConfig& config)
+                       const NetConfig& net, std::uint64_t jitter_seed,
+                       int unit_hint)
     : power_source_(std::move(power_source)),
       cap_sink_(std::move(cap_sink)),
-      config_(config),
-      jitter_state_(config.jitter_seed) {
+      net_(net),
+      unit_hint_(unit_hint),
+      jitter_state_(jitter_seed) {
   if (!power_source_ || !cap_sink_) {
     throw std::invalid_argument("NodeClient: callbacks required");
   }
-  if (config_.connect_attempts < 1) {
-    throw std::invalid_argument("NodeClient: connect_attempts must be >= 1");
-  }
-  if (config_.backoff_base_s <= 0.0 ||
-      config_.backoff_max_s < config_.backoff_base_s) {
-    throw std::invalid_argument("NodeClient: bad backoff range");
-  }
+  check_section(net_section(), net_);
 }
 
 NodeClient::~NodeClient() { close_fd(); }
@@ -77,14 +73,14 @@ void NodeClient::connect(std::uint16_t port, const std::string& host) {
   hints.ai_socktype = SOCK_STREAM;
   std::string last_error = "no attempt made";
 
-  for (int attempt = 1; attempt <= config_.connect_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= net_.reconnect_max_attempts; ++attempt) {
     if (attempt > 1) {
       // Exponential backoff with multiplicative jitter: half deterministic
       // half random, so restarted nodes spread out instead of stampeding.
       const double uncapped =
-          config_.backoff_base_s *
+          net_.reconnect_base_backoff_s *
           static_cast<double>(1ULL << std::min(attempt - 2, 30));
-      const double capped = std::min(config_.backoff_max_s, uncapped);
+      const double capped = std::min(net_.reconnect_max_backoff_s, uncapped);
       const double delay = capped * (0.5 + 0.5 * next_jitter(jitter_state_));
       std::this_thread::sleep_for(std::chrono::duration<double>(delay));
     }
@@ -122,7 +118,7 @@ void NodeClient::connect(std::uint16_t port, const std::string& host) {
     // Hello handshake: request our old slot back on a reconnect (or the
     // configured hint, for a process restarted from a checkpoint), any
     // free slot on a first connection.
-    const int claim = unit_id_ >= 0 ? unit_id_ : config_.unit_hint;
+    const int claim = unit_id_ >= 0 ? unit_id_ : unit_hint_;
     const std::uint8_t wanted =
         claim >= 0 ? static_cast<std::uint8_t>(claim) : kHelloAnyUnit;
     const auto hello = encode_hello(Hello{kProtocolVersion, wanted});
@@ -146,7 +142,7 @@ void NodeClient::connect(std::uint16_t port, const std::string& host) {
   }
   throw std::runtime_error(
       "NodeClient: connect to " + host + ":" + std::to_string(port) +
-      " failed after " + std::to_string(config_.connect_attempts) +
+      " failed after " + std::to_string(net_.reconnect_max_attempts) +
       " attempt(s): " + last_error);
 }
 
@@ -190,10 +186,10 @@ int NodeClient::run() {
 }
 
 void NodeClient::apply_failsafe() {
-  if (config_.failsafe_cap_w <= 0.0) return;
-  cap_sink_(config_.failsafe_cap_w);
+  if (net_.failsafe_cap_w <= 0.0) return;
+  cap_sink_(net_.failsafe_cap_w);
   if (obs_failsafes_ != nullptr) obs_failsafes_->add();
-  obs_.event(obs::EventKind::kFailsafeCap, unit_id_, config_.failsafe_cap_w);
+  obs_.event(obs::EventKind::kFailsafeCap, unit_id_, net_.failsafe_cap_w);
 }
 
 int NodeClient::run_resilient(std::uint16_t port, const std::string& host) {

@@ -10,43 +10,6 @@
 
 namespace dps {
 
-/// Connection-resilience knobs for a NodeClient, typically derived from
-/// the shared [net] INI section (NetConfig).
-struct NodeClientConfig {
-  /// Connection attempts per connect()/reconnect cycle. Retries back off
-  /// exponentially from `backoff_base_s`, doubling per attempt and capped
-  /// at `backoff_max_s`, with multiplicative jitter so a cluster of
-  /// restarted nodes does not stampede the controller in lockstep.
-  int connect_attempts = 10;
-  double backoff_base_s = 0.05;
-  double backoff_max_s = 2.0;
-  /// Seed of the jitter stream; give each node a distinct seed.
-  std::uint64_t jitter_seed = 1;
-  /// Cap self-applied when the server is lost (before reconnecting) and
-  /// when reconnection fails for good. Must be safe without coordination —
-  /// at or below the unit's fair share of the budget. 0 disables the
-  /// failsafe (the unit keeps its last commanded cap).
-  Watts failsafe_cap_w = 0.0;
-  /// Slot to reclaim on the *first* connect (-1: ask for any free slot).
-  /// A restarted process that knows which unit it was — an aggregator
-  /// resuming from a checkpoint (src/ctrl/) — sets this so the parent
-  /// splices it back mid-session instead of treating it as a stranger.
-  /// After the first successful hello the assigned id takes precedence.
-  int unit_hint = -1;
-
-  /// Derives the client-side knobs from the shared [net] config.
-  static NodeClientConfig from_net(const NetConfig& net,
-                                   std::uint64_t jitter_seed) {
-    NodeClientConfig config;
-    config.connect_attempts = net.reconnect_max_attempts;
-    config.backoff_base_s = net.reconnect_base_backoff_s;
-    config.backoff_max_s = net.reconnect_max_backoff_s;
-    config.jitter_seed = jitter_seed;
-    config.failsafe_cap_w = net.failsafe_cap_w;
-    return config;
-  }
-};
-
 /// Per-node client of the control plane: connects to the central server,
 /// then loops — report measured power (3 bytes), receive the new cap
 /// (3 bytes), apply it locally. On real deployments the callbacks wrap
@@ -58,8 +21,22 @@ class NodeClient {
   /// Applies a freshly received power cap.
   using CapSink = std::function<void(Watts)>;
 
+  /// `net` supplies the client keys of [net]: reconnect_max_attempts
+  /// connection attempts per connect()/reconnect cycle, retried with
+  /// exponential backoff from reconnect_base_backoff_s up to
+  /// reconnect_max_backoff_s and multiplicative jitter (so a cluster of
+  /// restarted nodes does not stampede the controller in lockstep), and
+  /// the failsafe_cap_w self-applied when the server is lost. Throws
+  /// std::invalid_argument when `net` breaks a net_section() rule.
+  /// `jitter_seed` seeds the jitter stream; give each node a distinct one.
+  /// `unit_hint` is the slot to reclaim on the *first* connect (-1: any
+  /// free slot). A restarted process that knows which unit it was (an
+  /// aggregator resuming from a checkpoint, src/ctrl/) sets it so the
+  /// parent splices it back mid-session instead of treating it as a
+  /// stranger; after the first hello the assigned id takes precedence.
   NodeClient(PowerSource power_source, CapSink cap_sink,
-             const NodeClientConfig& config = {});
+             const NetConfig& net = {}, std::uint64_t jitter_seed = 1,
+             int unit_hint = -1);
   ~NodeClient();
 
   NodeClient(const NodeClient&) = delete;
@@ -112,9 +89,10 @@ class NodeClient {
 
   PowerSource power_source_;
   CapSink cap_sink_;
-  NodeClientConfig config_;
+  NetConfig net_;
   int fd_ = -1;
   int unit_id_ = -1;
+  int unit_hint_;
   std::uint64_t jitter_state_;
   obs::ObsSink obs_;
   obs::Counter* obs_reconnects_ = nullptr;

@@ -61,6 +61,26 @@ Watts PowerAgent::request() const {
   return std::max(0.0, target - budget_);
 }
 
+void PowerAgent::save(ByteWriter& out) const {
+  out.f64(budget_);
+  filter_.save(out);
+  history_.save(out);
+  durations_.save(out);
+  out.f64(last_power_);
+  out.boolean(wants_power_);
+  out.boolean(first_observation_);
+}
+
+void PowerAgent::load(ByteReader& in) {
+  budget_ = in.f64();
+  filter_.load(in);
+  history_.load(in);
+  durations_.load(in);
+  last_power_ = in.f64();
+  wants_power_ = in.boolean();
+  first_observation_ = in.boolean();
+}
+
 void PowerAgent::settle(Watts amount) {
   // The exchange protocol bounds transfers by offer()/request(), which
   // already respect [min_cap, tdp]; never clamp here — silently dropping

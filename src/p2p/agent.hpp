@@ -58,6 +58,12 @@ class PowerAgent {
   int id() const { return id_; }
   bool wants_power() const { return wants_power_; }
 
+  /// Checkpoint support: the budget slice, filter, windows, last reading,
+  /// stance and whether the first reading has come. The id, limits and
+  /// config are construction parameters.
+  void save(ByteWriter& out) const;
+  void load(ByteReader& in);
+
  private:
   int id_;
   Watts budget_;

@@ -66,4 +66,14 @@ Watts ExchangeNetwork::total_budget() const {
   return total;
 }
 
+void ExchangeNetwork::save(ByteWriter& out) const {
+  rng_.save(out);
+  out.i64(ring_stride_);
+}
+
+void ExchangeNetwork::load(ByteReader& in) {
+  rng_.load(in);
+  ring_stride_ = static_cast<int>(in.i64());
+}
+
 }  // namespace dps

@@ -34,6 +34,10 @@ class ExchangeNetwork {
   /// Sum of all agents' budget slices (must stay constant forever).
   Watts total_budget() const;
 
+  /// Checkpoint support: the matching RNG and the ring stride.
+  void save(ByteWriter& out) const;
+  void load(ByteReader& in);
+
  private:
   /// Performs the bounded transfer within one pair (either direction).
   Watts trade(PowerAgent& a, PowerAgent& b);

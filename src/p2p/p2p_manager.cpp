@@ -57,4 +57,18 @@ void P2pManager::update_budget(Watts new_total_budget) {
   }
 }
 
+void P2pManager::save_state(ByteWriter& out) const {
+  out.u64(agents_.size());
+  for (const auto& agent : agents_) agent.save(out);
+  network_->save(out);
+}
+
+void P2pManager::load_state(ByteReader& in) {
+  if (in.u64() != agents_.size()) {
+    throw std::runtime_error("P2pManager: snapshot unit count mismatch");
+  }
+  for (auto& agent : agents_) agent.load(in);
+  network_->load(in);
+}
+
 }  // namespace dps

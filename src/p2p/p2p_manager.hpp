@@ -26,6 +26,8 @@ class P2pManager final : public PowerManager {
   void reset(const ManagerContext& ctx) override;
   void decide(std::span<const Watts> power, std::span<Watts> caps) override;
   void update_budget(Watts new_total_budget) override;
+  void save_state(ByteWriter& out) const override;
+  void load_state(ByteReader& in) override;
 
   const std::vector<PowerAgent>& agents() const { return agents_; }
 

@@ -78,6 +78,9 @@ expect_rejected "--round-deadline" "$BUILD_DIR/tools/dpsd" --units 1 \
   --round-deadline -1
 expect_rejected "--attempts" "$BUILD_DIR/tools/dps_node" --simulate 1 \
   --attempts 0
+# A parent port without a parent host is refused, not run as a root.
+expect_rejected "[ctrl]: parent_port needs a parent_host from --parent-port" \
+  "$BUILD_DIR/tools/dpsd" --units 1 --port 0 --parent-port 9570
 
 # expect_flags <tool> <flag...>: --help (and -h) lists exactly these flags.
 expect_flags() {

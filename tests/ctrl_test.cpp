@@ -1,6 +1,7 @@
 // Tests of the hierarchical control plane (src/ctrl/): the in-sim
 // TreeController (sharding, invariants, parallel determinism, tree
-// checkpoints) and the TCP AggregatorNode (two-level tree over loopback,
+// checkpoints) and the TCP AggregatorNode (the root serving and
+// checkpointing like a flat controller, a two-level tree over loopback,
 // restart from a checkpoint while a sibling keeps running).
 
 #include <gtest/gtest.h>
@@ -412,6 +413,12 @@ TEST(CtrlConfig, IniRoundTripAndValidation) {
   EXPECT_THROW(
       ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_host = h\n")),
       std::invalid_argument);  // host without port
+  EXPECT_THROW(
+      ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_port = 9570\n")),
+      std::invalid_argument);  // port without host
+  EXPECT_THROW(
+      ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_unit = 1\n")),
+      std::invalid_argument);  // unit without host
 }
 
 TEST(AggregatorCheckpoint, FileRoundTripAndCorruptionRejected) {
@@ -452,6 +459,122 @@ TEST(AggregatorCheckpoint, FileRoundTripAndCorruptionRejected) {
   std::fputc(last ^ 0xff, f);
   std::fclose(f);
   EXPECT_THROW(read_aggregator_checkpoint_file(path), std::runtime_error);
+}
+
+/// Starts one client per unit on `port`, each claiming its own slot:
+/// unit 0 hungry (pins its cap), the others quiet.
+void start_clients(std::uint16_t port, int units,
+                   std::vector<std::thread>& threads) {
+  for (int u = 0; u < units; ++u) {
+    threads.emplace_back([port, u] {
+      Watts cap = 110.0;
+      NodeClient client([&]() -> Watts { return u == 0 ? cap * 0.99 : 30.0; },
+                        [&](Watts c) { cap = c; }, NetConfig{}, 1, u);
+      client.connect(port);
+      client.run();
+    });
+  }
+}
+
+void join_all(std::vector<std::thread>& threads) {
+  for (auto& t : threads) t.join();
+  threads.clear();
+}
+
+int count_events(const obs::ObsSink& sink, obs::EventKind kind) {
+  int n = 0;
+  for (const auto& event : sink.observer()->events().snapshot()) {
+    n += event.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
+/// The root: a node whose [ctrl] names no parent serves a session exactly
+/// as a bare ControlServer does, and checkpoints it in the flat format.
+TEST(ControlTree, RootNodeServesLikeControlServer) {
+  constexpr int kUnits = 2;
+  constexpr int kRounds = 20;
+  std::vector<std::thread> clients;
+
+  ControlServer server(0, kUnits);
+  start_clients(server.port(), kUnits, clients);
+  server.accept_all();
+  DpsManager flat_manager;
+  server.begin_session(flat_manager, make_ctx(kUnits));
+  for (int r = 0; r < kRounds; ++r) server.run_round(flat_manager);
+  const std::vector<Watts> flat_caps = server.last_caps();
+  server.shutdown();
+  join_all(clients);
+
+  NetConfig net;
+  net.checkpoint_path = tmp_path("root_node.ckpt");
+  net.checkpoint_interval_rounds = 5;
+  const obs::ObsSink obs = obs::ObsSink::create();
+  DpsManager manager;
+  AggregatorNode root(manager, make_ctx(kUnits), CtrlConfig{}, net);
+  EXPECT_FALSE(root.has_parent());
+  root.set_obs(obs);
+  start_clients(root.port(), kUnits, clients);
+  root.accept_children();
+  root.begin();
+  root.connect_parent();  // no-op at the root
+  for (int r = 0; r < kRounds; ++r) EXPECT_TRUE(root.run_round());
+  root.shutdown_children();
+  join_all(clients);
+
+  EXPECT_EQ(root.server().last_caps(), flat_caps);
+  EXPECT_EQ(root.parent_unit(), -1);
+  EXPECT_EQ(count_events(obs, obs::EventKind::kCheckpointWrite), kRounds / 5);
+  EXPECT_EQ(count_events(obs, obs::EventKind::kShardReport), 0);
+
+  const ControlCheckpoint ckpt = read_checkpoint_file(net.checkpoint_path);
+  EXPECT_EQ(ckpt.round, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(ckpt.manager_name, "dps");
+  EXPECT_EQ(ckpt.caps, flat_caps);
+  EXPECT_THROW(read_aggregator_checkpoint_file(net.checkpoint_path),
+               std::runtime_error);
+}
+
+/// A root node resumes from a snapshot written by write_checkpoint_file,
+/// the file a flat controller writes: its budget and learned state come
+/// from the snapshot, and its next decision is the warm manager's.
+TEST(ControlTree, RootNodeRestoresFlatCheckpoint) {
+  constexpr int kUnits = 2;
+  const ManagerContext ctx = make_ctx(kUnits, 95.0);
+  DpsManager warm;
+  warm.reset(ctx);
+  std::vector<Watts> caps(kUnits, 95.0), power(kUnits, 0.0);
+  for (int r = 0; r < 8; ++r) {
+    fill_power(caps, power);
+    warm.decide(power, caps);
+  }
+  NetConfig net;
+  net.checkpoint_path = tmp_path("root_restore.ckpt");
+  write_checkpoint_file(net.checkpoint_path,
+                        make_checkpoint(warm, ctx, 8, caps, caps));
+
+  // A unit count other than the snapshot's is refused.
+  DpsManager other;
+  AggregatorNode mismatched(other, make_ctx(kUnits + 1), CtrlConfig{}, net);
+  EXPECT_THROW(mismatched.restore(), std::runtime_error);
+
+  const obs::ObsSink obs = obs::ObsSink::create();
+  DpsManager manager;
+  AggregatorNode root(manager, make_ctx(kUnits), CtrlConfig{}, net);
+  root.set_obs(obs);
+  std::vector<std::thread> clients;
+  start_clients(root.port(), kUnits, clients);
+  root.accept_children();
+  EXPECT_EQ(root.restore(), 8u);
+  EXPECT_EQ(root.rounds(), 8u);
+  EXPECT_EQ(root.shard_budget(), ctx.total_budget);  // not the boot 220 W
+  EXPECT_EQ(count_events(obs, obs::EventKind::kCheckpointRestore), 1);
+
+  EXPECT_TRUE(root.run_round());
+  root.shutdown_children();
+  join_all(clients);
+  warm.decide(root.server().last_power(), caps);
+  EXPECT_EQ(root.server().last_caps(), caps);
 }
 
 /// Two-level tree over real TCP: a root controller (per-unit-normalized
@@ -506,7 +629,9 @@ TEST(ControlTree, TwoLevelTcpSmoke) {
       aggregators[s]->accept_children();
       aggregators[s]->begin();
       aggregators[s]->connect_parent();
-      aggregators[s]->run();  // until the root's orderly shutdown
+      while (aggregators[s]->run_round()) {
+      }  // until the root's orderly shutdown
+      aggregators[s]->shutdown_children();
     });
   }
 
@@ -526,13 +651,8 @@ TEST(ControlTree, TwoLevelTcpSmoke) {
   EXPECT_NE(aggregators[0]->parent_unit(), -1);
 
   // The aggregator emitted the new control-plane events.
-  int reports = 0, budgets = 0;
-  for (const auto& event : obs.observer()->events().snapshot()) {
-    if (event.kind == obs::EventKind::kShardReport) ++reports;
-    if (event.kind == obs::EventKind::kShardBudget) ++budgets;
-  }
-  EXPECT_GT(reports, 0);
-  EXPECT_GT(budgets, 0);
+  EXPECT_GT(count_events(obs, obs::EventKind::kShardReport), 0);
+  EXPECT_GT(count_events(obs, obs::EventKind::kShardBudget), 0);
 }
 
 /// Aggregator crash/restart: shard 0's aggregator checkpoints, dies
@@ -582,11 +702,16 @@ TEST(ControlTree, AggregatorRestartResumesFromCheckpoint) {
     sibling.accept_children();
     sibling.begin();
     sibling.connect_parent();
-    sibling.run();
+    while (sibling.run_round()) {
+    }
+    sibling.shutdown_children();
   });
 
-  // Shard 0, phase A: run a few rounds, checkpoint, die abruptly.
-  const std::string ckpt_path = tmp_path("restart_aggr.bin");
+  // Shard 0, phase A: run 10 rounds (the node checkpoints itself at the
+  // 10th), die abruptly.
+  NetConfig net;
+  net.checkpoint_path = tmp_path("restart_aggr.bin");
+  net.checkpoint_interval_rounds = 10;
   CtrlConfig ctrl;
   ctrl.parent_host = "127.0.0.1";
   ctrl.parent_port = root.port();
@@ -596,19 +721,19 @@ TEST(ControlTree, AggregatorRestartResumesFromCheckpoint) {
   std::vector<std::thread> shard0_leaves;
   {
     DpsManager manager;
-    AggregatorNode aggregator(manager, make_ctx(kLeaves), ctrl);
+    AggregatorNode aggregator(manager, make_ctx(kLeaves), ctrl, net);
     shard0_port = aggregator.port();
 
     // Resilient leaves: they must survive the crash and reconnect to the
     // restarted aggregator on the same port.
     for (int u = 0; u < kLeaves; ++u) {
-      NodeClientConfig leaf_net;
-      leaf_net.connect_attempts = 30;
-      leaf_net.jitter_seed = 100 + static_cast<std::uint64_t>(u);
-      shard0_leaves.emplace_back([port = shard0_port, leaf_net] {
+      shard0_leaves.emplace_back([port = shard0_port, u] {
+        NetConfig leaf_net;
+        leaf_net.reconnect_max_attempts = 30;
         Watts cap = 110.0;
         NodeClient client([&]() -> Watts { return cap * 0.99; },
-                          [&](Watts c) { cap = c; }, leaf_net);
+                          [&](Watts c) { cap = c; }, leaf_net,
+                          100 + static_cast<std::uint64_t>(u));
         client.run_resilient(port);
       });
     }
@@ -617,7 +742,6 @@ TEST(ControlTree, AggregatorRestartResumesFromCheckpoint) {
     aggregator.begin();
     aggregator.connect_parent();
     for (int r = 0; r < 10; ++r) aggregator.run_round();
-    write_aggregator_checkpoint_file(ckpt_path, aggregator.make_checkpoint());
     shard0_parent_unit = aggregator.parent_unit();
     budget_at_ckpt = aggregator.shard_budget();
     ASSERT_NE(shard0_parent_unit, -1);
@@ -625,17 +749,22 @@ TEST(ControlTree, AggregatorRestartResumesFromCheckpoint) {
     // crash. The root scores the shard 0 W; the leaves begin reconnecting.
   }
 
+  // Under a parent the snapshot is the tree format, with the parent slot.
+  const AggregatorCheckpoint written =
+      read_aggregator_checkpoint_file(net.checkpoint_path);
+  EXPECT_EQ(written.inner.round, 10u);
+  EXPECT_EQ(written.parent_unit, shard0_parent_unit);
+  EXPECT_THROW(read_checkpoint_file(net.checkpoint_path), std::runtime_error);
+
   const long rounds_before_restart = root_rounds.load();
 
   // Phase B: restart on the same port from the checkpoint.
   {
     DpsManager manager;
-    AggregatorNode aggregator(manager, make_ctx(kLeaves), ctrl, NetConfig{},
+    AggregatorNode aggregator(manager, make_ctx(kLeaves), ctrl, net,
                               shard0_port);
     aggregator.accept_children();  // the resilient leaves readmit
-    const AggregatorCheckpoint ckpt =
-        read_aggregator_checkpoint_file(ckpt_path);
-    aggregator.resume(ckpt);
+    EXPECT_EQ(aggregator.restore(), 10u);
     EXPECT_EQ(aggregator.shard_budget(), budget_at_ckpt);
     aggregator.connect_parent();
     // The old parent slot was reclaimed via the checkpoint's unit hint.

@@ -2,13 +2,29 @@
 # End-to-end smoke test of the deployment daemons: dpsd (controller) and
 # dps_node (clients) complete a fixed number of rounds over real TCP and
 # both exit cleanly; a client whose controller is unreachable exits 1 with
-# its error; a controller still waiting for clients stops on SIGTERM.
+# its error; a controller still waiting for clients stops on SIGTERM; and
+# a two-level tree (a root dpsd over two aggregator dpsds, each over one
+# dps_node) runs to the root's round limit and shuts down tier by tier.
 # Registered with ctest by tests/CMakeLists.txt, which passes the build
 # directory as $1.
 set -eu
 
 BUILD_DIR="${1:?usage: daemon_smoke_test.sh <build_dir>}"
 PORT=$((20000 + $$ % 10000))
+
+# wait_for <file> <text>: waits up to 10 s for <text> to appear in <file>.
+wait_for() {
+  tries=0
+  until grep -q -- "$2" "$1" 2> /dev/null; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+      echo "no '$2' in $1 after 10 s" >&2
+      cat "$1" >&2
+      return 1
+    fi
+    sleep 0.1
+  done
+}
 
 "$BUILD_DIR/tools/dpsd" --units 3 --port "$PORT" --rounds 50 \
   --period 0.005 --budget 330 > /tmp/dpsd_smoke_$$.log 2>&1 &
@@ -46,9 +62,8 @@ STOP_EVENTS=/tmp/dpsd_stop_$$.csv
 "$BUILD_DIR/tools/dpsd" --units 2 --port 0 --obs-events "$STOP_EVENTS" \
   > "$STOP_LOG" 2>&1 &
 STOP_PID=$!
-# Its stdout is a file, so fully buffered: give it time to install its
-# handlers rather than waiting for a line.
-sleep 1
+# dpsd installs its handlers before it prints that it is waiting.
+wait_for "$STOP_LOG" "waiting for"
 kill -TERM "$STOP_PID"
 tries=0
 while kill -0 "$STOP_PID" 2> /dev/null && [ "$tries" -lt 20 ]; do
@@ -66,3 +81,47 @@ grep -q "shutting down after 0 rounds" "$STOP_LOG"
 [ -s "$STOP_EVENTS" ]
 rm -f "$STOP_LOG" "$STOP_EVENTS"
 [ "$STOP_STATUS" -eq 0 ]
+
+# Two-level tree. Every dpsd listens on a free port (--port 0) and prints
+# it on its first line; the aggregators report to the root, checkpoint
+# under their parent, and end on the root's shutdown.
+TREE=/tmp/dps_tree_smoke_$$
+mkdir -p "$TREE"
+TREE_PIDS=""
+trap 'kill $TREE_PIDS 2> /dev/null || true; rm -rf "$TREE"' EXIT
+
+# port_of <log>: the port a dpsd's first line names.
+port_of() {
+  sed -n '1s/.*, port \([0-9]*\).*/\1/p' "$1"
+}
+
+"$BUILD_DIR/tools/dpsd" --units 2 --port 0 --rounds 40 --period 0.01 \
+  > "$TREE/root.log" 2>&1 &
+TREE_PIDS=$!
+wait_for "$TREE/root.log" "waiting for"
+ROOT_PORT=$(port_of "$TREE/root.log")
+
+for s in 0 1; do
+  "$BUILD_DIR/tools/dpsd" --units 2 --port 0 --period 0.01 \
+    --parent-host 127.0.0.1 --parent-port "$ROOT_PORT" \
+    --checkpoint "$TREE/aggr$s.ckpt" > "$TREE/aggr$s.log" 2>&1 &
+  TREE_PIDS="$TREE_PIDS $!"
+  wait_for "$TREE/aggr$s.log" "waiting for"
+  "$BUILD_DIR/tools/dps_node" --port "$(port_of "$TREE/aggr$s.log")" \
+    --simulate 2 --seed $((21 + s)) > "$TREE/node$s.log" 2>&1 &
+  TREE_PIDS="$TREE_PIDS $!"
+done
+
+for pid in $TREE_PIDS; do
+  if ! wait "$pid"; then
+    echo "a tree process exited nonzero" >&2
+    cat "$TREE"/*.log >&2
+    exit 1
+  fi
+done
+grep -q "shutting down after 40 rounds" "$TREE/root.log"
+for s in 0 1; do
+  grep -q "(parent shutdown)" "$TREE/aggr$s.log"
+  grep -q "finished after" "$TREE/node$s.log"
+  [ -s "$TREE/aggr$s.ckpt" ]
+done

@@ -237,10 +237,8 @@ TEST(ControlPlane, DeadClientBudgetRedistributedOverTcp) {
       Watts cap = 110.0;
       // Claim unit u: the server otherwise numbers clients in connection
       // order, and the assertions below name units by role.
-      NodeClientConfig config;
-      config.unit_hint = u;
       NodeClient client([&] { return cap * 0.99; },
-                        [&](Watts c) { cap = c; }, config);
+                        [&](Watts c) { cap = c; }, NetConfig{}, 1, u);
       client.connect(server.port());
       if (u == 0) {
         for (int r = 0; r < 2; ++r) client.run_round();
@@ -515,9 +513,14 @@ ControlCheckpoint sample_checkpoint(PowerManager& manager,
 }
 
 TEST(Checkpoint, DpsRoundTripContinuesBitIdentically) {
-  // DPS, and the SLURM baseline, whose MIMD controller keeps an RNG
-  // stream, averaging windows and a cadence counter between rounds.
-  for (const ManagerKind kind : {ManagerKind::kDps, ManagerKind::kSlurm}) {
+  // Every manager dpsd can run. DPS; the SLURM baseline, whose MIMD
+  // controller keeps an RNG stream, averaging windows and a cadence
+  // counter between rounds; and P2P, whose agents keep budgets, filters
+  // and windows and whose exchange keeps an RNG and a ring stride. The
+  // constant and feedback managers keep no state and may save none.
+  for (const ManagerKind kind :
+       {ManagerKind::kDps, ManagerKind::kSlurm, ManagerKind::kConstant,
+        ManagerKind::kFeedback, ManagerKind::kP2p}) {
     SCOPED_TRACE(to_string(kind));
     const auto original = make_manager(kind);
     ManagerContext ctx;
@@ -525,7 +528,9 @@ TEST(Checkpoint, DpsRoundTripContinuesBitIdentically) {
     const auto ckpt = sample_checkpoint(*original, ctx, caps_a);
     EXPECT_EQ(ckpt.round, 30u);
     EXPECT_EQ(ckpt.manager_name, to_string(kind));
-    EXPECT_FALSE(ckpt.manager_state.empty());
+    const bool stateless =
+        kind == ManagerKind::kConstant || kind == ManagerKind::kFeedback;
+    EXPECT_EQ(ckpt.manager_state.empty(), stateless);
 
     const auto decoded = decode_checkpoint(encode_checkpoint(ckpt));
     EXPECT_EQ(decoded.round, ckpt.round);
@@ -735,11 +740,11 @@ TEST(ClientConnect, RetriesWithBackoffUntilServerAppears) {
   }
   std::atomic<int> rounds{0};
   std::thread client_thread([&] {
-    NodeClientConfig config;
-    config.connect_attempts = 60;
-    config.backoff_base_s = 0.01;
-    config.backoff_max_s = 0.05;
-    NodeClient client([] { return 50.0; }, [](Watts) {}, config);
+    NetConfig net;
+    net.reconnect_max_attempts = 60;
+    net.reconnect_base_backoff_s = 0.01;
+    net.reconnect_max_backoff_s = 0.05;
+    NodeClient client([] { return 50.0; }, [](Watts) {}, net);
     client.connect(port, "localhost");  // hostname, not dotted-quad
     rounds = client.run();
   });
@@ -762,11 +767,11 @@ TEST(ClientConnect, FailureReportsHostPortAndAttemptCount) {
     ControlServer probe(0, 1);
     port = probe.port();
   }
-  NodeClientConfig config;
-  config.connect_attempts = 3;
-  config.backoff_base_s = 0.005;
-  config.backoff_max_s = 0.01;
-  NodeClient client([] { return 50.0; }, [](Watts) {}, config);
+  NetConfig net;
+  net.reconnect_max_attempts = 3;
+  net.reconnect_base_backoff_s = 0.005;
+  net.reconnect_max_backoff_s = 0.01;
+  NodeClient client([] { return 50.0; }, [](Watts) {}, net);
   try {
     client.connect(port);
     FAIL() << "connect to a dead port should throw";
@@ -779,8 +784,8 @@ TEST(ClientConnect, FailureReportsHostPortAndAttemptCount) {
 }
 
 TEST(ClientConnect, RejectsBadResilienceConfig) {
-  NodeClientConfig bad;
-  bad.connect_attempts = 0;
+  NetConfig bad;
+  bad.reconnect_max_attempts = 0;
   EXPECT_THROW(NodeClient([] { return 0.0; }, [](Watts) {}, bad),
                std::invalid_argument);
 }
@@ -792,14 +797,14 @@ TEST(Failsafe, AppliedWhenServerDiesAndReconnectFails) {
   const std::uint16_t port = server->port();
   std::atomic<double> last_cap{0.0};
   std::atomic<int> total_rounds{-1};
-  NodeClientConfig config;
-  config.failsafe_cap_w = 33.0;
-  config.connect_attempts = 2;
-  config.backoff_base_s = 0.005;
-  config.backoff_max_s = 0.01;
+  NetConfig net;
+  net.failsafe_cap_w = 33.0;
+  net.reconnect_max_attempts = 2;
+  net.reconnect_base_backoff_s = 0.005;
+  net.reconnect_max_backoff_s = 0.01;
   std::thread client_thread([&] {
     NodeClient client([] { return 80.0; }, [&](Watts c) { last_cap = c; },
-                      config);
+                      net);
     total_rounds = client.run_resilient(port);
   });
   server->accept_all();
@@ -832,19 +837,18 @@ TEST(EndToEnd, RestartFromCheckpointMatchesUninterruptedAndBeatsColdRestart) {
                            std::vector<std::thread>& threads) {
     for (int u = 0; u < kUnits; ++u) {
       threads.emplace_back([port, u] {
-        NodeClientConfig config;
-        config.connect_attempts = 200;
-        config.backoff_base_s = 0.01;
-        config.backoff_max_s = 0.05;
-        config.jitter_seed = static_cast<std::uint64_t>(u) + 1;
+        NetConfig net;
+        net.reconnect_max_attempts = 200;
+        net.reconnect_base_backoff_s = 0.01;
+        net.reconnect_max_backoff_s = 0.05;
+        std::shared_ptr<double> cap = std::make_shared<double>(110.0);
         // Claim unit u, so the role below (hungry or idle) belongs to the
         // same unit in every run; by default the server numbers clients
         // in connection order.
-        config.unit_hint = u;
-        std::shared_ptr<double> cap = std::make_shared<double>(110.0);
         NodeClient client(
             [cap, u] { return u % 2 == 1 ? *cap * 0.99 : 30.0; },
-            [cap](Watts c) { *cap = c; }, config);
+            [cap](Watts c) { *cap = c; }, net,
+            static_cast<std::uint64_t>(u) + 1, u);
         client.run_resilient(port);
       });
     }

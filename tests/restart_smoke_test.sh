@@ -39,6 +39,8 @@ sleep 1.5
 kill -9 "$DPSD_PID"
 wait "$DPSD_PID" 2>/dev/null || true
 [ -s "$CKPT" ] || { echo "no checkpoint was written"; exit 1; }
+# Its stdout is line-buffered, so the killed dpsd's log keeps its lines.
+grep -q "waiting for" "$LOG1"
 
 # Phase 2: restore on the same port; the clients reconnect and the session
 # resumes where the snapshot left off.

@@ -32,8 +32,8 @@ namespace {
 
 using namespace dps;
 
-/// dps_node's own options. The reconnect and failsafe flags set [net] keys
-/// and reach the clients through NodeClientConfig::from_net.
+/// dps_node's own options. The reconnect and failsafe flags set [net] keys,
+/// and every client takes that NetConfig.
 struct Options {
   std::string host = "127.0.0.1";
   int port = 9571;
@@ -82,6 +82,8 @@ class SimulatedUnit {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered, so a log file shows each line as it is printed.
+  std::setvbuf(stdout, nullptr, _IOLBF, BUFSIZ);
   CommandLine cli("dps_node — per-node DPS client daemon");
   cli.add(options_section())
       .add(net_section(),
@@ -110,8 +112,7 @@ int main(int argc, char** argv) {
                    NodeClient::PowerSource source, NodeClient::CapSink sink) {
     unit_threads.emplace_back([=, &failed] {
       try {
-        NodeClient client(source, sink,
-                          NodeClientConfig::from_net(net, jitter_seed));
+        NodeClient client(source, sink, net, jitter_seed);
         const int rounds = client.run_resilient(
             static_cast<std::uint16_t>(options.port), options.host);
         std::printf("dps_node: unit %d finished after %d rounds\n", u,

@@ -1,7 +1,10 @@
-/// dpsd — the central controller daemon: the production deployment shape
-/// of Section 4.3. Listens for one TCP connection per power-capping unit,
+/// dpsd — the controller daemon: the production deployment shape of
+/// Section 4.3. Listens for one TCP connection per power-capping unit,
 /// then runs the one-second decision loop until SIGINT/SIGTERM, printing
-/// periodic stats. `dpsd --help` lists every flag.
+/// periodic stats. Its role comes from [ctrl]: without a parent it is the
+/// root (the paper's central controller); with --parent-host and
+/// --parent-port it is an aggregator that reports its shard to a parent
+/// dpsd (docs/deployment.md). `dpsd --help` lists every flag.
 ///
 /// Example (one controller, 20 sockets, 2200 W cluster budget):
 ///   dpsd --units 20 --port 9571 --budget 2200
@@ -14,13 +17,11 @@
 #include <string>
 #include <thread>
 
-#include "core/checkpoint.hpp"
 #include "core/config_io.hpp"
 #include "ctrl/aggregator.hpp"
 #include "ctrl/ctrl_config.hpp"
 #include "experiments/pair_runner.hpp"
 #include "net/net_config.hpp"
-#include "net/server.hpp"
 #include "obs/obs_config.hpp"
 
 namespace {
@@ -73,9 +74,9 @@ const Section<Options>& options_section() {
         {.help = "listen on all interfaces, not just loopback"}},
        {"--restore", &O::restore, {},
         {.help = "restore state from the --checkpoint file at start and "
-                 "resume the session (units and budget come from the "
-                 "snapshot; in aggregator mode the file is a tree snapshot "
-                 "that also records the parent slot)"}}},
+                 "resume the session (the budget comes from the snapshot, "
+                 "whose unit count must match --units; an aggregator's "
+                 "snapshot also records its parent slot)"}}},
       {{"--manager", "must be dps, slurm, constant, feedback or p2p", nullptr,
         [](const O& o) {
           ManagerKind kind;
@@ -137,147 +138,61 @@ void install_signal_handlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-/// Aggregator mode: runs DPS over this shard's children and reports the
-/// aggregate to the parent dpsd, until --rounds, a signal or the parent's
-/// shutdown.
-void run_aggregator(const Setup& setup, const ManagerContext& ctx,
-                    const obs::ObsSink& obs_sink) {
+/// Runs the controller in the role [ctrl] gives it: waits for every
+/// unit, begins or restores the session, connects to the parent (an
+/// aggregator only), then runs the decision loop until --rounds, a signal
+/// or the parent's shutdown.
+void run(const Setup& setup, const ManagerContext& ctx,
+         const obs::ObsSink& obs_sink) {
   const Options& options = setup.options;
-  const NetConfig& net = setup.net;
-  AggregatorNode aggregator(*setup.manager, ctx, setup.ctrl, net,
-                            static_cast<std::uint16_t>(options.port),
-                            options.bind_any);
-  aggregator.set_obs(obs_sink);
-  std::printf(
-      "dpsd[aggregator]: %s manager, %d children, %.0f W initial "
-      "budget, port %u, parent %s:%d\n",
-      options.manager.c_str(), options.units, ctx.total_budget,
-      aggregator.port(), setup.ctrl.parent_host.c_str(),
-      setup.ctrl.parent_port);
-  std::printf("dpsd[aggregator]: waiting for %d children...\n",
-              options.units);
-  aggregator.accept_children(&g_stop);
-
-  std::size_t rounds = 0;
-  bool parent_shutdown = false;
-  if (!g_stop) {
-    if (options.restore) {
-      const AggregatorCheckpoint ckpt =
-          read_aggregator_checkpoint_file(net.checkpoint_path);
-      aggregator.resume(ckpt);
-      obs_sink.event(obs::EventKind::kCheckpointRestore, -1,
-                     static_cast<double>(ckpt.inner.round));
-      std::printf(
-          "dpsd[aggregator]: restored checkpoint at round %llu "
-          "(parent slot %d), resuming\n",
-          static_cast<unsigned long long>(ckpt.inner.round),
-          ckpt.parent_unit);
-    } else {
-      aggregator.begin();
-    }
-    aggregator.connect_parent();
-    std::printf("dpsd[aggregator]: uplink connected as unit %d\n",
-                aggregator.parent_unit());
-  }
-
-  const auto period = std::chrono::duration<double>(options.period);
-  auto next_tick = std::chrono::steady_clock::now();
-  while (!g_stop && (options.rounds == 0 || rounds < options.rounds)) {
-    parent_shutdown = !aggregator.run_round();
-    ++rounds;
-    if (!net.checkpoint_path.empty() &&
-        aggregator.rounds() % net.checkpoint_interval_rounds == 0) {
-      const AggregatorCheckpoint ckpt = aggregator.make_checkpoint();
-      write_aggregator_checkpoint_file(net.checkpoint_path, ckpt);
-      obs_sink.event(obs::EventKind::kCheckpointWrite, -1,
-                     static_cast<double>(aggregator.rounds()),
-                     static_cast<double>(ckpt.inner.manager_state.size()));
-    }
-    if (parent_shutdown) break;
-    if (rounds % 60 == 0) {
-      std::printf(
-          "dpsd[aggregator]: round %zu, shard %.1f W under %.1f W "
-          "budget, decide %.1f us/round\n",
-          rounds, aggregator.last_aggregate_power(),
-          aggregator.shard_budget(),
-          1e-3 * static_cast<double>(aggregator.decide_ns()) /
-              static_cast<double>(rounds));
-    }
-    next_tick +=
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            period);
-    std::this_thread::sleep_until(next_tick);
-  }
-
-  std::printf("dpsd[aggregator]: shutting down after %zu rounds%s\n", rounds,
-              parent_shutdown ? " (parent shutdown)" : "");
-  aggregator.shutdown_children();
-  if (obs_sink.enabled() && setup.obs.any_export()) {
-    obs::export_all(obs_sink, setup.obs);
-    std::printf("dpsd[aggregator]: observability exports written\n");
-  }
-}
-
-/// The flat controller: waits for every unit, then runs the decision loop
-/// until --rounds or a signal.
-void run_flat(const Setup& setup, ManagerContext ctx,
-              const obs::ObsSink& obs_sink) {
-  const Options& options = setup.options;
-  const NetConfig& net = setup.net;
-  PowerManager& manager = *setup.manager;
-  ControlServer server(static_cast<std::uint16_t>(options.port),
-                       options.units, options.bind_any, net);
-  server.set_obs(obs_sink);
-  const Watts budget = ctx.total_budget;  // the stats quote the boot value
-  std::printf("dpsd: %s manager, %d units, %.0f W budget, port %u%s\n",
-              options.manager.c_str(), options.units, budget,
-              server.port(),
+  AggregatorNode node(*setup.manager, ctx, setup.ctrl, setup.net,
+                      static_cast<std::uint16_t>(options.port),
+                      options.bind_any);
+  node.set_obs(obs_sink);
+  std::printf("dpsd: %s manager, %d units, %.0f W budget, port %u%s",
+              options.manager.c_str(), options.units, ctx.total_budget,
+              node.port(),
               options.bind_any ? " (all interfaces)" : " (loopback)");
-  std::printf("dpsd: waiting for %d clients...\n", options.units);
-  server.accept_all(&g_stop);
+  if (node.has_parent()) {
+    std::printf(", parent %s:%d", setup.ctrl.parent_host.c_str(),
+                setup.ctrl.parent_port);
+  }
+  std::printf("\ndpsd: waiting for %d clients...\n", options.units);
+  node.accept_children(&g_stop);
 
   if (!g_stop) {
     std::printf("dpsd: all clients connected, starting the decision loop\n");
     if (options.restore) {
-      const ControlCheckpoint ckpt = read_checkpoint_file(net.checkpoint_path);
-      restore_manager(manager, ckpt);
-      ctx = ckpt.ctx;  // the snapshot is authoritative for the session shape
-      server.resume_session(manager, ctx, ckpt.round, ckpt.caps,
-                            ckpt.previous_caps);
-      obs_sink.event(obs::EventKind::kCheckpointRestore, -1,
-                     static_cast<double>(ckpt.round));
+      const std::uint64_t round = node.restore();
       std::printf("dpsd: restored checkpoint at round %llu, resuming\n",
-                  static_cast<unsigned long long>(ckpt.round));
+                  static_cast<unsigned long long>(round));
     } else {
-      server.begin_session(manager, ctx);
+      node.begin();
+    }
+    node.connect_parent();
+    if (node.has_parent()) {
+      std::printf("dpsd: uplink connected as unit %d\n", node.parent_unit());
     }
   }
 
-  std::uint64_t decide_ns = 0;
   std::size_t rounds = 0;
+  bool parent_shutdown = false;
   const auto period = std::chrono::duration<double>(options.period);
   auto next_tick = std::chrono::steady_clock::now();
   while (!g_stop && (options.rounds == 0 || rounds < options.rounds)) {
-    decide_ns += server.run_round(manager);
+    parent_shutdown = !node.run_round();
     ++rounds;
-    if (!net.checkpoint_path.empty() &&
-        server.rounds() % net.checkpoint_interval_rounds == 0) {
-      const ControlCheckpoint ckpt =
-          make_checkpoint(manager, ctx, server.rounds(), server.last_caps(),
-                          server.previous_caps());
-      write_checkpoint_file(net.checkpoint_path, ckpt);
-      obs_sink.event(obs::EventKind::kCheckpointWrite, -1,
-                     static_cast<double>(server.rounds()),
-                     static_cast<double>(ckpt.manager_state.size()));
-    }
+    if (parent_shutdown) break;
     if (rounds % 60 == 0) {
-      Watts total = 0.0;
-      for (const Watts c : server.last_caps()) total += c;
+      const auto& server = node.server();
+      Watts cap_sum = 0.0;
+      for (const Watts c : server.last_caps()) cap_sum += c;
       std::printf(
-          "dpsd: round %zu, cap sum %.1f/%.0f W, decide %.1f us/round, "
-          "writes %llu keeps %llu\n",
-          rounds, total, budget,
-          1e-3 * static_cast<double>(decide_ns) / static_cast<double>(rounds),
+          "dpsd: round %zu, power %.1f W, cap sum %.1f/%.0f W, decide %.1f "
+          "us/round, writes %llu keeps %llu\n",
+          rounds, node.last_aggregate_power(), cap_sum, node.shard_budget(),
+          1e-3 * static_cast<double>(node.decide_ns()) /
+              static_cast<double>(rounds),
           static_cast<unsigned long long>(server.set_cap_messages()),
           static_cast<unsigned long long>(server.keep_cap_messages()));
     }
@@ -287,8 +202,9 @@ void run_flat(const Setup& setup, ManagerContext ctx,
     std::this_thread::sleep_until(next_tick);
   }
 
-  std::printf("dpsd: shutting down after %zu rounds\n", rounds);
-  server.shutdown();
+  std::printf("dpsd: shutting down after %zu rounds%s\n", rounds,
+              parent_shutdown ? " (parent shutdown)" : "");
+  node.shutdown_children();
   if (obs_sink.enabled() && setup.obs.any_export()) {
     obs::export_all(obs_sink, setup.obs);
     std::printf("dpsd: observability exports written\n");
@@ -298,6 +214,9 @@ void run_flat(const Setup& setup, ManagerContext ctx,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered, so a log file shows each line as it is printed (and
+  // keeps it when the daemon is killed).
+  std::setvbuf(stdout, nullptr, _IOLBF, BUFSIZ);
   const CommandLine cli = command_line();
   Setup setup;
   try {
@@ -324,11 +243,7 @@ int main(int argc, char** argv) {
   try {
     const obs::ObsSink obs_sink = obs::make_sink(setup.obs);
     install_signal_handlers();
-    if (!setup.ctrl.parent_host.empty() && setup.ctrl.parent_port != 0) {
-      run_aggregator(setup, ctx, obs_sink);
-    } else {
-      run_flat(setup, ctx, obs_sink);
-    }
+    run(setup, ctx, obs_sink);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "dpsd: fatal: %s\n", error.what());
     return 1;
