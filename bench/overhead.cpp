@@ -3,7 +3,8 @@
 ///     10 .. 10,000 units (the paper argues the controller scales to tens
 ///     of thousands of nodes with a sub-millisecond loop);
 ///   * the Kalman filter and priority-module costs in isolation, the peak
-///     count once per path through it (range exit, two-sided exit, walk);
+///     count once per path through it (range exit, two-sided exit, walk),
+///     and one priority-module update over a bank of such windows;
 ///   * a full decision round over the real TCP loopback control plane with
 ///     20 clients, counting the 3-bytes-per-request wire traffic;
 ///   * the observability tax (src/obs/): the same DPS decide step and a
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "core/dps_manager.hpp"
+#include "core/history.hpp"
+#include "core/priority_module.hpp"
 #include "managers/oracle.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "net/client.hpp"
@@ -185,6 +188,39 @@ void BM_ProminentPeaks(benchmark::State& state, PeakFixture fixture) {
 BENCHMARK_CAPTURE(BM_ProminentPeaks, flat, PeakFixture::kFlat);
 BENCHMARK_CAPTURE(BM_ProminentPeaks, phase_step, PeakFixture::kPhaseStep);
 BENCHMARK_CAPTURE(BM_ProminentPeaks, square_wave, PeakFixture::kSquareWave);
+
+/// One PriorityModule::update over a full 20-sample history bank, its
+/// units cycling through the ProminentPeaks fixtures (flat, phase step,
+/// square wave). The bank exits settle the flat and phase-step windows
+/// lane by lane; the square waves are gathered and walked. Raw readings
+/// (no Kalman filter) keep each window exactly its fixture.
+void BM_PriorityUpdate(benchmark::State& state) {
+  const int units = static_cast<int>(state.range(0));
+  DpsConfig config;
+  config.use_kalman_filter = false;
+  EstimatedPowerHistory history(config);
+  history.reset(units);
+  Rng rng(3);
+  std::vector<Watts> power(static_cast<std::size_t>(units));
+  for (std::size_t i = 0; i < config.history_length; ++i) {
+    for (int u = 0; u < units; ++u) {
+      double level = 100.0;
+      if (u % 3 == 1) level = i < 10 ? 60.0 : 150.0;
+      if (u % 3 == 2) level = i % 4 < 2 ? 150.0 : 60.0;
+      power[static_cast<std::size_t>(u)] = level + rng.normal(0.0, 1.0);
+    }
+    history.observe(power, 1.0);
+  }
+  PriorityModule priority(config);
+  priority.reset(units);
+  const std::vector<Watts> caps(static_cast<std::size_t>(units), 110.0);
+  for (auto _ : state) {
+    priority.update(history, caps);
+    benchmark::DoNotOptimize(priority.priorities());
+  }
+  state.SetItemsProcessed(state.iterations() * units);
+}
+BENCHMARK(BM_PriorityUpdate)->Arg(20)->Arg(32)->Arg(256);
 
 /// Full decision rounds over real loopback TCP with 20 clients — the
 /// paper's 10-node dual-socket deployment. Reports wire bytes per round

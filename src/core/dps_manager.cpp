@@ -83,6 +83,10 @@ void DpsManager::update_budget(Watts new_total_budget) {
 }
 
 void DpsManager::decide(std::span<const Watts> power, std::span<Watts> caps) {
+  if (power.size() != static_cast<std::size_t>(ctx_.num_units) ||
+      caps.size() != power.size()) {
+    throw std::invalid_argument("DpsManager::decide: size mismatch");
+  }
   // State update: filter the noisy measurements into the power history.
   {
     obs::ScopedSpan span(obs_, obs_history_seconds_, "dps_history");

@@ -7,6 +7,7 @@ namespace dps {
 EstimatedPowerHistory::EstimatedPowerHistory(const DpsConfig& config)
     : config_(config),
       filters_(config.kf_process_variance, config.kf_measurement_variance),
+      power_(config.history_length < 3 ? 3 : config.history_length),
       durations_(config.history_length < 3 ? 3 : config.history_length) {
   if (config_.history_length < 3) {
     throw std::invalid_argument(
@@ -16,12 +17,9 @@ EstimatedPowerHistory::EstimatedPowerHistory(const DpsConfig& config)
 
 void EstimatedPowerHistory::reset(int num_units) {
   filters_.reset(static_cast<std::size_t>(num_units));
-  power_.clear();
+  power_.reset(static_cast<std::size_t>(num_units));
   durations_.clear();
-  power_.reserve(static_cast<std::size_t>(num_units));
-  for (int u = 0; u < num_units; ++u) {
-    power_.emplace_back(config_.history_length);
-  }
+  row_.assign(static_cast<std::size_t>(num_units), 0.0);
   first_observation_ = true;
 }
 
@@ -40,32 +38,38 @@ void EstimatedPowerHistory::observe(std::span<const Watts> measured,
       // One contiguous predict/update pass over the whole bank.
       filters_.update(measured);
     }
-    const auto& estimates = filters_.estimates();
-    for (std::size_t u = 0; u < n; ++u) {
-      power_[u].push(estimates[u]);
-    }
+    power_.push(filters_.estimates());
   } else {
     for (std::size_t u = 0; u < n; ++u) {
       double estimate = measured[u];
       if (config_.ewma_alpha > 0.0 && !first_observation_) {
         // EWMA ablation: first-order low-pass around the previous estimate.
-        const double previous = power_[u].at_back(0);
+        const double previous = power_.at_back(u, 0);
         estimate = previous + config_.ewma_alpha * (measured[u] - previous);
       }
-      power_[u].push(estimate);
+      row_[u] = estimate;
     }
+    power_.push(row_);
   }
   durations_.push(dt);
   first_observation_ = false;
 }
 
 Watts EstimatedPowerHistory::estimate(int unit) const {
-  const auto& window = power_.at(static_cast<std::size_t>(unit));
-  return window.empty() ? 0.0 : window.at_back(0);
+  if (unit < 0 || unit >= num_units()) {
+    throw std::out_of_range("estimate: unit out of range");
+  }
+  return power_.empty() ? 0.0
+                        : power_.at_back(static_cast<std::size_t>(unit), 0);
 }
 
-const RollingWindow& EstimatedPowerHistory::power_history(int unit) const {
-  return power_.at(static_cast<std::size_t>(unit));
+std::vector<double> EstimatedPowerHistory::power_history(int unit) const {
+  if (unit < 0 || unit >= num_units()) {
+    throw std::out_of_range("power_history: unit out of range");
+  }
+  std::vector<double> window(power_.size());
+  power_.copy_window(static_cast<std::size_t>(unit), window);
+  return window;
 }
 
 const RollingWindow& EstimatedPowerHistory::duration_history(int unit) const {
@@ -80,10 +84,10 @@ void EstimatedPowerHistory::save(ByteWriter& out) const {
   out.u64(filters_.size());
   out.boolean(first_observation_);
   filters_.save(out);  // byte-compatible with the former per-filter loop
-  for (const auto& window : power_) window.save(out);
+  power_.save(out);    // and with the former per-window loop
   // Per-unit duration-window wire format, emitted from the shared window
   // (all per-unit windows were identical clones of it).
-  for (std::size_t u = 0; u < power_.size(); ++u) durations_.save(out);
+  for (std::size_t u = 0; u < power_.units(); ++u) durations_.save(out);
 }
 
 void EstimatedPowerHistory::load(ByteReader& in) {
@@ -94,14 +98,14 @@ void EstimatedPowerHistory::load(ByteReader& in) {
   }
   first_observation_ = in.boolean();
   filters_.load(in);
-  for (auto& window : power_) window.load(in);
+  power_.load(in);
   // Consume the per-unit duration windows; they are identical by
   // construction, so the last one read is the shared state.
-  for (std::size_t u = 0; u < power_.size(); ++u) durations_.load(in);
+  for (std::size_t u = 0; u < power_.units(); ++u) durations_.load(in);
 }
 
 bool EstimatedPowerHistory::warmed_up() const {
-  return !power_.empty() && power_.front().full();
+  return power_.units() > 0 && power_.full();
 }
 
 }  // namespace dps

@@ -6,6 +6,7 @@
 #include "power/power_interface.hpp"
 #include "signal/kalman.hpp"
 #include "signal/rolling.hpp"
+#include "signal/window_bank.hpp"
 
 namespace dps {
 
@@ -17,8 +18,10 @@ namespace dps {
 /// by the average-derivative estimate).
 ///
 /// The filters live in a KalmanBank (structure-of-arrays), so the per-step
-/// predict/update is one contiguous pass; its estimates and checkpoint
-/// bytes are identical to the former std::vector<Kalman1D>.
+/// predict/update is one contiguous pass, and the histories in a
+/// time-major WindowBank, so appending a step is one row copy. Estimates
+/// and checkpoint bytes are identical to the former std::vector<Kalman1D>
+/// and std::vector<RollingWindow>.
 class EstimatedPowerHistory {
  public:
   explicit EstimatedPowerHistory(const DpsConfig& config);
@@ -32,13 +35,16 @@ class EstimatedPowerHistory {
   void observe(std::span<const Watts> measured, Seconds dt);
 
   /// Number of units tracked.
-  int num_units() const { return static_cast<int>(power_.size()); }
+  int num_units() const { return static_cast<int>(power_.units()); }
 
   /// Most recent power estimate for `unit`.
   Watts estimate(int unit) const;
 
-  /// The power history window of `unit`, oldest first.
-  const RollingWindow& power_history(int unit) const;
+  /// Every unit's power history window.
+  const WindowBank& power_windows() const { return power_; }
+
+  /// A copy of the power history window of `unit`, oldest first.
+  std::vector<double> power_history(int unit) const;
 
   /// The parallel step-duration window of `unit`. Every unit receives the
   /// same dt at the same observe() call, so one shared window backs all
@@ -59,7 +65,9 @@ class EstimatedPowerHistory {
  private:
   DpsConfig config_;
   KalmanBank filters_;
-  std::vector<RollingWindow> power_;
+  WindowBank power_;
+  /// The estimates of one EWMA-ablation step, pushed as one row.
+  std::vector<double> row_;
   /// Shared step-duration window: observe() pushes one identical dt for
   /// every unit, so per-unit copies would be n clones of this.
   RollingWindow durations_;

@@ -34,7 +34,8 @@ class PriorityModule {
   /// current power caps) feeds the stale-priority demotion check: a
   /// high-priority unit drawing far below its cap for several steps is
   /// demoted, since a pinned flat power trace can never cross the decrease
-  /// threshold on its own.
+  /// threshold on its own. Throws std::invalid_argument unless the history
+  /// and `caps` both cover reset()'s unit count.
   void update(const EstimatedPowerHistory& history,
               std::span<const Watts> caps);
 
@@ -59,6 +60,10 @@ class PriorityModule {
   std::vector<bool> high_freq_;
   std::vector<bool> priority_;
   std::vector<int> idle_streak_;
+  /// Scratch of update(): the bank exits' verdicts, one per unit, and one
+  /// gathered window.
+  std::vector<double> peakless_;
+  std::vector<double> window_;
 };
 
 }  // namespace dps

@@ -18,6 +18,9 @@ void FeedbackManager::reset(const ManagerContext& ctx) { ctx_ = ctx; }
 void FeedbackManager::decide(std::span<const Watts> power,
                              std::span<Watts> caps) {
   const std::size_t n = caps.size();
+  if (power.size() != n || n != static_cast<std::size_t>(ctx_.num_units)) {
+    throw std::invalid_argument("FeedbackManager::decide: size mismatch");
+  }
 
   // Hardware sanity + shedding any overshoot a budget cut left behind.
   for (std::size_t u = 0; u < n; ++u) {

@@ -55,7 +55,8 @@ class PowerManager {
 
   /// One decision step. `power` holds the units' measured power over the
   /// last period; `caps` holds the current caps on entry and must hold the
-  /// new caps on return.
+  /// new caps on return. A manager that keeps per-unit state throws
+  /// std::invalid_argument unless both hold reset()'s unit count.
   virtual void decide(std::span<const Watts> power,
                       std::span<Watts> caps) = 0;
 

@@ -18,7 +18,10 @@ MimdConfig slurm_plugin_defaults() {
 }
 
 MimdController::MimdController(const MimdConfig& config)
-    : config_(config), rng_(config.shuffle_seed) {
+    : config_(config),
+      rng_(config.shuffle_seed),
+      power_windows_(static_cast<std::size_t>(
+          config.dec_window_steps < 1 ? 1 : config.dec_window_steps)) {
   if (config_.inc_threshold <= config_.dec_threshold) {
     throw std::invalid_argument("MimdConfig: inc_threshold must exceed dec");
   }
@@ -35,10 +38,7 @@ void MimdController::reset(const ManagerContext& ctx) {
   ctx_ = ctx;
   order_.resize(static_cast<std::size_t>(ctx.num_units));
   set_flags_.assign(static_cast<std::size_t>(ctx.num_units), false);
-  power_windows_.clear();
-  power_windows_.resize(
-      static_cast<std::size_t>(ctx.num_units),
-      RollingWindow(static_cast<std::size_t>(config_.dec_window_steps)));
+  power_windows_.reset(static_cast<std::size_t>(ctx.num_units));
   averaged_power_.assign(static_cast<std::size_t>(ctx.num_units), 0.0);
   steps_since_decision_ = 0;
 }
@@ -48,27 +48,33 @@ void MimdController::save_state(ByteWriter& out) const {
   out.bools(set_flags_);
   out.doubles(averaged_power_);
   out.i64(steps_since_decision_);
-  out.u64(power_windows_.size());
-  for (const auto& window : power_windows_) window.save(out);
+  out.u64(power_windows_.units());
+  power_windows_.save(out);  // the former per-window bytes
 }
 
 void MimdController::load_state(ByteReader& in) {
   rng_.load(in);
-  set_flags_ = in.bools();
-  averaged_power_ = in.doubles();
-  steps_since_decision_ = static_cast<int>(in.i64());
+  auto set_flags = in.bools();
+  auto averaged_power = in.doubles();
+  const auto steps_since_decision = static_cast<int>(in.i64());
   const std::uint64_t windows = in.u64();
-  if (windows != power_windows_.size() ||
-      set_flags_.size() != power_windows_.size() ||
-      averaged_power_.size() != power_windows_.size()) {
+  if (windows != power_windows_.units() ||
+      set_flags.size() != power_windows_.units() ||
+      averaged_power.size() != power_windows_.units()) {
     throw std::runtime_error("MimdController: snapshot unit count mismatch");
   }
-  for (auto& window : power_windows_) window.load(in);
+  power_windows_.load(in);
+  set_flags_ = std::move(set_flags);
+  averaged_power_ = std::move(averaged_power);
+  steps_since_decision_ = steps_since_decision;
 }
 
 void MimdController::decide(std::span<const Watts> power,
                             std::span<Watts> caps) {
-  const std::size_t n = caps.size();
+  const std::size_t n = power_windows_.units();
+  if (power.size() != n || caps.size() != n) {
+    throw std::invalid_argument("MimdController::decide: size mismatch");
+  }
   std::fill(set_flags_.begin(), set_flags_.end(), false);
 
   // Hardware sanity: no cap above its unit's TDP (matters on
@@ -83,9 +89,8 @@ void MimdController::decide(std::span<const Watts> power,
   // Window-average the readings for the decrease side (the plugin lowers
   // caps from energy counters accumulated over its balance window, not
   // from instantaneous samples).
-  for (std::size_t u = 0; u < n; ++u) {
-    averaged_power_[u] = power_windows_[u].push_mean(power[u]);
-  }
+  power_windows_.push(power);
+  power_windows_.means(averaged_power_);
 
   // Coarse rebalance cadence (SLURM's balance_interval): off-cycle calls
   // leave the caps exactly as they are.

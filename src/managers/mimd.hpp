@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "managers/manager.hpp"
-#include "signal/rolling.hpp"
+#include "signal/window_bank.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
@@ -72,7 +72,8 @@ class MimdController {
 
   /// One stateless decision: rewrites `caps` in place from measured
   /// `power`. Maintains sum(caps) <= total budget; after a budget cut it
-  /// first sheds the excess proportionally.
+  /// first sheds the excess proportionally. Throws std::invalid_argument
+  /// unless `power` and `caps` both hold reset()'s unit count.
   void decide(std::span<const Watts> power, std::span<Watts> caps);
 
   /// Applies a runtime budget change (see PowerManager::update_budget).
@@ -98,7 +99,7 @@ class MimdController {
   Rng rng_;
   std::vector<std::uint32_t> order_;
   std::vector<bool> set_flags_;
-  std::vector<RollingWindow> power_windows_;
+  WindowBank power_windows_;
   std::vector<Watts> averaged_power_;
   int steps_since_decision_ = 0;
 };

@@ -19,10 +19,13 @@ void OracleManager::reset(const ManagerContext& ctx) {
 
 void OracleManager::decide(std::span<const Watts> power,
                            std::span<Watts> caps) {
-  (void)power;  // the oracle looks straight at demand
+  // The oracle looks straight at demand; `power` only has to fit.
+  const std::size_t n = demands_.size();
+  if (power.size() != n || caps.size() != n) {
+    throw std::invalid_argument("OracleManager::decide: size mismatch");
+  }
   demand_probe_(demands_);
 
-  const std::size_t n = caps.size();
   // Desired cap: demand plus headroom, within hardware limits.
   Watts desired_sum = 0.0;
   for (std::size_t u = 0; u < n; ++u) {

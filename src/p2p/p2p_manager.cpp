@@ -29,6 +29,9 @@ void P2pManager::reset(const ManagerContext& ctx) {
 
 void P2pManager::decide(std::span<const Watts> power,
                         std::span<Watts> caps) {
+  if (power.size() != agents_.size() || caps.size() != agents_.size()) {
+    throw std::invalid_argument("P2pManager::decide: size mismatch");
+  }
   // Each agent's local observation happens independently (on a real
   // deployment, on its own node).
   for (std::size_t u = 0; u < agents_.size(); ++u) {

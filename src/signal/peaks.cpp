@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace dps {
 
@@ -11,8 +12,121 @@ namespace {
 // stack buffer of this size. The priority module's window is 20 samples.
 constexpr std::size_t kTwoSidedMaxLength = 64;
 
-// True when `series` (n >= 3) provably holds no peak whose prominence
-// exceeds `bar`. A counted peak of value v at interior index p has
+// Units per block of the bank exits, and the undecided lanes a block needs
+// before its two-sided pass runs; with fewer, walking them one by one is
+// cheaper. Traced on the benchmark's pair_grid and churn, a quarter of the
+// block did no worse than half.
+constexpr std::size_t kLaneBlock = 32;
+constexpr double kTwoSidedMinUndecided = kLaneBlock / 4;
+
+// The bank exits for units [first, first + lanes), lanes <= kLaneBlock,
+// over a bank of n >= 3 samples. Each lane repeats provably_peakless's
+// comparisons below, in its order. Flags are doubles set by selects so the
+// lane loops vectorize, and each pass takes two rows at a time, which
+// halves the loads and stores of the per-lane state.
+void block_peakless(const WindowBank& bank, std::size_t first,
+                    std::size_t lanes, double bar, double* peakless) {
+  const std::size_t n = bank.size();
+  double lo[kLaneBlock];
+  double hi[kLaneBlock];
+  double nan[kLaneBlock];
+  double out[kLaneBlock];
+  const double* s = bank.row(0) + first;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    lo[l] = s[l];
+    hi[l] = s[l];
+    nan[l] = s[l] != s[l] ? 1.0 : 0.0;
+  }
+  std::size_t t = 1;
+  for (; t + 1 < n; t += 2) {
+    const double* a = bank.row(t) + first;
+    const double* b = bank.row(t + 1) + first;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double x = a[l];
+      const double y = b[l];
+      nan[l] = std::isunordered(x, y) ? 1.0 : nan[l];
+      lo[l] = std::min(std::min(lo[l], x), y);
+      hi[l] = std::max(std::max(hi[l], x), y);
+    }
+  }
+  if (t < n) {
+    s = bank.row(t) + first;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double x = s[l];
+      nan[l] = x != x ? 1.0 : nan[l];
+      lo[l] = std::min(lo[l], x);
+      hi[l] = std::max(hi[l], x);
+    }
+  }
+  double undecided = 0.0;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const double wide = hi[l] - lo[l] > bar ? 1.0 : 0.0;
+    out[l] = nan[l] == 0.0 ? 1.0 - wide : 0.0;
+    undecided += nan[l] == 0.0 ? wide : 0.0;
+  }
+  if (n > kTwoSidedMaxLength || undecided < kTwoSidedMinUndecided) {
+    std::copy(out, out + lanes, peakless);
+    return;
+  }
+
+  double right_min[kTwoSidedMaxLength][kLaneBlock];
+  s = bank.row(n - 1) + first;
+  for (std::size_t l = 0; l < lanes; ++l) right_min[n - 1][l] = s[l];
+  for (std::size_t i = n - 1; i-- > 0;) {
+    s = bank.row(i) + first;
+    const double* next = right_min[i + 1];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double x = s[l];
+      const double r = next[l];
+      right_min[i][l] = std::min(x, r);
+    }
+  }
+  double left_min[kLaneBlock];
+  // Samples clearing both sides; nonzero means a peak may count.
+  double hit[kLaneBlock];
+  s = bank.row(0) + first;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    left_min[l] = s[l];
+    hit[l] = 0.0;
+  }
+  std::size_t i = 1;  // interior samples 1 .. n-2
+  for (; i + 2 < n; i += 2) {
+    const double* a = bank.row(i) + first;
+    const double* b = bank.row(i + 1) + first;
+    const double* right_a = right_min[i + 1];
+    const double* right_b = right_min[i + 2];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double v = a[l];
+      const double w = b[l];
+      double lmin = left_min[l];
+      const double left_v = v - lmin > bar ? 1.0 : 0.0;
+      const double hit_v = v - right_a[l] > bar ? left_v : 0.0;
+      lmin = std::min(lmin, v);
+      const double left_w = w - lmin > bar ? 1.0 : 0.0;
+      const double hit_w = w - right_b[l] > bar ? left_w : 0.0;
+      hit[l] = hit[l] + hit_v + hit_w;
+      left_min[l] = std::min(lmin, w);
+    }
+  }
+  if (i + 1 < n) {
+    s = bank.row(i) + first;
+    const double* right = right_min[i + 1];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double v = s[l];
+      const double left = v - left_min[l] > bar ? 1.0 : 0.0;
+      hit[l] += v - right[l] > bar ? left : 0.0;
+    }
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    out[l] = nan[l] == 0.0 && hit[l] == 0.0 ? 1.0 : out[l];
+  }
+  std::copy(out, out + lanes, peakless);
+}
+
+}  // namespace
+
+// True when `series` provably holds no peak whose prominence exceeds
+// `bar`. A counted peak of value v at interior index p has
 // witnesses s[l], l < p, and s[r], r > p, with v - s[l] > bar and
 // v - s[r] > bar. (When v itself clears a negative bar, its neighbours,
 // which are no higher, clear it too.) Round-to-nearest subtraction is
@@ -26,6 +140,7 @@ constexpr std::size_t kTwoSidedMaxLength = 64;
 // NaN is never declared peakless.
 bool provably_peakless(std::span<const double> series, double bar) {
   const std::size_t n = series.size();
+  if (n < 3) return true;
   double lo = series[0];
   double hi = series[0];
   for (const double x : series) {
@@ -50,7 +165,21 @@ bool provably_peakless(std::span<const double> series, double bar) {
   return true;
 }
 
-}  // namespace
+void provably_peakless(const WindowBank& bank, double min_prominence,
+                       std::span<double> peakless) {
+  const std::size_t units = bank.units();
+  if (peakless.size() != units) {
+    throw std::invalid_argument("provably_peakless: one flag per unit");
+  }
+  if (bank.size() < 3) {
+    std::fill(peakless.begin(), peakless.end(), 1.0);
+    return;
+  }
+  for (std::size_t first = 0; first < units; first += kLaneBlock) {
+    block_peakless(bank, first, std::min(kLaneBlock, units - first),
+                   min_prominence, peakless.data() + first);
+  }
+}
 
 std::vector<Peak> find_prominent_peaks(std::span<const double> series) {
   std::vector<Peak> peaks;

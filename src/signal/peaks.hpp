@@ -4,6 +4,8 @@
 #include <span>
 #include <vector>
 
+#include "signal/window_bank.hpp"
+
 namespace dps {
 
 /// A local maximum in a series together with its topographic prominence —
@@ -43,5 +45,25 @@ std::vector<Peak> find_prominent_peaks(std::span<const double> series);
 std::size_t count_prominent_peaks(
     std::span<const double> series, double min_prominence,
     std::size_t limit = static_cast<std::size_t>(-1));
+
+/// count_prominent_peaks' two early exits on their own: true when `series`
+/// passes the range exit or the two-sided exit, and so provably counts 0
+/// peaks above `min_prominence`. False for a window of 3 or more samples
+/// holding a NaN; true for any window of fewer than 3.
+bool provably_peakless(std::span<const double> series, double min_prominence);
+
+/// The same exits for every window of `bank` at once, run lane by lane over
+/// blocks of 32 units: peakless[u] becomes 1.0 when unit u's window
+/// provably counts 0 peaks above `min_prominence`, else 0.0. The range exit
+/// runs on every lane. The two-sided exit runs only in blocks where at
+/// least a quarter of a block's lanes are still undecided after it, and
+/// only on windows of at most 64 samples, so a 0.0 lane may still count
+/// 0: the caller walks it with count_prominent_peaks. Each lane makes the
+/// scalar exits' comparisons with the same std::min/std::max operand order,
+/// so a 1.0 is exactly a scalar "peakless" and a lane holding a NaN is
+/// never peakless. Windows of fewer than 3 samples count 0 whatever they
+/// hold and are all 1.0. `peakless` must hold bank.units() values.
+void provably_peakless(const WindowBank& bank, double min_prominence,
+                       std::span<double> peakless);
 
 }  // namespace dps

@@ -20,24 +20,6 @@ void RollingWindow::push(double value) {
   data_.push_back(value);
 }
 
-double RollingWindow::push_mean(double value) {
-  const std::size_t n = data_.size();
-  if (n == capacity_) {
-    double sum = 0.0;
-    for (std::size_t i = 1; i < n; ++i) {
-      data_[i - 1] = data_[i];
-      sum += data_[i - 1];
-    }
-    data_[n - 1] = value;
-    sum += value;
-    return sum / static_cast<double>(n);
-  }
-  data_.push_back(value);
-  double sum = 0.0;
-  for (const double v : data_) sum += v;
-  return sum / static_cast<double>(data_.size());
-}
-
 double RollingWindow::at(std::size_t i) const { return data_.at(i); }
 
 double RollingWindow::at_back(std::size_t i) const {

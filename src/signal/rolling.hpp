@@ -9,25 +9,17 @@
 namespace dps {
 
 /// Fixed-capacity rolling window over a scalar series, oldest samples
-/// evicted first. DPS keeps one of these per unit: the "estimated power
-/// history" of Section 4.3 (default capacity 20 decision steps). Provides
-/// the statistics the priority module needs — standard deviation and an
-/// end-to-end average first derivative. Nothing is cached: stddev() and
-/// the priority module's peak count over contents() rescan the whole
-/// window on every call.
+/// evicted first, with the statistics Algorithm 2 reads: standard
+/// deviation and an end-to-end average first derivative. Nothing is
+/// cached: every statistic rescans the window. The P2P agents keep their
+/// power history in one, and DPS its shared step-duration window; the
+/// per-unit windows that are pushed together live in a WindowBank.
 class RollingWindow {
  public:
   explicit RollingWindow(std::size_t capacity);
 
   /// Appends a sample, evicting the oldest if full.
   void push(double value);
-
-  /// push(value) followed by mean(), fused into a single traversal (the
-  /// eviction shift accumulates the sum as it moves samples). Summation
-  /// order is exactly mean()'s over the new contents, so the result is
-  /// bit-identical. The stateless module calls this once per unit per
-  /// step, where the separate push-then-rescan was a measurable cost.
-  double push_mean(double value);
 
   std::size_t size() const { return data_.size(); }
   std::size_t capacity() const { return capacity_; }

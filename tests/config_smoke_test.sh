@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Config-rejection smoke test: a malformed INI value must stop exp and dpsd
-# at startup with an error naming its section, key and line, a malformed
+# Config-rejection smoke test: a malformed INI value must stop exp, dpsd
+# and dps_node at startup with an error naming its section, key and line, a malformed
 # flag must stop exp, dpsd and dps_node naming the flag, each tool's --help
 # must list exactly its flags, and the shipped configs/dps.ini must load
 # and run. Registered with ctest by tests/CMakeLists.txt, which passes the
@@ -59,6 +59,26 @@ printf '[net]\nround_deadline_s = abc\n' > "$WORK/bad_net.ini"
 expect_rejected "[net]: round_deadline_s" \
   "$BUILD_DIR/tools/dpsd" --units 1 --port 0 --config "$WORK/bad_net.ini"
 grep -q "at line 2" "$WORK/err"
+# dps_node reads the same file's [net].
+expect_rejected "[net]: round_deadline_s" \
+  "$BUILD_DIR/tools/dps_node" --simulate 1 --config "$WORK/bad_net.ini"
+grep -q "at line 2" "$WORK/err"
+printf '[dps]\nhistory_length = 20\n\n[net]\nreconnect_max_attempts = 0\n' \
+  > "$WORK/bad_client.ini"
+expect_rejected "[net]: reconnect_max_attempts" \
+  "$BUILD_DIR/tools/dps_node" --simulate 1 --config "$WORK/bad_client.ini"
+grep -q "at line 5" "$WORK/err"
+# A flag overrides the file's key: with --attempts 1 the same file
+# configures a client, whose one attempt at a closed local port fails with
+# exit 1, not the configuration error's 2.
+status=0
+bounded "$BUILD_DIR/tools/dps_node" --simulate 1 --port 1 --attempts 1 \
+  --config "$WORK/bad_client.ini" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "FAIL: dps_node --attempts over the file's key: status $status" >&2
+  cat "$WORK/err" >&2
+  exit 1
+fi
 
 # --manager slurm builds SLURM from the file's [stateless], in dpsd as in
 # exp, so a value its controller refuses stops both.
@@ -106,8 +126,8 @@ expect_flags dpsd --units --port --budget --tdp --min-cap --manager \
   --config --period --rounds --bind-any --round-deadline --checkpoint \
   --checkpoint-interval --restore --parent-host --parent-port --parent-unit \
   --obs-metrics --obs-events --obs-trace
-expect_flags dps_node --host --port --sysfs --simulate --seed --failsafe-cap \
-  --attempts --backoff-base --backoff-max
+expect_flags dps_node --host --port --sysfs --simulate --seed --config \
+  --failsafe-cap --attempts --backoff-base --backoff-max
 
 "$BUILD_DIR/tools/exp" --config "$SOURCE_DIR/configs/dps.ini" --repeats 1 \
   > "$WORK/out"

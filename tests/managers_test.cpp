@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "experiments/pair_runner.hpp"
 #include "managers/constant.hpp"
 #include "managers/feedback.hpp"
 #include "managers/mimd.hpp"
@@ -387,6 +391,42 @@ TEST(Oracle, BudgetInvariantUnderRandomDemands) {
 
 TEST(Oracle, RequiresProbe) {
   EXPECT_THROW(OracleManager(nullptr), std::invalid_argument);
+}
+
+// --- Every manager kind ---
+
+// A manager that keeps per-unit state sizes it in reset(); spans of any
+// other length must be refused before anything is read or written, not
+// run past the state (a 4-unit reset decided over 8-unit spans wrote past
+// the stateless module's arrays). The feedback shifter keeps none, but it
+// reads one reading per cap, so it refuses them too.
+TEST(ManagerKinds, StatefulKindsRefuseSpansOfAnotherUnitCount) {
+  for (const ManagerKind kind : {ManagerKind::kSlurm, ManagerKind::kOracle,
+                                 ManagerKind::kDps, ManagerKind::kFeedback,
+                                 ManagerKind::kP2p}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto manager = make_manager(
+        kind, DpsConfig{}, slurm_plugin_defaults(),
+        [](std::span<Watts> demand) {
+          std::fill(demand.begin(), demand.end(), 120.0);
+        });
+    const auto ctx = make_ctx(4);
+    manager->reset(ctx);
+    for (const auto& [units_power, units_caps] :
+         {std::pair{8, 8}, std::pair{4, 8}, std::pair{8, 4}, std::pair{3, 3},
+          std::pair{0, 0}}) {
+      const std::vector<Watts> power(static_cast<std::size_t>(units_power),
+                                     100.0);
+      std::vector<Watts> caps(static_cast<std::size_t>(units_caps), 110.0);
+      EXPECT_THROW(manager->decide(power, caps), std::invalid_argument)
+          << units_power << " readings, " << units_caps << " caps";
+    }
+    // The refusals left the manager usable.
+    const std::vector<Watts> power(4, 100.0);
+    std::vector<Watts> caps(4, ctx.constant_cap());
+    manager->decide(power, caps);
+    EXPECT_LE(sum_of(caps), ctx.total_budget + 1e-6);
+  }
 }
 
 }  // namespace

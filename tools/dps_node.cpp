@@ -13,6 +13,7 @@
 /// Examples:
 ///   dps_node --host 10.0.0.1 --port 9571 --sysfs
 ///   dps_node --port 9571 --simulate 2 --seed 7
+///   dps_node --port 9571 --simulate 2 --config configs/dps.ini
 
 #include <algorithm>
 #include <atomic>
@@ -32,14 +33,15 @@ namespace {
 
 using namespace dps;
 
-/// dps_node's own options. The reconnect and failsafe flags set [net] keys,
-/// and every client takes that NetConfig.
+/// dps_node's own options. The reconnect and failsafe flags set [net] keys
+/// over the --config file's, and every client takes that NetConfig.
 struct Options {
   std::string host = "127.0.0.1";
   int port = 9571;
   std::string sysfs;  // the powercap root; empty: not the sysfs backend
   int simulate = 0;
   std::size_t seed = 1;
+  std::string config;
 };
 
 const Section<Options>& options_section() {
@@ -53,7 +55,10 @@ const Section<Options>& options_section() {
          .implicit = SysfsRapl::kDefaultRoot}},
        {"--simulate", &O::simulate, Range::at_least(0),
         {.help = "drive this many synthetic units instead"}},
-       {"--seed", &O::seed, {}, {.help = "random-walk seed for --simulate"}}},
+       {"--seed", &O::seed, {}, {.help = "random-walk seed for --simulate"}},
+       {"--config", &O::config, {},
+        {.help = "INI whose [net] the clients use; a flag overrides its "
+                 "key"}}},
       {{"--sysfs", "or --simulate N: pass exactly one", nullptr,
         [](const O& o) { return o.sysfs.empty() == (o.simulate > 0); }}}};
   return section;
@@ -98,7 +103,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     read_section(*flags, options_section(), options);
-    net = net_config_from_ini(*flags);
+    // [net] from the file with the flags applied over it, as in dpsd.
+    IniFile ini;
+    if (!options.config.empty()) ini = IniFile::load(options.config);
+    ini.merge(*flags);
+    net = net_config_from_ini(ini);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "dps_node: %s\n", error.what());
     return 2;
