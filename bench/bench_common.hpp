@@ -13,8 +13,14 @@
 ///                concurrency; DPS_JOBS=1 reproduces the serial path).
 ///                Output is byte-identical at any value — see
 ///                docs/performance.md for the determinism contract.
+/// A knob that is set but does not parse, or is out of range, stops the
+/// bench before any work with exit status 2 and a message naming it.
 
+#include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,10 +32,31 @@
 
 namespace dps::bench {
 
+/// The integer knob `name` (`fallback` when unset), in [min, max]. A value
+/// that does not parse or lies outside the range ends the process with
+/// exit status 2 and a message naming the knob and its value.
+inline long int_knob(const char* name, long fallback, long min,
+                     long max = INT_MAX) {
+  try {
+    const long value = env_int(name, fallback);
+    if (value >= min && value <= max) return value;
+    std::fprintf(stderr, "%s must be in [%ld, %ld], got '%s'\n", name, min,
+                 max, std::getenv(name));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+  }
+  std::exit(2);
+}
+
+/// DPS_REPEATS and DPS_SEED, with DPS_JOBS checked too, so a bad knob
+/// stops the bench before any work.
 inline ExperimentParams params_from_env() {
   ExperimentParams params;
-  params.repeats = static_cast<int>(env_int("DPS_REPEATS", 2));
-  params.seed = static_cast<std::uint64_t>(env_int("DPS_SEED", 42));
+  params.repeats = static_cast<int>(int_knob("DPS_REPEATS", 2, 1));
+  params.seed =
+      static_cast<std::uint64_t>(int_knob("DPS_SEED", 42, 0, LONG_MAX));
+  // sweep_jobs() reads it later and clamps values below 1 to 1.
+  int_knob("DPS_JOBS", 1, LONG_MIN, LONG_MAX);
   return params;
 }
 

@@ -179,11 +179,14 @@ struct SizeRow {
 
 int main() {
   using namespace dps;
-  const int max_units = static_cast<int>(env_int("DPS_SCALE_MAX", 100000));
-  const int rounds = static_cast<int>(env_int("DPS_SCALE_ROUNDS", 60));
-  const int shard = static_cast<int>(env_int("DPS_SCALE_SHARD", 32));
+  const int max_units =
+      static_cast<int>(bench::int_knob("DPS_SCALE_MAX", 100000, 1));
+  const int rounds =
+      static_cast<int>(bench::int_knob("DPS_SCALE_ROUNDS", 60, 1));
+  const int shard =
+      static_cast<int>(bench::int_knob("DPS_SCALE_SHARD", 32, 1));
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(env_int("DPS_SEED", 42));
+      static_cast<std::uint64_t>(bench::int_knob("DPS_SEED", 42, 0, LONG_MAX));
   const std::string json_path =
       env_string("DPS_BENCH_JSON", "BENCH_scale.json");
 

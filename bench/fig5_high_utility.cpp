@@ -27,7 +27,7 @@
 int main() {
   using namespace dps;
   PairRunner runner(dps::bench::params_from_env());
-  const bool full = env_int("DPS_FULL", 0) != 0;
+  const bool full = dps::bench::int_knob("DPS_FULL", 0, 0, 1) == 1;
 
   const auto all = spark_mid_high_names();
   std::vector<std::pair<std::string, std::string>> pairs;
@@ -72,9 +72,7 @@ int main() {
     }
   }
 
-  std::printf("(a) each workload's own hmean gain vs constant:\n");
   Table table_a({"workload", "slurm", "dps"});
-  std::printf("(b) pair hmean gain (workload + paired partner):\n\n");
   Table table_b({"workload", "slurm", "dps", "slurm fairness",
                  "dps fairness"});
   std::vector<double> slurm_pairs, dps_pairs, slurm_fair, dps_fair;
@@ -95,8 +93,9 @@ int main() {
     slurm_fair.push_back(sf);
     dps_fair.push_back(df);
   }
+  std::printf("(a) each workload's own hmean gain vs constant:\n\n");
   table_a.print();
-  std::printf("\n");
+  std::printf("\n(b) pair hmean gain (workload + paired partner):\n\n");
   table_b.print();
 
   std::printf(

@@ -104,7 +104,7 @@ void print_group(const char* title, const GroupResult& result) {
 int main() {
   using namespace dps;
   PairRunner runner(dps::bench::params_from_env());
-  const bool full = env_int("DPS_FULL", 0) != 0;
+  const bool full = dps::bench::int_knob("DPS_FULL", 0, 0, 1) == 1;
 
   std::printf("Figure 7 reproduction: fairness of the high-utility groups.\n\n");
 

@@ -105,7 +105,7 @@ std::string slurp(const std::string& path) {
 int main() {
   using namespace dps;
   const auto tasks = fixed_grid();
-  const int repeats = static_cast<int>(env_int("DPS_REPEATS", 1));
+  const int repeats = static_cast<int>(bench::int_knob("DPS_REPEATS", 1, 1));
   const int jobs = sweep_jobs();
   const double min_speedup = env_double("DPS_PERF_MIN_SPEEDUP", 0.0);
   const double min_steps_per_s = env_double("DPS_PERF_MIN_STEPS_PER_S", 0.0);

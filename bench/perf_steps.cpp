@@ -186,10 +186,11 @@ Scenario run_tree10k(int rounds, std::uint64_t seed) {
 
 int main() {
   using namespace dps;
-  const int repeats = static_cast<int>(env_int("DPS_REPEATS", 1));
-  const int rounds = static_cast<int>(env_int("DPS_STEPS_ROUNDS", 300));
+  const int repeats = static_cast<int>(bench::int_knob("DPS_REPEATS", 1, 1));
+  const int rounds =
+      static_cast<int>(bench::int_knob("DPS_STEPS_ROUNDS", 300, 1));
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(env_int("DPS_SEED", 42));
+      static_cast<std::uint64_t>(bench::int_knob("DPS_SEED", 42, 0, LONG_MAX));
   const double min_steps =
       env_double("DPS_PERF_MIN_STEPS_PER_S", 0.0);
   const std::string json_path =

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Config-rejection smoke test: a malformed INI value must stop exp, dpsd
 # and dps_node at startup with an error naming its section, key and line, a malformed
-# flag must stop exp, dpsd and dps_node naming the flag, each tool's --help
-# must list exactly its flags, and the shipped configs/dps.ini must load
-# and run. Registered with ctest by tests/CMakeLists.txt, which passes the
-# build directory as $1.
+# flag must stop exp, dpsd and dps_node naming the flag, a malformed bench
+# knob must stop a bench naming the knob, each tool's --help must list
+# exactly its flags, and the shipped configs/dps.ini must load and run.
+# Registered with ctest by tests/CMakeLists.txt, which passes the build
+# directory as $1.
 set -eu
 
 BUILD_DIR="${1:?usage: config_smoke_test.sh <build_dir>}"
@@ -101,6 +102,21 @@ expect_rejected "--attempts" "$BUILD_DIR/tools/dps_node" --simulate 1 \
 # A parent port without a parent host is refused, not run as a root.
 expect_rejected "[ctrl]: parent_port needs a parent_host from --parent-port" \
   "$BUILD_DIR/tools/dpsd" --units 1 --port 0 --parent-port 9570
+
+# expect_knob_rejected <NAME=value>: a bench knob that does not parse or is
+# out of range stops the bench before any work with exit 2, naming the knob.
+expect_knob_rejected() {
+  status=0
+  bounded env "$1" DPS_OUT="$WORK" "$BUILD_DIR/bench/table4_npb_workloads" ||
+    status=$?
+  if [ "$status" -ne 2 ] || ! grep -qF -- "${1%%=*}" "$WORK/err"; then
+    echo "FAIL: $1 table4_npb_workloads: status $status" >&2
+    cat "$WORK/err" >&2
+    exit 1
+  fi
+}
+expect_knob_rejected DPS_REPEATS=1x
+expect_knob_rejected DPS_REPEATS=0
 
 # expect_flags <tool> <flag...>: --help (and -h) lists exactly these flags.
 expect_flags() {

@@ -1,8 +1,9 @@
 // Tests of the hierarchical control plane (src/ctrl/): the in-sim
 // TreeController (sharding, invariants, parallel determinism, tree
 // checkpoints) and the TCP AggregatorNode (the root serving and
-// checkpointing like a flat controller, a two-level tree over loopback,
-// restart from a checkpoint while a sibling keeps running).
+// checkpointing like a flat controller, the root replaying an engine run
+// cap for cap, a two-level tree over loopback, restart from a checkpoint
+// while a sibling keeps running).
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,12 @@
 #include "ctrl/aggregator.hpp"
 #include "ctrl/ctrl_config.hpp"
 #include "ctrl/tree.hpp"
+#include "experiments/pair_runner.hpp"
+#include "experiments/registry.hpp"
 #include "managers/slurm_stateless.hpp"
+#include "net/protocol.hpp"
 #include "obs/sink.hpp"
+#include "sim/engine.hpp"
 #include "util/bytes.hpp"
 #include "util/ini.hpp"
 
@@ -576,6 +581,139 @@ TEST(ControlTree, RootNodeRestoresFlatCheckpoint) {
   warm.decide(root.server().last_power(), caps);
   EXPECT_EQ(root.server().last_caps(), caps);
 }
+
+/// Puts each reading through the 3-byte codec before the wrapped manager
+/// decides, which is exactly what the wire does to a live controller's
+/// inputs, and records the raw readings and the caps of every step.
+class WireRoundedManager final : public PowerManager {
+ public:
+  explicit WireRoundedManager(PowerManager& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  void reset(const ManagerContext& ctx) override {
+    ctx_ = ctx;
+    inner_.reset(ctx);
+  }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override {
+    readings_.emplace_back(power.begin(), power.end());
+    std::vector<Watts> wired(power.size());
+    for (std::size_t u = 0; u < power.size(); ++u) {
+      wired[u] = decode(encode({MessageType::kPowerReport, power[u]}))->value;
+    }
+    inner_.decide(wired, caps);
+    caps_.emplace_back(caps.begin(), caps.end());
+  }
+  void update_budget(Watts budget) override { inner_.update_budget(budget); }
+  void set_obs(const obs::ObsSink& sink) override { inner_.set_obs(sink); }
+
+  const ManagerContext& ctx() const { return ctx_; }
+  const std::vector<std::vector<Watts>>& readings() const { return readings_; }
+  const std::vector<std::vector<Watts>>& caps() const { return caps_; }
+
+ private:
+  PowerManager& inner_;
+  ManagerContext ctx_;
+  std::vector<std::vector<Watts>> readings_;
+  std::vector<std::vector<Watts>> caps_;
+};
+
+/// The values of `kind` events, in stream order.
+std::vector<double> event_values(const obs::ObsSink& sink,
+                                 obs::EventKind kind) {
+  std::vector<double> values;
+  for (const auto& event : sink.observer()->events().snapshot()) {
+    if (event.kind == kind) values.push_back(event.value);
+  }
+  return values;
+}
+
+std::uint64_t counter_value(const obs::ObsSink& sink, const char* name) {
+  return sink.observer()->metrics().counter(name).value();
+}
+
+/// The live control plane decides what the engine decides: a Fig. 6 cell
+/// (LDA x EP) runs through SimulationEngine with its readings rounded as
+/// the wire rounds them, then 20 NodeClients replay the recorded readings
+/// to a root AggregatorNode running a fresh manager of the same kind over
+/// loopback. Every round's caps must equal the engine's exactly.
+class LiveReplay : public ::testing::TestWithParam<ManagerKind> {};
+
+TEST_P(LiveReplay, RootDecidesTheEngineCapsExactly) {
+  constexpr int kRounds = 1000;
+  const ManagerKind kind = GetParam();
+
+  EngineConfig config;
+  config.target_completions = 1;
+  config.max_time = kRounds;
+  config.obs = obs::ObsSink::create(1 << 18);
+  const auto engine_manager = make_manager(kind);
+  WireRoundedManager engine(*engine_manager);
+  const auto result = run_pair(workload_by_name("LDA"),
+                               workload_by_name("EP"), engine, config);
+  ASSERT_EQ(result.steps, kRounds);
+  const int units = engine.ctx().num_units;
+
+  const obs::ObsSink obs = obs::ObsSink::create(1 << 18);
+  const auto live_manager = make_manager(kind);
+  AggregatorNode root(*live_manager, engine.ctx(), CtrlConfig{});
+  root.set_obs(obs);
+  std::vector<std::thread> clients;
+  for (int u = 0; u < units; ++u) {
+    clients.emplace_back([&engine, port = root.port(), u] {
+      const auto& readings = engine.readings();
+      std::size_t next = 0;
+      // After the last round the client reports once more and is told to
+      // shut down; that report is never decided on.
+      NodeClient client(
+          [&]() -> Watts {
+            return next < readings.size() ? readings[next++][u] : 0.0;
+          },
+          [](Watts) {}, NetConfig{}, 1, u);
+      client.connect(port);
+      client.run();
+    });
+  }
+  root.accept_children();
+  root.begin();
+  int rounds = 0;
+  for (; rounds < kRounds; ++rounds) {
+    if (!root.run_round()) break;
+    const auto& expected = engine.caps()[static_cast<std::size_t>(rounds)];
+    EXPECT_EQ(root.server().last_caps(), expected)
+        << to_string(kind) << " round " << rounds;
+    if (root.server().last_caps() != expected) break;
+  }
+  root.shutdown_children();
+  join_all(clients);
+  EXPECT_EQ(rounds, kRounds);
+
+  EXPECT_EQ(event_values(obs, obs::EventKind::kDecision),
+            event_values(config.obs, obs::EventKind::kDecision));
+  EXPECT_EQ(count_events(obs, obs::EventKind::kClientTimeout), 0);
+  if (kind == ManagerKind::kDps) {
+    EXPECT_GE(counter_value(obs, "dps_restore_rounds_total"), 1u);
+    EXPECT_GE(counter_value(obs, "dps_priority_promotions_total") +
+                  counter_value(obs, "dps_priority_demotions_total"),
+              1u);
+  }
+  // The cap_write streams differ by design: the engine writes every cap
+  // that moved at all, the server only caps that moved by half the wire
+  // resolution or more (and every cap on the first round).
+  const int engine_writes = count_events(config.obs, obs::EventKind::kCapWrite);
+  const int live_writes = count_events(obs, obs::EventKind::kCapWrite);
+  RecordProperty("engine_cap_writes", engine_writes);
+  RecordProperty("live_cap_writes", live_writes);
+  std::printf("%s: %d rounds, cap_write events engine %d, live %d\n",
+              to_string(kind), rounds, engine_writes, live_writes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Managers, LiveReplay,
+    ::testing::Values(ManagerKind::kConstant, ManagerKind::kSlurm,
+                      ManagerKind::kDps),
+    [](const ::testing::TestParamInfo<ManagerKind>& info) {
+      return std::string(to_string(info.param));
+    });
 
 /// Two-level tree over real TCP: a root controller (per-unit-normalized
 /// context) over two aggregators, each serving two leaf clients. Shard 0

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <vector>
 
 #include "managers/constant.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/perf_model.hpp"
+#include "sim/sim_node.hpp"
 #include "sim/trace.hpp"
+#include "util/rng.hpp"
+#include "workloads/npb_suite.hpp"
 #include "workloads/spark_suite.hpp"
 
 namespace dps {
@@ -311,6 +316,72 @@ TEST(Engine, RejectsBadConfig) {
   EngineConfig bad;
   bad.dt = 0.0;
   EXPECT_THROW(SimulationEngine{bad}, std::invalid_argument);
+}
+
+// --- SimNode ---
+
+/// Sets every cap to 60, 110 and 165 W in turn, 7 steps each, and records
+/// the readings it is given.
+class ScriptedCaps final : public PowerManager {
+ public:
+  static Watts cap_at(int step) {
+    constexpr Watts kCaps[] = {60.0, 110.0, 165.0};
+    return kCaps[(step / 7) % 3];
+  }
+
+  std::string_view name() const override { return "scripted"; }
+  void reset(const ManagerContext&) override { readings.clear(); }
+  void decide(std::span<const Watts> power, std::span<Watts> caps) override {
+    const int step = static_cast<int>(readings.size());
+    readings.push_back(power[0]);
+    std::fill(caps.begin(), caps.end(), cap_at(step));
+  }
+  void update_budget(Watts) override {}
+
+  std::vector<Watts> readings;
+};
+
+/// A SimNode reads bit for bit what a one-socket engine run keyed on the
+/// same (seed, unit) reads under the same caps, so the node's calls keep
+/// the engine's step order.
+void expect_node_matches_engine(const WorkloadSpec& spec) {
+  constexpr std::uint64_t kSeed = 7;
+  constexpr int kUnit = 3;
+  constexpr int kSteps = 400;
+  Cluster cluster({GroupSpec{spec, 1, mix_seed(kSeed, kUnit)}});
+  RaplSimConfig rapl_config;
+  rapl_config.noise_seed = mix_seed(kSeed, kUnit, 0x7261706cULL);
+  SimulatedRapl rapl(1, rapl_config);
+  EngineConfig config;
+  config.total_budget = 110.0;
+  config.target_completions = 1000;
+  config.max_time = kSteps;
+  ScriptedCaps manager;
+  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
+  ASSERT_EQ(result.steps, kSteps);
+
+  SimNode node(spec, kSeed, kUnit);
+  node.apply(110.0);  // the engine starts from the constant allocation
+  for (int step = 0; step < kSteps; ++step) {
+    const Watts reading = node.report();
+    ASSERT_EQ(reading, manager.readings[static_cast<std::size_t>(step)])
+        << spec.name << " step " << step;
+    node.apply(ScriptedCaps::cap_at(step));
+  }
+  ASSERT_FALSE(node.completions().empty());
+  ASSERT_EQ(node.completions().size(), result.completions[0].size());
+  for (std::size_t i = 0; i < node.completions().size(); ++i) {
+    EXPECT_EQ(node.completions()[i].end, result.completions[0][i].end);
+  }
+  EXPECT_EQ(node.spec().name, spec.name);
+}
+
+TEST(SimNode, ReadsLikeTheEngineOnAPhasedWorkload) {
+  expect_node_matches_engine(spark_workload("Bayes"));
+}
+
+TEST(SimNode, ReadsLikeTheEngineOnASustainedWorkload) {
+  expect_node_matches_engine(npb_workload("MG"));
 }
 
 // --- Trace recorder ---

@@ -185,8 +185,18 @@ TEST(Env, ParsesSetValues) {
   ::setenv("DPS_TEST_KNOB", "2.25", 1);
   EXPECT_DOUBLE_EQ(env_double("DPS_TEST_KNOB", 1.5), 2.25);
   ::setenv("DPS_TEST_KNOB", "abc", 1);
-  EXPECT_EQ(env_int("DPS_TEST_KNOB", 42), 42);  // unparsable -> fallback
+  EXPECT_THROW(env_int("DPS_TEST_KNOB", 42), std::invalid_argument);
+  EXPECT_THROW(env_double("DPS_TEST_KNOB", 1.5), std::invalid_argument);
   EXPECT_EQ(env_string("DPS_TEST_KNOB", "dflt"), "abc");
+  ::setenv("DPS_TEST_KNOB", "1x", 1);
+  try {
+    env_int("DPS_TEST_KNOB", 42);
+    ADD_FAILURE() << "a trailing character must not parse";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "DPS_TEST_KNOB must be an integer, got '1x'");
+  }
+  ::setenv("DPS_TEST_KNOB", "99999999999999999999", 1);  // beyond a long
+  EXPECT_THROW(env_int("DPS_TEST_KNOB", 42), std::invalid_argument);
   ::unsetenv("DPS_TEST_KNOB");
 }
 

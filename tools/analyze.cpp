@@ -1,14 +1,17 @@
 /// analyze — post-process a recorded telemetry trace (the counterpart of
 /// the paper artifact's analysis/plotting scripts, printing tables instead
-/// of figures). Input: the CSV format TraceRecorder / `exp --trace` /
-/// `trace_explorer` emit.
+/// of figures). Input: the CSV format TraceRecorder and `exp --trace`
+/// emit.
 ///
 /// Usage:
 ///   analyze <trace.csv> [--split N]
 ///
 /// --split N treats units [0, N) as cluster A and [N, end) as cluster B
-/// (default: half/half), for the satisfaction/fairness computation.
+/// (default: half/half), for the satisfaction/fairness computation. The
+/// first unit of each cluster also gets an ASCII timeline of its demand,
+/// power and cap.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,6 +20,28 @@
 #include "util/csv.hpp"
 #include "util/ini.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// One character per time bucket of `series` (72 buckets, or a few more
+/// when the length does not divide): the bucket's mean as a 0-9 level of
+/// the paper's 165 W TDP.
+std::string sparkline(const std::vector<double>& series) {
+  std::string line;
+  if (series.empty()) return line;
+  const std::size_t per_bucket = std::max<std::size_t>(1, series.size() / 72);
+  for (std::size_t i = 0; i < series.size(); i += per_bucket) {
+    const std::size_t end = std::min(series.size(), i + per_bucket);
+    double sum = 0.0;
+    for (std::size_t j = i; j < end; ++j) sum += series[j];
+    const double mean = sum / static_cast<double>(end - i);
+    line += static_cast<char>(
+        '0' + std::clamp(static_cast<int>(mean / 165.0 * 9.0), 0, 9));
+  }
+  return line;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dps;
@@ -61,7 +86,9 @@ int main(int argc, char** argv) {
     }
     table.print();
 
+    std::vector<int> first_units = {0};  // of each cluster
     if (split > 0 && split < units) {
+      first_units.push_back(split);
       std::vector<int> group_a, group_b;
       for (int u = 0; u < split; ++u) group_a.push_back(u);
       for (int u = split; u < units; ++u) group_b.push_back(u);
@@ -69,6 +96,16 @@ int main(int argc, char** argv) {
                   split - 1, split, units - 1,
                   trace.group_fairness(group_a, group_b));
     }
+
+    std::printf("\n");
+    for (const int u : first_units) {
+      const UnitTrace& series = trace.unit(u);
+      std::printf("unit %d:\n  demand %s\n  power  %s\n  cap    %s\n\n", u,
+                  sparkline(series.demand).c_str(),
+                  sparkline(series.true_power).c_str(),
+                  sparkline(series.cap).c_str());
+    }
+    std::printf("(each char is a time bucket; 0-9 scales 0-165 W)\n");
   } catch (const std::exception& error) {
     std::fprintf(stderr, "analyze: %s\n", error.what());
     return 1;

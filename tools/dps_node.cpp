@@ -6,16 +6,18 @@
 ///   --sysfs [ROOT]   real Intel RAPL through the Linux powercap tree
 ///                    (one connection per package domain; needs root to
 ///                    write caps);
-///   --simulate N     N synthetic units following a random-walk power
-///                    trace — lets the whole control plane be exercised on
+///   --simulate N     N simulated nodes (SimNode: one socket and its
+///                    RAPL) — lets the whole control plane be exercised on
 ///                    any machine (this is what the smoke test drives).
+///                    Unit u plays the paper workload
+///                    all_workload_names()[(seed + u) % 19], keyed on
+///                    (seed, u).
 ///
 /// Examples:
 ///   dps_node --host 10.0.0.1 --port 9571 --sysfs
 ///   dps_node --port 9571 --simulate 2 --seed 7
 ///   dps_node --port 9571 --simulate 2 --config configs/dps.ini
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -23,11 +25,12 @@
 #include <thread>
 #include <vector>
 
+#include "experiments/registry.hpp"
 #include "net/client.hpp"
 #include "net/net_config.hpp"
 #include "power/rapl_sysfs.hpp"
+#include "sim/sim_node.hpp"
 #include "util/config_table.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -54,8 +57,10 @@ const Section<Options>& options_section() {
         {.help = "drive the real RAPL domains under this powercap root",
          .implicit = SysfsRapl::kDefaultRoot}},
        {"--simulate", &O::simulate, Range::at_least(0),
-        {.help = "drive this many synthetic units instead"}},
-       {"--seed", &O::seed, {}, {.help = "random-walk seed for --simulate"}},
+        {.help = "drive this many simulated nodes instead"}},
+       {"--seed", &O::seed, {},
+        {.help = "--simulate: unit u plays workload (seed + u) mod 19 of "
+                 "exp --list, keyed on (seed, u)"}},
        {"--config", &O::config, {},
         {.help = "INI whose [net] the clients use; a flag overrides its "
                  "key"}}},
@@ -63,26 +68,6 @@ const Section<Options>& options_section() {
         [](const O& o) { return o.sysfs.empty() == (o.simulate > 0); }}}};
   return section;
 }
-
-/// Synthetic unit for --simulate: a bounded random walk that respects the
-/// cap it is given, mimicking a capped socket.
-class SimulatedUnit {
- public:
-  explicit SimulatedUnit(std::uint64_t seed)
-      : rng_(seed), level_(rng_.uniform(40.0, 150.0)) {}
-
-  Watts read_power() {
-    level_ = std::clamp(level_ + rng_.normal(0.0, 6.0), 22.0, 160.0);
-    return std::min(level_, cap_);
-  }
-
-  void set_cap(Watts cap) { cap_ = cap; }
-
- private:
-  Rng rng_;
-  double level_;
-  Watts cap_ = 165.0;
-};
 
 }  // namespace
 
@@ -117,15 +102,23 @@ int main(int argc, char** argv) {
   // good reports it and ends its thread; the others run on.
   std::atomic<bool> failed{false};
   std::vector<std::thread> unit_threads;
+  // A simulated unit's end line also names the workload its node played
+  // and the runs it completed.
   auto start = [&](int u, std::uint64_t jitter_seed,
-                   NodeClient::PowerSource source, NodeClient::CapSink sink) {
+                   NodeClient::PowerSource source, NodeClient::CapSink sink,
+                   std::shared_ptr<const SimNode> node) {
     unit_threads.emplace_back([=, &failed] {
       try {
         NodeClient client(source, sink, net, jitter_seed);
         const int rounds = client.run_resilient(
             static_cast<std::uint16_t>(options.port), options.host);
-        std::printf("dps_node: unit %d finished after %d rounds\n", u,
-                    rounds);
+        const std::string played =
+            node ? " (" + node->spec().name + ", " +
+                       std::to_string(node->completions().size()) +
+                       " runs completed)"
+                 : "";
+        std::printf("dps_node: unit %d finished after %d rounds%s\n", u,
+                    rounds, played.c_str());
       } catch (const std::exception& error) {
         std::fprintf(stderr, "dps_node: unit %d: fatal: %s\n", u,
                      error.what());
@@ -141,17 +134,19 @@ int main(int argc, char** argv) {
       for (int u = 0; u < rapl->num_units(); ++u) {
         start(u, 0x9d5ULL + static_cast<std::uint64_t>(u),
               [rapl, u] { return rapl->read_power(u); },
-              [rapl, u](Watts cap) { rapl->set_cap(u, cap); });
+              [rapl, u](Watts cap) { rapl->set_cap(u, cap); }, nullptr);
       }
     } else {
       std::printf("dps_node: %d simulated units -> %s:%d\n",
                   options.simulate, options.host.c_str(), options.port);
+      const auto names = all_workload_names();
       for (int u = 0; u < options.simulate; ++u) {
-        const auto unit = std::make_shared<SimulatedUnit>(
-            options.seed + static_cast<std::uint64_t>(u) * 7919);
+        const auto node = std::make_shared<SimNode>(
+            workload_by_name(names[(options.seed + u) % names.size()]),
+            options.seed, u);
         start(u, options.seed + static_cast<std::uint64_t>(u) * 31,
-              [unit] { return unit->read_power(); },
-              [unit](Watts cap) { unit->set_cap(cap); });
+              [node] { return node->report(); },
+              [node](Watts cap) { node->apply(cap); }, node);
       }
     }
   } catch (const std::exception& error) {
