@@ -17,6 +17,7 @@
 /// bench before any work with exit status 2 and a message naming it.
 
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -48,6 +49,27 @@ inline long int_knob(const char* name, long fallback, long min,
   std::exit(2);
 }
 
+/// The floating-point knob `name` (`fallback` when unset), finite and at
+/// least `min`. Otherwise the process ends as int_knob ends it.
+inline double double_knob(const char* name, double fallback, double min) {
+  try {
+    const double value = env_double(name, fallback);
+    if (std::isfinite(value) && value >= min) return value;
+    std::fprintf(stderr, "%s must be a finite number >= %g, got '%s'\n",
+                 name, min, std::getenv(name));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+  }
+  std::exit(2);
+}
+
+/// sweep_jobs(), once DPS_JOBS has passed int_knob's check (sweep_jobs()
+/// clamps values below 1 to 1).
+inline int jobs_knob() {
+  int_knob("DPS_JOBS", 1, LONG_MIN, LONG_MAX);
+  return sweep_jobs();
+}
+
 /// DPS_REPEATS and DPS_SEED, with DPS_JOBS checked too, so a bad knob
 /// stops the bench before any work.
 inline ExperimentParams params_from_env() {
@@ -55,8 +77,7 @@ inline ExperimentParams params_from_env() {
   params.repeats = static_cast<int>(int_knob("DPS_REPEATS", 2, 1));
   params.seed =
       static_cast<std::uint64_t>(int_knob("DPS_SEED", 42, 0, LONG_MAX));
-  // sweep_jobs() reads it later and clamps values below 1 to 1.
-  int_knob("DPS_JOBS", 1, LONG_MIN, LONG_MAX);
+  jobs_knob();
   return params;
 }
 

@@ -10,7 +10,9 @@
 ///   * the observability tax (src/obs/): the same DPS decide step and a
 ///     full engine run with the sink disabled (arg 0, must match the
 ///     uninstrumented numbers — compiled-in hooks are null checks) and
-///     enabled (arg 1, budgeted at <= 2 % on the engine run).
+///     enabled (arg 1, budgeted at <= 2 % on the engine run);
+///   * the simulated fleet's bind cost: building and stepping a Cluster of
+///     1,000 and 10,000 units.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +23,7 @@
 #include "core/dps_manager.hpp"
 #include "core/history.hpp"
 #include "core/priority_module.hpp"
+#include "experiments/registry.hpp"
 #include "managers/oracle.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "net/client.hpp"
@@ -28,6 +31,7 @@
 #include "obs/sink.hpp"
 #include "signal/kalman.hpp"
 #include "signal/peaks.hpp"
+#include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
@@ -155,6 +159,35 @@ void BM_EngineRunObs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineRunObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Binding cost of the simulated fleet: build a Cluster of 20-socket
+/// groups cycling the 19 registry workloads (as perfbench's fleet_tree
+/// does at 100k units) and step it 16 times under unbounded caps. Every
+/// unit binds a realization at construction, so this tracks what a bind
+/// costs and what the first pieces of each run cost to draw.
+void BM_ClusterBuild(benchmark::State& state) {
+  const auto units = static_cast<int>(state.range(0));
+  std::vector<WorkloadSpec> specs;
+  for (const auto& name : all_workload_names()) {
+    specs.push_back(workload_by_name(name));
+  }
+  const std::vector<Watts> caps(static_cast<std::size_t>(units), 165.0);
+  std::vector<Watts> power(static_cast<std::size_t>(units));
+  for (auto _ : state) {
+    std::vector<GroupSpec> groups;
+    for (int g = 0; g < units / 20; ++g) {
+      groups.emplace_back(specs[static_cast<std::size_t>(g) % specs.size()],
+                          20, mix_seed(7, static_cast<std::uint64_t>(g)));
+    }
+    Cluster cluster(std::move(groups));
+    for (int step = 0; step < 16; ++step) cluster.step(1.0, caps, power);
+    benchmark::DoNotOptimize(power.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * units);
+}
+BENCHMARK(BM_ClusterBuild)->Arg(1000)->Arg(10000)->Unit(
+    benchmark::kMillisecond);
 
 void BM_KalmanUpdate(benchmark::State& state) {
   Kalman1D kf(4.0, 4.0, 100.0, 4.0);

@@ -106,9 +106,11 @@ int main() {
   using namespace dps;
   const auto tasks = fixed_grid();
   const int repeats = static_cast<int>(bench::int_knob("DPS_REPEATS", 1, 1));
-  const int jobs = sweep_jobs();
-  const double min_speedup = env_double("DPS_PERF_MIN_SPEEDUP", 0.0);
-  const double min_steps_per_s = env_double("DPS_PERF_MIN_STEPS_PER_S", 0.0);
+  const int jobs = bench::jobs_knob();
+  const double min_speedup =
+      bench::double_knob("DPS_PERF_MIN_SPEEDUP", 0.0, 0.0);
+  const double min_steps_per_s =
+      bench::double_knob("DPS_PERF_MIN_STEPS_PER_S", 0.0, 0.0);
   const std::string json_path =
       env_string("DPS_BENCH_JSON", "BENCH_sweep.json");
   const std::string out = dps::bench::out_dir();

@@ -192,7 +192,7 @@ int main() {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(bench::int_knob("DPS_SEED", 42, 0, LONG_MAX));
   const double min_steps =
-      env_double("DPS_PERF_MIN_STEPS_PER_S", 0.0);
+      bench::double_knob("DPS_PERF_MIN_STEPS_PER_S", 0.0, 0.0);
   const std::string json_path =
       env_string("DPS_BENCH_JSON", "BENCH_steps.json");
 

@@ -11,9 +11,7 @@ void Cluster::resize_units(std::size_t n) {
   unit_group_.assign(n, 0);
   unit_job_slot_.assign(n, -1);
   unit_progress_.assign(n, 0.0);
-  unit_hint_.assign(n, 0);
   unit_piece_.assign(n, WorkloadInstance::Piece{});
-  unit_total_work_.assign(n, idle.total_work());
   unit_active_.assign(n, idle.active() ? 1 : 0);
   unit_energy_.assign(n, 0.0);
   unit_last_power_.assign(n, 0.0);
@@ -34,11 +32,12 @@ Cluster::Cluster(std::vector<GroupSpec> groups, const PerfModel& model)
     total += static_cast<std::size_t>(gspec.sockets);
   }
   resize_units(total);
+  groups_.reserve(groups.size());
   std::size_t next_unit = 0;
-  for (const auto& gspec : groups) {
+  for (auto& gspec : groups) {
     GroupState group;
-    group.spec = gspec.workload;
-    group.rotation = gspec.rotation;
+    group.spec = std::move(gspec.workload);
+    group.rotation = std::move(gspec.rotation);
     group.first_unit = static_cast<int>(next_unit);
     group.sockets = gspec.sockets;
     group.seed = gspec.seed;
@@ -63,19 +62,25 @@ Cluster::Cluster(int total_units, const PerfModel& model)
 }
 
 void Cluster::bind(std::size_t u, WorkloadInstance instance) {
-  unit_total_work_[u] = instance.total_work();
+  unit_progress_[u] = 0.0;
   unit_active_[u] = instance.active() ? 1 : 0;
-  unit_piece_[u] = WorkloadInstance::Piece{};  // the next lookup scans
+  // A realization without pieces idles until its first step ends it.
+  WorkloadInstance::Piece& piece = unit_piece_[u];
+  piece = WorkloadInstance::Piece{};
+  piece.start_power = kIdlePower;
+  instance.next(&piece);
   unit_instance_[u] = std::move(instance);
 }
 
-inline Watts Cluster::unit_demand(std::size_t u) {
-  const Seconds progress = unit_progress_[u];
-  const WorkloadInstance::Piece& piece = unit_piece_[u];
-  if (piece.contains(progress)) return piece.demand(progress);
-  const Watts demand = unit_instance_[u].demand_at(progress, &unit_hint_[u]);
-  unit_piece_[u] = unit_instance_[u].piece(unit_hint_[u]);
-  return demand;
+void Cluster::advance(std::size_t u) {
+  WorkloadInstance::Piece& piece = unit_piece_[u];
+  while (unit_progress_[u] >= piece.end) {
+    if (!unit_instance_[u].next(&piece)) {
+      // The last piece ends at the realization's total work.
+      unit_done_[u] = 1;
+      return;
+    }
+  }
 }
 
 int Cluster::start_job(const WorkloadSpec& spec, std::span<const int> units,
@@ -90,19 +95,28 @@ int Cluster::start_job(const WorkloadSpec& spec, std::span<const int> units,
   JobState job;
   job.active = true;
   job.units.assign(units.begin(), units.end());
+  // Claim every unit before binding any, so a refused allocation leaves
+  // no unit bound.
   for (std::size_t i = 0; i < job.units.size(); ++i) {
     const auto u = static_cast<std::size_t>(job.units[i]);
-    if (unit_job_slot_.at(u) >= 0) {
-      throw std::invalid_argument("Cluster::start_job: unit already bound");
+    if (u >= unit_job_slot_.size() || unit_job_slot_[u] >= 0) {
+      for (std::size_t j = 0; j < i; ++j) {
+        unit_job_slot_[static_cast<std::size_t>(job.units[j])] = -1;
+      }
+      throw std::invalid_argument(
+          "Cluster::start_job: unit out of range or already bound");
     }
     unit_job_slot_[u] = slot;
-    unit_progress_[u] = 0.0;
-    unit_hint_[u] = 0;
+  }
+  // The caller's spec may be a temporary; the job keeps its own.
+  job.spec = std::make_unique<const WorkloadSpec>(spec);
+  for (std::size_t i = 0; i < job.units.size(); ++i) {
+    const auto u = static_cast<std::size_t>(job.units[i]);
     unit_done_[u] = 0;
     // Realizations are keyed by position within the allocation, so a
     // job's jitter draw does not depend on which physical units the
     // placement handed it.
-    bind(u, WorkloadInstance(spec,
+    bind(u, WorkloadInstance(*job.spec,
                              mix_seed(seed, static_cast<std::uint64_t>(i))));
   }
   jobs_.push_back(std::move(job));
@@ -120,6 +134,7 @@ void Cluster::abort_job(int slot) {
     unit_done_[su] = 1;
     bind(su, WorkloadInstance::idle(1.0));
   }
+  job.spec.reset();
 }
 
 std::vector<int> Cluster::drain_finished_jobs() {
@@ -148,10 +163,10 @@ void Cluster::step_jobs(Seconds dt, std::span<const Watts> effective_caps,
     Watts demand = kIdlePower;
     const bool running = unit_job_slot_[u] >= 0 && !unit_done_[u];
     if (running) {
-      demand = unit_demand(u);
+      demand = unit_piece_[u].demand(unit_progress_[u]);
       const double speed = model_.speed(demand, effective_caps[u]);
       unit_progress_[u] += speed * dt;
-      if (unit_progress_[u] >= unit_total_work_[u]) unit_done_[u] = 1;
+      if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
     }
     const Watts drawn = unit_job_slot_[u] >= 0 && !unit_done_[u]
                             ? model_.power_drawn(demand, effective_caps[u])
@@ -184,6 +199,7 @@ void Cluster::step_jobs(Seconds dt, std::span<const Watts> effective_caps,
       bind(su, WorkloadInstance::idle(1.0));
       unit_done_[su] = 1;
     }
+    job.spec.reset();
     finished_slots_.push_back(static_cast<int>(slot));
     ++jobs_completed_;
   }
@@ -203,8 +219,6 @@ void Cluster::start_new_run(GroupState& group) {
   ++group.run_index;
   for (int s = 0; s < group.sockets; ++s) {
     const auto u = static_cast<std::size_t>(group.first_unit + s);
-    unit_progress_[u] = 0.0;
-    unit_hint_[u] = 0;
     unit_done_[u] = 0;
     if (s < active) {
       // Each realization draws from its own RNG stream keyed by stable
@@ -265,10 +279,10 @@ void Cluster::step(Seconds dt, std::span<const Watts> effective_caps,
       }
       Watts demand = kIdlePower;
       if (!unit_done_[u]) {
-        demand = unit_demand(u);
+        demand = unit_piece_[u].demand(unit_progress_[u]);
         const double speed = model_.speed(demand, effective_caps[u]);
         unit_progress_[u] += speed * dt;
-        if (unit_progress_[u] >= unit_total_work_[u]) unit_done_[u] = 1;
+        if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
       }
       const Watts drawn = unit_done_[u]
                               ? kIdlePower
@@ -322,16 +336,11 @@ void Cluster::true_demands(std::span<Watts> out) const {
       out[u] = 0.0;
       continue;
     }
-    if (job_mode_) {
-      out[u] = unit_job_slot_[u] >= 0 && !unit_done_[u]
-                   ? unit_instance_[u].demand_at(unit_progress_[u])
-                   : kIdlePower;
-      continue;
-    }
-    const auto& group = groups_[static_cast<std::size_t>(unit_group_[u])];
-    out[u] = group.in_gap || unit_done_[u]
-                 ? kIdlePower
-                 : unit_instance_[u].demand_at(unit_progress_[u]);
+    const bool running =
+        job_mode_ ? unit_job_slot_[u] >= 0 && !unit_done_[u]
+                  : !groups_[static_cast<std::size_t>(unit_group_[u])].in_gap &&
+                        !unit_done_[u];
+    out[u] = running ? unit_piece_[u].demand(unit_progress_[u]) : kIdlePower;
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +63,11 @@ class Cluster : public sched::JobHost {
   /// Job-mode cluster: `total_units` idle power-capping units and no
   /// groups. Drive it via the JobHost interface.
   explicit Cluster(int total_units, const PerfModel& model = PerfModel());
+
+  // Each unit's instance refers to the spec its group or job owns, so a
+  // copy would refer to the original's specs.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   int total_units() const { return static_cast<int>(unit_group_.size()); }
   int num_groups() const { return static_cast<int>(groups_.size()); }
@@ -128,6 +134,8 @@ class Cluster : public sched::JobHost {
  private:
   struct JobState {
     std::vector<int> units;
+    // What the job's instances refer to; freed when the job ends.
+    std::unique_ptr<const WorkloadSpec> spec;
     bool active = false;
   };
 
@@ -158,28 +166,29 @@ class Cluster : public sched::JobHost {
   void step_jobs(Seconds dt, std::span<const Watts> effective_caps,
                  std::span<Watts> true_power_out);
   void resize_units(std::size_t n);
-  /// Binds `instance` to unit `u` and refreshes what the step caches of it.
+  /// Binds `instance` to unit `u` at progress 0 and caches its first
+  /// piece.
   void bind(std::size_t u, WorkloadInstance instance);
-  /// Demand of unit `u` at its progress: from the cached piece while the
-  /// progress stays inside it, else from demand_at, re-caching the piece.
-  Watts unit_demand(std::size_t u);
+  /// Draws unit `u`'s pieces until one holds its progress, or marks the
+  /// unit done once its progress passes the last piece's end.
+  void advance(std::size_t u);
 
+  // Groups never move after construction: units' instances refer to their
+  // specs.
   std::vector<GroupState> groups_;
 
   // Per-unit state as parallel structure-of-arrays vectors (index = unit).
   // The step loop is the simulator's hottest path; keeping each mutable
   // field contiguous turns it into branch-light single passes instead of
-  // strided walks over a fat struct. The realized workload stays an
-  // immutable, indexed WorkloadInstance; what the step reads of it (total
-  // work, active flag, current demand piece) is cached here, so a unit
-  // whose progress stays inside its piece costs no pointer chase.
+  // strided walks over a fat struct. Invariant: a running unit's cached
+  // piece holds its progress (the first piece at progress 0), so its
+  // demand costs no pointer chase; the unit's instance is touched only
+  // when its progress leaves the piece.
   std::vector<WorkloadInstance> unit_instance_;
   std::vector<int> unit_group_;             // -1 in job mode
   std::vector<int> unit_job_slot_;          // job mode: bound slot, -1 = idle
   std::vector<Seconds> unit_progress_;
-  std::vector<std::size_t> unit_hint_;      // amortizes demand lookups
-  std::vector<WorkloadInstance::Piece> unit_piece_;  // empty after bind()
-  std::vector<Seconds> unit_total_work_;
+  std::vector<WorkloadInstance::Piece> unit_piece_;
   std::vector<std::uint8_t> unit_active_;
   std::vector<Joules> unit_energy_;
   std::vector<Watts> unit_last_power_;

@@ -1,8 +1,21 @@
 #include "sim/trace.hpp"
 
+#include <charconv>
+
 #include "util/csv.hpp"
 
 namespace dps {
+namespace {
+
+/// The shortest text that reads back as the same double, so a reloaded
+/// trace holds exactly the samples that were recorded.
+std::string round_trip(double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
+}
+
+}  // namespace
 
 TraceRecorder::TraceRecorder(int num_units)
     : series_(static_cast<std::size_t>(num_units)) {}
@@ -21,10 +34,10 @@ void TraceRecorder::write_csv(const std::string& path) const {
                     "demand", "priority"});
   for (std::size_t u = 0; u < series_.size(); ++u) {
     for (const auto& s : series_[u]) {
-      csv.write_row({format_double(s.time), std::to_string(u),
-                     format_double(s.true_power),
-                     format_double(s.measured_power), format_double(s.cap),
-                     format_double(s.demand), std::to_string(s.priority)});
+      csv.write_row({round_trip(s.time), std::to_string(u),
+                     round_trip(s.true_power), round_trip(s.measured_power),
+                     round_trip(s.cap), round_trip(s.demand),
+                     std::to_string(s.priority)});
     }
   }
 }

@@ -38,6 +38,8 @@ class TraceRecorder {
   /// time,unit,true_power,measured_power,cap,demand,priority — the
   /// priority column carries TraceSample::priority (1/0 under DPS, -1
   /// otherwise), matching what src/analysis/trace_analysis.hpp reads.
+  /// Values are written in their shortest round-trip form, so Trace's
+  /// loader reads back every sample bit for bit.
   void write_csv(const std::string& path) const;
 
   /// Extracts one column of a unit's series.

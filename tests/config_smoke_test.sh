@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Config-rejection smoke test: a malformed INI value must stop exp, dpsd
 # and dps_node at startup with an error naming its section, key and line, a malformed
-# flag must stop exp, dpsd and dps_node naming the flag, a malformed bench
+# flag must stop exp, dpsd, dps_node and analyze naming the flag, a malformed bench
 # knob must stop a bench naming the knob, each tool's --help must list
 # exactly its flags, and the shipped configs/dps.ini must load and run.
 # Registered with ctest by tests/CMakeLists.txt, which passes the build
@@ -118,6 +118,36 @@ expect_knob_rejected() {
 expect_knob_rejected DPS_REPEATS=1x
 expect_knob_rejected DPS_REPEATS=0
 
+# expect_exit2 <message> <command...>: rejected with exit 2, message on
+# stderr.
+expect_exit2() {
+  expect_rejected "$@"
+  if [ "$status" -ne 2 ]; then
+    shift
+    echo "FAIL: status $status, not 2, from: $*" >&2
+    exit 1
+  fi
+}
+# The perf benches' float floors and perf_smoke's DPS_JOBS are checked the
+# same way, before the first timed phase.
+expect_exit2 DPS_PERF_MIN_SPEEDUP env DPS_PERF_MIN_SPEEDUP=x \
+  DPS_OUT="$WORK" "$BUILD_DIR/bench/perf_smoke"
+expect_exit2 DPS_PERF_MIN_STEPS_PER_S env DPS_PERF_MIN_STEPS_PER_S=x \
+  DPS_OUT="$WORK" "$BUILD_DIR/bench/perf_steps"
+expect_exit2 DPS_JOBS env DPS_JOBS=abc DPS_OUT="$WORK" \
+  "$BUILD_DIR/bench/perf_smoke"
+
+# analyze takes the trace first and its flags after it; an unknown flag or
+# a flag without its value stops it before it reads the trace.
+"$BUILD_DIR/tools/exp" --a Sort --b IS --repeats 1 --trace "$WORK/trace.csv" \
+  > "$WORK/out"
+"$BUILD_DIR/tools/analyze" "$WORK/trace.csv" --split 10 > "$WORK/out"
+grep -q "fairness(units 0..9 vs 10..19)" "$WORK/out"
+expect_exit2 "unknown argument '--splt'" "$BUILD_DIR/tools/analyze" \
+  "$WORK/trace.csv" --splt 5
+expect_exit2 "--split needs a value" "$BUILD_DIR/tools/analyze" \
+  "$WORK/trace.csv" --split
+
 # expect_flags <tool> <flag...>: --help (and -h) lists exactly these flags.
 expect_flags() {
   tool="$1"
@@ -144,6 +174,7 @@ expect_flags dpsd --units --port --budget --tdp --min-cap --manager \
   --obs-metrics --obs-events --obs-trace
 expect_flags dps_node --host --port --sysfs --simulate --seed --config \
   --failsafe-cap --attempts --backoff-base --backoff-max
+expect_flags analyze --split
 
 "$BUILD_DIR/tools/exp" --config "$SOURCE_DIR/configs/dps.ini" --repeats 1 \
   > "$WORK/out"

@@ -234,12 +234,17 @@ TEST_P(WorkloadProperties, InstanceDemandsStayWithinPhysicalRange) {
         ramp(d, rng.uniform(20.0, 160.0), rng.uniform(20.0, 160.0)));
     total += d;
   }
-  WorkloadInstance instance(spec, rng);
-  for (Seconds p = 0.0; p < instance.total_work(); p += 0.7) {
-    const Watts demand = instance.demand_at(p);
-    EXPECT_GE(demand, 0.0);
-    EXPECT_LE(demand, 165.0 * 1.3);  // power jitter can exceed slightly
+  WorkloadInstance instance(spec, rng.next_u64());
+  WorkloadInstance::Piece piece;
+  Seconds p = 0.0;
+  while (instance.next(&piece)) {
+    for (; p < piece.end; p += 0.7) {
+      const Watts demand = piece.demand(p);
+      EXPECT_GE(demand, 0.0);
+      EXPECT_LE(demand, 165.0 * 1.3);  // power jitter can exceed slightly
+    }
   }
+  EXPECT_GT(p, 100.0 * 0.5);  // the pieces held about 100 s of work
 }
 
 TEST_P(WorkloadProperties, FractionAboveIsMonotoneInThreshold) {

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <vector>
 
+#include "analysis/trace_analysis.hpp"
+#include "core/dps_manager.hpp"
 #include "managers/constant.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
@@ -397,6 +399,45 @@ TEST(Trace, CsvRoundTripHasHeaderAndRows) {
   int rows = 0;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, 3);
+}
+
+TEST(Trace, CsvReloadsDpsTraceBitForBit) {
+  // An LDA x EP pair under DPS, as `exp --a LDA --b EP --manager dps
+  // --trace` records it (over a shorter horizon): its caps sit just below
+  // round numbers such as 110 W, which a rounded CSV would move.
+  EngineConfig config;
+  config.target_completions = 1;
+  config.record_trace = true;
+  config.total_budget = 110.0 * 20;
+  config.max_time = 400.0;
+  Cluster cluster({GroupSpec{spark_workload("LDA"), 10, 1},
+                   GroupSpec{npb_workload("EP"), 10, 2}});
+  SimulatedRapl rapl(cluster.total_units());
+  DpsManager manager;
+  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
+  ASSERT_NE(result.trace, nullptr);
+  const std::string path = testing::TempDir() + "/dps_trace_test.csv";
+  result.trace->write_csv(path);
+  const Trace loaded = Trace::load_csv(path);
+  ASSERT_EQ(loaded.num_units(), cluster.total_units());
+  int uneven_caps = 0;
+  for (int u = 0; u < cluster.total_units(); ++u) {
+    const auto& recorded = result.trace->series(u);
+    const UnitTrace& got = loaded.unit(u);
+    ASSERT_EQ(got.time.size(), recorded.size());
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      const TraceSample& want = recorded[i];
+      EXPECT_EQ(got.time[i], want.time) << u << " " << i;
+      EXPECT_EQ(got.true_power[i], want.true_power) << u << " " << i;
+      EXPECT_EQ(got.measured_power[i], want.measured_power) << u << " " << i;
+      EXPECT_EQ(got.cap[i], want.cap) << u << " " << i;
+      EXPECT_EQ(got.demand[i], want.demand) << u << " " << i;
+      EXPECT_EQ(got.priority[i], want.priority) << u << " " << i;
+      if (std::round(want.cap * 1e4) != want.cap * 1e4) ++uneven_caps;
+    }
+  }
+  // Caps that four decimals cannot hold, or the reload proves little.
+  EXPECT_GT(uneven_caps, 100);
 }
 
 TEST(Trace, ColumnExtractors) {

@@ -1,7 +1,8 @@
 // Equivalence tests for the structure-of-arrays hot path: every batched
 // fast path (PowerInterface batch calls, the RAPL actuation pipeline,
-// Cluster's cached demand pieces, KalmanBank, the fused peak counter) must
-// be *bit-identical* to the scalar code it replaced — the
+// KalmanBank, the fused peak counter) must be *bit-identical* to the
+// scalar code it replaced (Cluster's cached demand pieces are checked in
+// stream_equivalence_test.cpp) — the
 // experiment CSVs are golden byte-for-byte, so "close enough" floating
 // point is a regression here. All comparisons below are exact (EXPECT_EQ
 // on doubles), never EXPECT_NEAR.
@@ -12,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -228,121 +228,6 @@ TEST(BatchEquivalence, FaultyPowerBatchMatchesPerUnitUnderActiveFaults) {
   // The cap-stuck window must actually have dropped writes, or the test
   // never exercised the fault branch of the batch path.
   EXPECT_GT(faulty_a.dropped_cap_writes(), 0u);
-}
-
-// A short phased workload: an idle start offset, ramps, holds and a
-// zero-length segment, so runs end within tens of steps and progress
-// crosses every kind of segment boundary.
-WorkloadSpec phased_spec(const std::string& name, double scale,
-                         int active_sockets, Seconds gap) {
-  WorkloadSpec spec;
-  spec.name = name;
-  spec.segments = {ramp(3.7 * scale, 60.0, 140.0), hold(2.9 * scale, 150.0),
-                   hold(0.0, 90.0), ramp(4.3 * scale, 150.0, 70.0),
-                   hold(1.6 * scale, 45.0)};
-  spec.active_sockets = active_sockets;
-  spec.inter_run_gap = gap;
-  spec.socket_skew = 1.5;
-  return spec;
-}
-
-// Steps `cluster` once and checks every unit's stepped power against the
-// uncached reference: true_demands() taken before the step, a fresh
-// demand_at scan. A unit still running afterwards draws what the model
-// gives for that demand under its cap (the demand itself under an
-// unbounded cap), a crashed unit draws nothing, and every other unit
-// (finished this step, idling in a gap or in its idle start offset) draws
-// idle power. Returns the number of running units checked.
-int step_and_check(Cluster& cluster, std::span<const Watts> caps, int step) {
-  const auto n = static_cast<std::size_t>(cluster.total_units());
-  const PerfModel model;
-  std::vector<Watts> before(n), stepped(n), after(n);
-  cluster.true_demands(before);
-  cluster.step(0.7, caps, stepped);
-  cluster.true_demands(after);
-  int running = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (cluster.crashed(static_cast<int>(u))) {
-      EXPECT_EQ(stepped[u], 0.0) << "unit " << u << " step " << step;
-    } else if (after[u] != kIdlePower) {
-      EXPECT_EQ(stepped[u], model.power_drawn(before[u], caps[u]))
-          << "unit " << u << " step " << step;
-      ++running;
-    } else {
-      EXPECT_EQ(stepped[u], kIdlePower) << "unit " << u << " step " << step;
-    }
-  }
-  return running;
-}
-
-constexpr Watts kUnbounded = std::numeric_limits<Watts>::infinity();
-
-TEST(DemandPieceCache, GroupModeStepMatchesUncachedDemand) {
-  for (const bool capped : {false, true}) {
-    SCOPED_TRACE(capped ? "mixed caps" : "unbounded caps");
-    const WorkloadSpec a = phased_spec("a", 1.0, 0, 2.5);
-    const WorkloadSpec b = phased_spec("b", 1.7, 2, 0.0);
-    std::vector<GroupSpec> groups;
-    groups.emplace_back(a, 4, 101, std::vector<WorkloadSpec>{a, b});
-    groups.emplace_back(b, 3, 202);  // two active sockets, one idle filler
-    Cluster cluster(std::move(groups));
-    std::vector<Watts> caps(static_cast<std::size_t>(cluster.total_units()));
-    for (std::size_t u = 0; u < caps.size(); ++u) {
-      caps[u] = !capped || u % 3 == 2 ? kUnbounded : u % 3 == 0 ? 70.0 : 115.0;
-    }
-
-    int running = 0;
-    for (int step = 0; step < 400; ++step) {
-      // Unit 1 goes dark mid-run and resumes where it stopped.
-      if (step == 9) cluster.set_crashed(1, true);
-      if (step == 16) cluster.set_crashed(1, false);
-      running += step_and_check(cluster, caps, step);
-    }
-    // Both workloads of the rotation ran to completion several times.
-    EXPECT_GE(cluster.completions(0).size(), 6u);
-    EXPECT_GE(cluster.completions(1).size(), 6u);
-    EXPECT_GT(running, 400 * 3);
-  }
-}
-
-TEST(DemandPieceCache, JobModeRebindingMatchesUncachedDemand) {
-  const WorkloadSpec a = phased_spec("a", 1.0, 0, 0.0);
-  const WorkloadSpec b = phased_spec("b", 1.9, 0, 0.0);
-  Cluster cluster(10);
-  const std::vector<Watts> caps(10, kUnbounded);
-  std::map<int, std::vector<int>> jobs;  // live slot -> its units
-  auto start = [&](const WorkloadSpec& spec, std::vector<int> units,
-                   std::uint64_t seed) {
-    const int slot = cluster.start_job(spec, units, seed);
-    jobs[slot] = std::move(units);
-    return slot;
-  };
-  const int first = start(a, {0, 1, 2}, 11);
-  start(b, {4, 5, 6, 7}, 12);
-
-  int running = 0;
-  int retired = 0;
-  for (int step = 0; step < 300; ++step) {
-    if (step == 5) {
-      // Abort mid-run and hand the units straight to a new job.
-      cluster.abort_job(first);
-      jobs.erase(first);
-      start(b, {0, 1, 2, 3}, 13);
-    }
-    if (step == 20) cluster.set_crashed(5, true);
-    if (step == 27) cluster.set_crashed(5, false);
-    running += step_and_check(cluster, caps, step);
-    // A retired job's units are rebound to a fresh job at once.
-    for (const int slot : cluster.drain_finished_jobs()) {
-      std::vector<int> units = std::move(jobs.at(slot));
-      jobs.erase(slot);
-      ++retired;
-      start(retired % 2 == 0 ? a : b, std::move(units),
-            100 + static_cast<std::uint64_t>(retired));
-    }
-  }
-  EXPECT_GE(retired, 6);
-  EXPECT_GT(running, 300 * 3);
 }
 
 TEST(KalmanBankEquivalence, UpdatesMatchScalarFiltersBitwise) {

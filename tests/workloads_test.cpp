@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "sim/cluster.hpp"
 #include "util/rng.hpp"
 #include "workloads/instance.hpp"
 #include "workloads/npb_suite.hpp"
@@ -52,21 +54,40 @@ TEST(Spec, PeakDemandScansAllSegments) {
 
 // --- Instances & jitter ---
 
+// The realization's pieces in order, drawn to the end.
+std::vector<WorkloadInstance::Piece> all_pieces(WorkloadInstance inst) {
+  std::vector<WorkloadInstance::Piece> pieces;
+  WorkloadInstance::Piece piece;
+  while (inst.next(&piece)) pieces.push_back(piece);
+  return pieces;
+}
+
+Seconds total_work(const WorkloadInstance& inst) {
+  const auto pieces = all_pieces(inst);
+  return pieces.empty() ? 0.0 : pieces.back().end;
+}
+
 TEST(Instance, JitterPreservesStructureApproximately) {
   const auto spec = spark_workload("Bayes");
-  Rng rng(5);
-  const WorkloadInstance inst(spec, rng);
-  EXPECT_NEAR(inst.total_work(), spec.nominal_duration(),
+  const WorkloadInstance inst(spec, 5u);
+  EXPECT_NEAR(total_work(inst), spec.nominal_duration(),
               0.25 * spec.nominal_duration());
   EXPECT_TRUE(inst.active());
+  // The start offset, then one piece per segment, tiling the progress axis.
+  const auto pieces = all_pieces(inst);
+  ASSERT_EQ(pieces.size(), spec.segments.size() + 1);
+  EXPECT_EQ(pieces.front().start, 0.0);
+  EXPECT_EQ(pieces.front().start_power, kIdlePower);
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    EXPECT_EQ(pieces[i].start, pieces[i - 1].end);
+  }
 }
 
 TEST(Instance, DifferentDrawsDiffer) {
   const auto spec = spark_workload("Kmeans");
-  Rng rng(6);
-  const WorkloadInstance a(spec, rng);
-  const WorkloadInstance b(spec, rng);
-  EXPECT_NE(a.total_work(), b.total_work());
+  const WorkloadInstance a(spec, 6u);
+  const WorkloadInstance b(spec, 7u);
+  EXPECT_NE(total_work(a), total_work(b));
 }
 
 TEST(Instance, SameSeedYieldsBitIdenticalRealization) {
@@ -74,14 +95,18 @@ TEST(Instance, SameSeedYieldsBitIdenticalRealization) {
   // of (spec, seed), independent of whatever else drew random numbers
   // before them — the property end-to-end run determinism rests on.
   const auto spec = spark_workload("Kmeans");
-  const WorkloadInstance a(spec, 424242u);
-  const WorkloadInstance b(spec, 424242u);
-  ASSERT_EQ(a.total_work(), b.total_work());
-  for (Seconds p = 0.0; p < a.total_work(); p += 1.3) {
-    ASSERT_EQ(a.demand_at(p), b.demand_at(p));
+  const auto a = all_pieces(WorkloadInstance(spec, 424242u));
+  const auto b = all_pieces(WorkloadInstance(spec, 424242u));
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].start, b[i].start);
+    ASSERT_EQ(a[i].end, b[i].end);
+    ASSERT_EQ(a[i].duration, b[i].duration);
+    ASSERT_EQ(a[i].start_power, b[i].start_power);
+    ASSERT_EQ(a[i].power_delta, b[i].power_delta);
   }
-  const WorkloadInstance c(spec, 424243u);
-  EXPECT_NE(a.total_work(), c.total_work());
+  EXPECT_NE(total_work(WorkloadInstance(spec, 424242u)),
+            total_work(WorkloadInstance(spec, 424243u)));
 }
 
 TEST(Instance, MixSeedSeparatesCoordinates) {
@@ -97,34 +122,39 @@ TEST(Instance, MixSeedSeparatesCoordinates) {
 TEST(Instance, IdleInstanceDrawsIdlePower) {
   const auto inst = WorkloadInstance::idle(100.0);
   EXPECT_FALSE(inst.active());
-  EXPECT_DOUBLE_EQ(inst.demand_at(50.0), kIdlePower);
-  EXPECT_DOUBLE_EQ(inst.total_work(), 100.0);
+  const auto pieces = all_pieces(inst);
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(pieces[0].start, 0.0);
+  EXPECT_EQ(pieces[0].end, 100.0);
+  EXPECT_DOUBLE_EQ(pieces[0].demand(50.0), kIdlePower);
 }
 
 TEST(Instance, DemandBeyondWorkIsIdle) {
+  // Past its last piece the generator is spent and leaves the last piece
+  // in place; the cluster then reports the socket idle until its next run.
   const auto spec = spark_workload("Sort");
-  Rng rng(7);
-  const WorkloadInstance inst(spec, rng);
-  EXPECT_DOUBLE_EQ(inst.demand_at(inst.total_work() + 1.0), kIdlePower);
-}
-
-TEST(Instance, HintedLookupMatchesPlainLookup) {
-  const auto spec = spark_workload("LDA");
-  Rng rng(8);
-  const WorkloadInstance inst(spec, rng);
-  std::size_t hint = 0;
-  for (Seconds p = 0.0; p < inst.total_work(); p += 3.7) {
-    EXPECT_DOUBLE_EQ(inst.demand_at(p, &hint), inst.demand_at(p));
+  WorkloadInstance inst(spec, 7u);
+  WorkloadInstance::Piece piece;
+  while (inst.next(&piece)) {
   }
-}
+  const WorkloadInstance::Piece last = piece;
+  EXPECT_FALSE(inst.next(&piece));
+  EXPECT_EQ(piece.end, last.end);
 
-TEST(Instance, HintedLookupSurvivesRewind) {
-  const auto spec = spark_workload("GMM");
-  Rng rng(9);
-  const WorkloadInstance inst(spec, rng);
-  std::size_t hint = 0;
-  (void)inst.demand_at(inst.total_work() * 0.9, &hint);
-  EXPECT_DOUBLE_EQ(inst.demand_at(5.0, &hint), inst.demand_at(5.0));
+  WorkloadSpec quick = spec;
+  quick.segments = {hold(2.0, 120.0)};
+  quick.socket_skew = 0.0;
+  quick.inter_run_gap = 50.0;
+  Cluster cluster({GroupSpec{quick, 1, 7}});
+  const std::vector<Watts> caps(1, 165.0);
+  std::vector<Watts> power(1), demand(1);
+  cluster.true_demands(demand);
+  EXPECT_GT(demand[0], kIdlePower);
+  for (int step = 0; step < 5; ++step) cluster.step(1.0, caps, power);
+  ASSERT_EQ(cluster.completions(0).size(), 1u);
+  cluster.true_demands(demand);
+  EXPECT_EQ(demand[0], kIdlePower);
+  EXPECT_EQ(power[0], kIdlePower);
 }
 
 // --- Suite calibration against the paper's tables ---

@@ -9,7 +9,8 @@
 /// --split N treats units [0, N) as cluster A and [N, end) as cluster B
 /// (default: half/half), for the satisfaction/fairness computation. The
 /// first unit of each cluster also gets an ASCII timeline of its demand,
-/// power and cap.
+/// power and cap. `analyze --help` lists the flags; an unknown flag or a
+/// bad value exits 2 naming the flag.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,11 +18,24 @@
 #include <vector>
 
 #include "analysis/trace_analysis.hpp"
+#include "util/config_table.hpp"
 #include "util/csv.hpp"
-#include "util/ini.hpp"
 #include "util/table.hpp"
 
 namespace {
+
+struct Options {
+  int split = -1;
+};
+
+const dps::Section<Options>& options_section() {
+  static const dps::Section<Options> section{
+      "",
+      {{"--split", &Options::split, {},
+        {.help = "units [0, N) are cluster A, the rest cluster B; below 0: "
+                 "half and half"}}}};
+  return section;
+}
 
 /// One character per time bucket of `series` (72 buckets, or a few more
 /// when the length does not divide): the bucket's mean as a 0-9 level of
@@ -45,22 +59,29 @@ std::string sparkline(const std::vector<double>& series) {
 
 int main(int argc, char** argv) {
   using namespace dps;
-  if (argc < 2) {
+  CommandLine cli(
+      "analyze <trace.csv> [--split N] — post-process a recorded trace");
+  cli.add(options_section());
+  // The trace comes first; the flags follow it.
+  const std::string path = argc > 1 ? argv[1] : "";
+  const bool help = path == "--help" || path == "-h";
+  if (path.empty() || (path[0] == '-' && !help)) {
     std::fprintf(stderr, "usage: analyze <trace.csv> [--split N]\n");
     return 2;
   }
-  const std::string path = argv[1];
-  int split = -1;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) != "--split") continue;
-    const auto value = parse_integer<int>(argv[i + 1]);
-    if (!value) {
-      std::fprintf(stderr, "analyze: --split must be an integer, got '%s'\n",
-                   argv[i + 1]);
-      return 2;
+  Options options;
+  try {
+    const auto flags = help ? std::nullopt : cli.parse(argc - 1, argv + 1);
+    if (!flags) {
+      std::fputs(cli.help().c_str(), stdout);
+      return 0;
     }
-    split = *value;
+    read_section(*flags, options_section(), options);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "analyze: %s\n", error.what());
+    return 2;
   }
+  int split = options.split;
 
   try {
     const auto trace = Trace::load_csv(path);
