@@ -1,8 +1,11 @@
-/// Engine-step microbench — the tracked single-thread steps/s baseline.
+/// Engine-step microbench — the tracked engine steps/s baseline.
 ///
 /// perf_smoke rates *sweep* throughput through the PairRunner (solo
 /// baselines included); this bench rates the simulation engine itself.
-/// Every scenario but tree10k runs serially on one thread. Four scenarios:
+/// A fleet of 4,096 units or more shards its physics step over every CPU
+/// the process may use (SimulationEngine's step blocks), so units10k,
+/// tree10k and floor100k run their physics on several threads; pair20 and
+/// units1k are one block on one thread. Five scenarios:
 ///
 ///   pair20    the perf_smoke grid's 6 fig6-style pairs (20 units each),
 ///             run directly through run_pair under constant, slurm and
@@ -15,7 +18,12 @@
 ///             home turf, where per-unit pointer chasing would dominate.
 ///   tree10k   500 groups x 20 sockets cycling the registry workloads
 ///             under a DPS TreeController (shard 32) whose leaf tier runs
-///             on a 2-thread pool, for the same number of rounds. No floor.
+///             on 2 threads, for the same number of rounds. No floor.
+///   floor100k the perfbench fleet_tree layout (5,000 groups x 20 sockets
+///             cycling the registry workloads) under the constant manager:
+///             the measured physics floor at fleet scale, timed pinned to
+///             one CPU and at the full affinity mask. Their ratio is the
+///             sharded step's speedup. No floor.
 ///
 /// Results land in BENCH_steps.json (override with DPS_BENCH_JSON); the
 /// headline "serial_steps_per_s" is the dps pair20 rate, which CI gates
@@ -25,6 +33,8 @@
 ///   DPS_PERF_MIN_STEPS_PER_S exit nonzero if the dps pair20 rate falls
 ///                            below this (default 0 = never)
 ///   DPS_BENCH_JSON           output path (default "BENCH_steps.json")
+
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
@@ -38,6 +48,7 @@
 #include "ctrl/tree.hpp"
 #include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
+#include "managers/constant.hpp"
 #include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "workloads/synthetic.hpp"
@@ -50,6 +61,7 @@ struct Scenario {
   std::string name;
   std::string manager;
   int units = 0;
+  int cpus = 1;  // CPUs the run could use
   long engine_steps = 0;
   long unit_steps = 0;
   double wall_s = 0.0;
@@ -81,6 +93,7 @@ Scenario run_pair20(ManagerKind kind, int repeats, std::uint64_t seed) {
   s.name = "pair20";
   s.manager = to_string(kind);
   s.units = 20;
+  s.cpus = static_cast<int>(available_threads());
   const auto start = std::chrono::steady_clock::now();
   for (const auto& a_name : spark) {
     for (const auto& b_name : npb) {
@@ -124,6 +137,7 @@ Scenario run_fleet(const std::string& name, const std::string& manager_name,
   s.name = name;
   s.manager = manager_name;
   s.units = units;
+  s.cpus = static_cast<int>(available_threads());
   const auto start = std::chrono::steady_clock::now();
   const auto result = SimulationEngine(config).run(cluster, rapl, manager);
   s.wall_s =
@@ -158,28 +172,60 @@ Scenario run_synthetic(const std::string& name, int units, int rounds,
   return run_fleet(name, "dps", std::move(groups), manager, rounds, seed);
 }
 
-/// A fixed number of engine rounds over 500 groups of 20 sockets cycling
-/// the registry workloads, under a DPS tree with 2 leaf threads. The EP
-/// groups need thousands of steps per run, so the completion target stays
-/// out of reach inside the window.
-Scenario run_tree10k(int rounds, std::uint64_t seed) {
+/// `num_groups` groups of 20 sockets cycling the registry workloads, as
+/// perfbench's fleet_tree lays out its fleet.
+std::vector<GroupSpec> registry_groups(int num_groups, std::uint64_t seed) {
   std::vector<WorkloadSpec> specs;
   for (const auto& name : all_workload_names()) {
     specs.push_back(workload_by_name(name));
   }
-  const int num_groups = 500;
   std::vector<GroupSpec> groups;
   groups.reserve(static_cast<std::size_t>(num_groups));
   for (int g = 0; g < num_groups; ++g) {
     groups.emplace_back(specs[static_cast<std::size_t>(g) % specs.size()], 20,
                         mix_seed(seed, static_cast<std::uint64_t>(g)));
   }
+  return groups;
+}
+
+/// A fixed number of engine rounds over 500 registry groups under a DPS
+/// tree with 2 leaf threads. The EP groups need thousands of steps per
+/// run, so the completion target stays out of reach inside the window.
+Scenario run_tree10k(int rounds, std::uint64_t seed) {
   CtrlConfig ctrl;
   ctrl.shard_size = 32;
   ctrl.leaf_jobs = 2;
   TreeController tree(ctrl);
-  return run_fleet("tree10k", "dps_tree", std::move(groups), tree, rounds,
-                   seed);
+  return run_fleet("tree10k", "dps_tree", registry_groups(500, seed), tree,
+                   rounds, seed);
+}
+
+/// The 100k-unit registry fleet under the constant manager, whose decide
+/// is a copy: what is left is the step's physics, RAPL and actuation.
+/// Timed with the calling thread (and so the engine's pool, which inherits
+/// its mask) pinned to the first CPU of the mask, then at the whole mask.
+std::vector<Scenario> run_floor100k(int rounds, std::uint64_t seed) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  std::vector<Scenario> out;
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return out;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  for (const cpu_set_t* set : {&one, &mask}) {
+    if (sched_setaffinity(0, sizeof *set, set) != 0) break;
+    ConstantManager constant;
+    out.push_back(run_fleet("floor100k", "constant",
+                            registry_groups(5000, seed), constant, rounds,
+                            seed));
+  }
+  sched_setaffinity(0, sizeof mask, &mask);
+  return out;
 }
 
 }  // namespace
@@ -197,9 +243,10 @@ int main() {
       env_string("DPS_BENCH_JSON", "BENCH_steps.json");
 
   std::printf(
-      "perf_steps: engine microbench (tree10k on 2 leaf threads, the rest "
-      "single-thread), repeats=%d, synthetic rounds=%d.\n\n",
-      repeats, rounds);
+      "perf_steps: engine microbench (fleets of 4,096+ units shard their "
+      "physics over %u CPUs; tree10k decides on 2 leaf threads), repeats=%d, "
+      "synthetic rounds=%d.\n\n",
+      available_threads(), repeats, rounds);
 
   std::vector<Scenario> scenarios;
   for (const auto kind :
@@ -209,21 +256,36 @@ int main() {
   scenarios.push_back(run_synthetic("units1k", 1000, rounds, seed));
   scenarios.push_back(run_synthetic("units10k", 10000, rounds, seed));
   scenarios.push_back(run_tree10k(rounds, seed));
+  const std::vector<Scenario> floor = run_floor100k(rounds, seed);
+  scenarios.insert(scenarios.end(), floor.begin(), floor.end());
 
   CsvWriter csv(dps::bench::out_dir() + "/perf_steps.csv");
-  csv.write_header({"scenario", "manager", "units", "engine_steps", "wall_s",
-                    "steps_per_s", "unit_steps_per_s"});
+  csv.write_header({"scenario", "manager", "units", "cpus", "engine_steps",
+                    "wall_s", "steps_per_s", "unit_steps_per_s"});
   for (const auto& s : scenarios) {
-    std::printf("%-9s %-9s %6d units: %8ld steps in %6.2f s = %9.0f "
-                "steps/s (%.2fM unit-steps/s)\n",
-                s.name.c_str(), s.manager.c_str(), s.units, s.engine_steps,
-                s.wall_s, s.steps_per_s(), s.unit_steps_per_s() / 1e6);
+    std::printf("%-9s %-9s %6d units on %d CPUs: %8ld steps in %6.2f s = "
+                "%9.0f steps/s (%.2fM unit-steps/s)\n",
+                s.name.c_str(), s.manager.c_str(), s.units, s.cpus,
+                s.engine_steps, s.wall_s, s.steps_per_s(),
+                s.unit_steps_per_s() / 1e6);
     csv.write_row({s.name, s.manager, std::to_string(s.units),
-                   std::to_string(s.engine_steps), format_double(s.wall_s, 3),
+                   std::to_string(s.cpus), std::to_string(s.engine_steps),
+                   format_double(s.wall_s, 3),
                    format_double(s.steps_per_s(), 0),
                    format_double(s.unit_steps_per_s(), 0)});
   }
   csv.flush();
+
+  // The sharded step's scaling at fleet scale: the floor's rate at the
+  // whole mask over its rate on one CPU, and that speedup per CPU.
+  double floor_speedup = 0.0;
+  int floor_cpus = 0;
+  if (floor.size() == 2 && floor[0].steps_per_s() > 0.0) {
+    floor_speedup = floor[1].steps_per_s() / floor[0].steps_per_s();
+    floor_cpus = floor[1].cpus;
+    std::printf("\nfloor100k: %.2fx on %d CPUs over 1 CPU (%.0f%% per CPU)\n",
+                floor_speedup, floor_cpus, 100.0 * floor_speedup / floor_cpus);
+  }
 
   // Headline: the dps pair20 rate — the configuration both the golden
   // experiments and perf_smoke spend their time in.
@@ -234,7 +296,7 @@ int main() {
 
   {
     std::ofstream json(json_path, std::ios::trunc);
-    json << "{\n  \"bench\": \"perf_steps\",\n  \"schema_version\": 1,\n"
+    json << "{\n  \"bench\": \"perf_steps\",\n  \"schema_version\": 2,\n"
          << "  \"repeats\": " << repeats << ",\n  \"rounds\": " << rounds
          << ",\n  \"scenarios\": [\n";
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -242,17 +304,22 @@ int main() {
       char buf[512];
       std::snprintf(buf, sizeof(buf),
                     "    {\"name\": \"%s\", \"manager\": \"%s\", \"units\": "
-                    "%d, \"engine_steps\": %ld, \"wall_s\": %.3f, "
-                    "\"steps_per_s\": %.0f, \"unit_steps_per_s\": %.0f}%s\n",
-                    s.name.c_str(), s.manager.c_str(), s.units,
+                    "%d, \"cpus\": %d, \"engine_steps\": %ld, \"wall_s\": "
+                    "%.3f, \"steps_per_s\": %.0f, \"unit_steps_per_s\": "
+                    "%.0f}%s\n",
+                    s.name.c_str(), s.manager.c_str(), s.units, s.cpus,
                     s.engine_steps, s.wall_s, s.steps_per_s(),
                     s.unit_steps_per_s(),
                     i + 1 < scenarios.size() ? "," : "");
       json << buf;
     }
-    char tail[128];
+    char tail[256];
     std::snprintf(tail, sizeof(tail),
-                  "  ],\n  \"serial_steps_per_s\": %.0f\n}\n", headline);
+                  "  ],\n  \"floor100k_scaling\": {\"cpus\": %d, "
+                  "\"speedup\": %.2f, \"efficiency\": %.2f},\n"
+                  "  \"serial_steps_per_s\": %.0f\n}\n",
+                  floor_cpus, floor_speedup,
+                  floor_cpus > 0 ? floor_speedup / floor_cpus : 0.0, headline);
     json << tail;
     if (!json) {
       std::fprintf(stderr, "perf_steps: cannot write %s\n",

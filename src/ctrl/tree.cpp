@@ -1,12 +1,8 @@
 #include "ctrl/tree.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <future>
-#include <limits>
 #include <stdexcept>
 
 #include "core/dps_manager.hpp"
@@ -27,9 +23,9 @@ std::uint64_t elapsed_ns(Clock::time_point start) {
 /// Leading magic of a serialized tree snapshot ("CTRL").
 constexpr std::uint32_t kTreeStateMagic = 0x4354524Cu;
 
-/// Shards a pooled leaf task claims per visit to the shared counter: the
+/// Shards a leaf thread claims per visit to the shared counter: the
 /// counter is touched once per several leaf decisions, while the blocks
-/// stay small enough that the workers finish the round close together.
+/// stay small enough that the threads finish the round close together.
 constexpr std::size_t kLeafClaimBlock = 8;
 
 /// Budget fix-up after the root tier's decision: clamp every shard budget
@@ -222,12 +218,13 @@ void TreeController::decide(std::span<const Watts> power,
 
   // Leaf tier: every shard's manager decides over its slice. Shards are
   // independent — private manager state, disjoint spans — so the optional
-  // pool changes wall time, never the decisions.
-  if (pool_ != nullptr) {
-    run_leaves_on_pool(power, caps);
-  } else {
-    for (std::size_t s = 0; s < num_shards; ++s) run_leaf(s, power, caps);
-  }
+  // pool changes wall time, never the decisions. A pooled round runs every
+  // leaf, even past a throwing one, and rethrows the lowest failing
+  // shard's exception, the one the inline loop stops at. The calling
+  // thread only waits for the pool: a caller that times or traces decide()
+  // from its own thread sees the leaves as work the pool did for it.
+  run_blocks(pool_.get(), Caller::kWaits, num_shards, kLeafClaimBlock,
+             [&](std::size_t s) { run_leaf(s, power, caps); });
 
   std::uint64_t max_leaf_ns = 0;
   std::uint64_t total_leaf_ns = 0;
@@ -252,49 +249,6 @@ void TreeController::run_leaf(std::size_t s, std::span<const Watts> power,
   const auto start = Clock::now();
   shard.manager->decide(power.subspan(first, size), caps.subspan(first, size));
   shard.last_decide_ns = elapsed_ns(start);
-}
-
-void TreeController::run_leaves_on_pool(std::span<const Watts> power,
-                                        std::span<Watts> caps) {
-  // One task per worker; each claims kLeafClaimBlock shards at a time from
-  // a shared counter until none are left. A throwing leaf does not stop
-  // its task: every task runs to the end and reports the lowest shard that
-  // threw, because the tasks reference this frame and must all finish
-  // before it unwinds.
-  struct LeafFailure {
-    std::size_t shard = std::numeric_limits<std::size_t>::max();
-    std::exception_ptr error;
-  };
-  const std::size_t num_shards = shards_.size();
-  std::atomic<std::size_t> next_block{0};
-  auto claim_blocks = [&]() {
-    LeafFailure failure;
-    for (;;) {
-      const std::size_t first =
-          next_block.fetch_add(kLeafClaimBlock, std::memory_order_relaxed);
-      if (first >= num_shards) return failure;
-      const std::size_t last = std::min(first + kLeafClaimBlock, num_shards);
-      for (std::size_t s = first; s < last; ++s) {
-        try {
-          run_leaf(s, power, caps);
-        } catch (...) {
-          if (s < failure.shard) failure = {s, std::current_exception()};
-        }
-      }
-    }
-  };
-  std::vector<std::future<LeafFailure>> tasks;
-  tasks.reserve(static_cast<std::size_t>(pool_->size()));
-  for (int w = 0; w < pool_->size(); ++w) {
-    tasks.push_back(pool_->submit(claim_blocks));
-  }
-  // Rethrow as a serial pass would: the failure of the lowest shard.
-  LeafFailure lowest;
-  for (auto& task : tasks) {
-    LeafFailure failure = task.get();
-    if (failure.shard < lowest.shard) lowest = std::move(failure);
-  }
-  if (lowest.error) std::rethrow_exception(lowest.error);
 }
 
 void TreeController::update_budget(Watts new_total_budget) {

@@ -103,7 +103,6 @@ class TreeController final : public PowerManager {
   void apply_shard_budget(std::size_t s, Watts budget);
   void run_leaf(std::size_t s, std::span<const Watts> power,
                 std::span<Watts> caps);
-  void run_leaves_on_pool(std::span<const Watts> power, std::span<Watts> caps);
 
   CtrlConfig config_;
   ManagerFactory leaf_factory_;

@@ -1,28 +1,9 @@
 #include "experiments/sweep.hpp"
 
-#include <thread>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
-
-unsigned available_threads() {
-#if defined(__linux__)
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    const int cpus = CPU_COUNT(&mask);
-    if (cpus > 0) return static_cast<unsigned>(cpus);
-  }
-#endif
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 int sweep_jobs() {
   const long jobs = env_int("DPS_JOBS", static_cast<long>(available_threads()));

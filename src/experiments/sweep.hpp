@@ -10,13 +10,6 @@
 
 namespace dps {
 
-/// CPUs actually available to this process: the scheduler affinity mask
-/// size where the platform exposes one (containers and cgroup-pinned CI
-/// runners often report the host's core count via hardware_concurrency
-/// while only granting a subset), falling back to hardware concurrency,
-/// never less than 1.
-unsigned available_threads();
-
 /// Worker count for experiment sweeps: the `DPS_JOBS` environment knob,
 /// defaulting to available_threads(). `DPS_JOBS=1` disables the pool
 /// entirely — every task runs inline on the calling thread, reproducing

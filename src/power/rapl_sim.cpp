@@ -45,11 +45,15 @@ void SimulatedRapl::record(int unit, Watts true_power, Seconds dt) {
 
 void SimulatedRapl::record_batch(std::span<const Watts> true_power,
                                  Seconds dt) {
-  if (true_power.size() != energy_units_.size()) {
-    throw std::invalid_argument("record_batch: span size mismatch");
-  }
+  record_block(0, energy_units_.size(), true_power, dt);
+}
+
+void SimulatedRapl::record_block(std::size_t first, std::size_t last,
+                                 std::span<const Watts> true_power,
+                                 Seconds dt) {
+  check_block(first, last, true_power.size(), "record_batch");
   const Joules energy_unit = config_.energy_unit;
-  for (std::size_t i = 0; i < energy_units_.size(); ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     const Joules joules = std::max(0.0, true_power[i]) * dt;
     // Same quantization as record(): joules / energy_unit, truncated.
     energy_units_[i] += static_cast<std::uint64_t>(joules / energy_unit);
@@ -57,10 +61,13 @@ void SimulatedRapl::record_batch(std::span<const Watts> true_power,
   }
 }
 
-void SimulatedRapl::advance_step() {
+void SimulatedRapl::advance_step() { advance_block(0, energy_units_.size()); }
+
+void SimulatedRapl::advance_block(std::size_t first, std::size_t last) {
+  check_block(first, last, energy_units_.size(), "advance_step");
   if (pending_len_.empty()) return;  // same-step actuation: no pipeline
   const auto depth = static_cast<std::size_t>(config_.actuation_delay_steps);
-  for (std::size_t i = 0; i < pending_len_.size(); ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     int& len = pending_len_[i];
     if (len == 0) continue;
     Watts* fifo = &pending_caps_[i * depth];
@@ -88,9 +95,17 @@ void SimulatedRapl::set_obs(const obs::ObsSink& sink) {
       "rapl_cap_changes_total", "set_cap calls that moved the requested cap");
 }
 
-Watts SimulatedRapl::read_power_unit(std::size_t i) {
-  if (window_elapsed_[i] <= 0.0) return last_power_reading_[i];
+void SimulatedRapl::check_block(std::size_t first, std::size_t last,
+                                std::size_t span_size, const char* who) const {
+  if (span_size != energy_units_.size()) {
+    throw std::invalid_argument(std::string(who) + ": span size mismatch");
+  }
+  if (first > last || last > span_size) {
+    throw std::out_of_range(std::string(who) + ": block outside the units");
+  }
+}
 
+Watts SimulatedRapl::close_window(std::size_t i, double z) {
   // Delta of the wrapped 32-bit counter; unsigned arithmetic handles one
   // wrap per window, as real RAPL readers must.
   const std::uint32_t now = static_cast<std::uint32_t>(energy_units_[i]);
@@ -102,7 +117,7 @@ Watts SimulatedRapl::read_power_unit(std::size_t i) {
   window_elapsed_[i] = 0.0;
 
   if (config_.noise_fraction > 0.0) {
-    power *= 1.0 + noise_.normal(0.0, config_.noise_fraction);
+    power *= 1.0 + config_.noise_fraction * z;
     power = std::max(0.0, power);
   }
   last_power_reading_[i] = power;
@@ -111,17 +126,51 @@ Watts SimulatedRapl::read_power_unit(std::size_t i) {
 
 Watts SimulatedRapl::read_power(int unit) {
   if (obs_reads_ != nullptr) obs_reads_->add();
-  return read_power_unit(index_of(unit));
+  const std::size_t i = index_of(unit);
+  if (window_elapsed_[i] <= 0.0) return last_power_reading_[i];
+  return close_window(i, config_.noise_fraction > 0.0 ? noise_.normal() : 0.0);
+}
+
+template <typename NextDeviate>
+void SimulatedRapl::read_range(std::size_t first, std::size_t last,
+                               bool skip_closed, std::span<Watts> out,
+                               NextDeviate next_deviate) {
+  const bool noisy = config_.noise_fraction > 0.0;
+  for (std::size_t i = first; i < last; ++i) {
+    if (window_elapsed_[i] <= 0.0) {
+      if (!skip_closed) {
+        throw std::logic_error("SimulatedRapl::read_power_block: unit " +
+                               std::to_string(i) + " has no open window");
+      }
+      out[i] = last_power_reading_[i];
+      continue;
+    }
+    out[i] = close_window(i, noisy ? next_deviate() : 0.0);
+  }
 }
 
 void SimulatedRapl::read_power_batch(std::span<Watts> out) {
-  if (out.size() != energy_units_.size()) {
-    throw std::invalid_argument("read_power_batch: span size mismatch");
-  }
+  check_block(0, out.size(), out.size(), "read_power_batch");
   if (obs_reads_ != nullptr) obs_reads_->add(out.size());
   // Ascending unit order: the shared noise stream draws in exactly the
   // order the per-unit loop would.
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = read_power_unit(i);
+  read_range(0, out.size(), /*skip_closed=*/true, out,
+             [this] { return noise_.normal(); });
+}
+
+void SimulatedRapl::draw_block_noise() {
+  const std::size_t n = energy_units_.size();
+  if (obs_reads_ != nullptr) obs_reads_->add(n);
+  noise_.draw_normals(config_.noise_fraction > 0.0 ? n : 0, noise_draws_);
+}
+
+void SimulatedRapl::read_power_block(std::size_t first, std::size_t last,
+                                     std::span<Watts> out) {
+  check_block(first, last, out.size(), "read_power_block");
+  read_range(first, last, /*skip_closed=*/false, out,
+             [this, deviate = first, memo = NormalDraws::Memo{}]() mutable {
+               return noise_draws_.deviate(deviate++, memo);
+             });
 }
 
 void SimulatedRapl::set_cap_unit(std::size_t i, Watts cap) {
@@ -159,10 +208,15 @@ void SimulatedRapl::set_cap_batch(std::span<const Watts> caps) {
 }
 
 void SimulatedRapl::effective_caps_batch(std::span<Watts> out) const {
-  if (out.size() != effective_cap_.size()) {
-    throw std::invalid_argument("effective_caps_batch: span size mismatch");
-  }
-  std::copy(effective_cap_.begin(), effective_cap_.end(), out.begin());
+  effective_caps_block(0, effective_cap_.size(), out);
+}
+
+void SimulatedRapl::effective_caps_block(std::size_t first, std::size_t last,
+                                         std::span<Watts> out) const {
+  check_block(first, last, out.size(), "effective_caps_batch");
+  std::copy(effective_cap_.begin() + static_cast<std::ptrdiff_t>(first),
+            effective_cap_.begin() + static_cast<std::ptrdiff_t>(last),
+            out.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
 Watts SimulatedRapl::cap(int unit) const {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/sink.hpp"
@@ -62,6 +64,30 @@ class SimulatedRapl final : public PowerInterface {
   /// effective_cap(u) for u = 0..n-1 in one pass.
   void effective_caps_batch(std::span<Watts> out) const;
 
+  // --- Block forms (the engine's sharded step) ---
+  //
+  // Each acts on units [first, last) of spans that cover every unit, and
+  // each batch call above is its one-block case. Blocks of one step touch
+  // disjoint per-unit state, so they may run on different threads.
+
+  void record_block(std::size_t first, std::size_t last,
+                    std::span<const Watts> true_power, Seconds dt);
+  void advance_block(std::size_t first, std::size_t last);
+  void effective_caps_block(std::size_t first, std::size_t last,
+                            std::span<Watts> out) const;
+
+  /// Serial half of a sharded read: draws the noise of one reading of
+  /// every unit, unit u taking deviate u, as read_power_batch would if
+  /// every window were open. Counts the reads.
+  void draw_block_noise();
+  /// Parallel half: reads units [first, last) of `out` with the deviates
+  /// draw_block_noise() drew. Every window must be open by now (recorded
+  /// with dt > 0 since its last read), or it throws std::logic_error: a
+  /// closed window would have taken no deviate, and every later unit a
+  /// different one.
+  void read_power_block(std::size_t first, std::size_t last,
+                        std::span<Watts> out);
+
   /// Raw wrapped counter value, in energy units, as software would read
   /// from MSR_PKG_ENERGY_STATUS. Exposed for tests.
   std::uint32_t raw_energy_counter(int unit) const;
@@ -88,7 +114,21 @@ class SimulatedRapl final : public PowerInterface {
  private:
   /// `unit` as an index, or std::out_of_range.
   std::size_t index_of(int unit) const;
-  Watts read_power_unit(std::size_t i);
+  /// Throws unless [first, last) lies within the units and `span_size`
+  /// covers them all.
+  void check_block(std::size_t first, std::size_t last,
+                   std::size_t span_size, const char* who) const;
+  /// Closes unit i's open window and returns its average power, scaled by
+  /// the noise of the standard-normal deviate `z`.
+  Watts close_window(std::size_t i, double z);
+  /// Reads units [first, last) into `out`, each open window taking the
+  /// next deviate from `next_deviate` (the noise stream itself for a
+  /// whole-range read, draw_block_noise()'s deviates for a block). A
+  /// closed window returns the last reading and takes no deviate when
+  /// `skip_closed`, and throws otherwise.
+  template <typename NextDeviate>
+  void read_range(std::size_t first, std::size_t last, bool skip_closed,
+                  std::span<Watts> out, NextDeviate next_deviate);
   void set_cap_unit(std::size_t i, Watts cap);
 
   RaplSimConfig config_;
@@ -106,6 +146,9 @@ class SimulatedRapl final : public PowerInterface {
   std::vector<Watts> pending_caps_;
   std::vector<int> pending_len_;
   Rng noise_;
+  // The current read's noise, drawn serially from noise_; sized on the
+  // first read.
+  NormalDraws noise_draws_;
   obs::Counter* obs_reads_ = nullptr;
   obs::Counter* obs_cap_requests_ = nullptr;
   obs::Counter* obs_cap_changes_ = nullptr;

@@ -16,8 +16,9 @@ class JobHost {
   virtual ~JobHost() = default;
 
   /// Starts `spec` on the given idle units; `seed` keys the per-unit
-  /// jitter realizations. Returns a host-side slot handle.
-  virtual int start_job(const WorkloadSpec& spec, std::span<const int> units,
+  /// jitter realizations. Returns a host-side slot handle. The host keeps
+  /// the spec, so callers move theirs in.
+  virtual int start_job(WorkloadSpec spec, std::span<const int> units,
                         std::uint64_t seed) = 0;
 
   /// Kills a running job (crash requeue); its healthy units go idle.

@@ -146,15 +146,17 @@ void SchedRuntime::requeue_crashed(JobHost& host, Seconds now) {
 void SchedRuntime::start_job(JobHost& host, Job job, int granted,
                              Seconds now) {
   const int requested = job.arrival.n_units;
-  const WorkloadSpec spec_run = granted < requested
-                                    ? shrink_spec(job.spec, requested, granted)
-                                    : job.spec;
+  // The one copy of the spec per start: the running entry keeps job.spec
+  // for a requeue, and the host keeps this one.
+  WorkloadSpec spec_run = granted < requested
+                              ? shrink_spec(job.spec, requested, granted)
+                              : job.spec;
   if (granted < requested) ++shrunk_;
   const std::vector<int> units = placement_.bind(job.id, granted);
   // Per-(run seed, job, attempt) jitter stream: a requeued job restarts
   // from scratch with a fresh realization.
   const int slot = host.start_job(
-      spec_run, units,
+      std::move(spec_run), units,
       mix_seed(seed_, static_cast<std::uint64_t>(job.id),
                static_cast<std::uint64_t>(job.retries)));
   obs_.event(obs::EventKind::kJobStart, units.front(), job.id, granted);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dps {
 
@@ -45,7 +46,7 @@ Cluster::Cluster(std::vector<GroupSpec> groups, const PerfModel& model)
       unit_group_[next_unit++] = static_cast<int>(groups_.size());
     }
     groups_.push_back(std::move(group));
-    start_new_run(groups_.back());
+    start_new_run(groups_.back(), now_);
   }
 }
 
@@ -83,7 +84,7 @@ void Cluster::advance(std::size_t u) {
   }
 }
 
-int Cluster::start_job(const WorkloadSpec& spec, std::span<const int> units,
+int Cluster::start_job(WorkloadSpec spec, std::span<const int> units,
                        std::uint64_t seed) {
   if (!job_mode_) {
     throw std::logic_error("Cluster::start_job: not a job-mode cluster");
@@ -108,8 +109,8 @@ int Cluster::start_job(const WorkloadSpec& spec, std::span<const int> units,
     }
     unit_job_slot_[u] = slot;
   }
-  // The caller's spec may be a temporary; the job keeps its own.
-  job.spec = std::make_unique<const WorkloadSpec>(spec);
+  // The job owns the spec its instances refer to.
+  job.spec = std::make_unique<const WorkloadSpec>(std::move(spec));
   for (std::size_t i = 0; i < job.units.size(); ++i) {
     const auto u = static_cast<std::size_t>(job.units[i]);
     unit_done_[u] = 0;
@@ -151,32 +152,9 @@ int Cluster::busy_units() const {
   return busy;
 }
 
-void Cluster::step_jobs(Seconds dt, std::span<const Watts> effective_caps,
-                        std::span<Watts> true_power_out) {
-  const std::size_t n = unit_group_.size();
-  for (std::size_t u = 0; u < n; ++u) {
-    if (unit_crashed_[u]) {
-      unit_last_power_[u] = 0.0;
-      true_power_out[u] = 0.0;
-      continue;
-    }
-    Watts demand = kIdlePower;
-    const bool running = unit_job_slot_[u] >= 0 && !unit_done_[u];
-    if (running) {
-      demand = unit_piece_[u].demand(unit_progress_[u]);
-      const double speed = model_.speed(demand, effective_caps[u]);
-      unit_progress_[u] += speed * dt;
-      if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
-    }
-    const Watts drawn = unit_job_slot_[u] >= 0 && !unit_done_[u]
-                            ? model_.power_drawn(demand, effective_caps[u])
-                            : kIdlePower;
-    unit_last_power_[u] = drawn;
-    unit_energy_[u] += drawn * dt;
-    true_power_out[u] = drawn;
-  }
-
+void Cluster::end_step(Seconds dt) {
   now_ += dt;
+  if (!job_mode_) return;
 
   // A job retires when all of its units finished their realizations. A
   // crashed unit stalls its job until the scheduling runtime evicts it.
@@ -205,7 +183,7 @@ void Cluster::step_jobs(Seconds dt, std::span<const Watts> effective_caps,
   }
 }
 
-void Cluster::start_new_run(GroupState& group) {
+void Cluster::start_new_run(GroupState& group, Seconds now) {
   if (!group.rotation.empty()) {
     group.current_workload_index = static_cast<int>(group.rotation_next);
     group.rotation_next = (group.rotation_next + 1) % group.rotation.size();
@@ -214,7 +192,7 @@ void Cluster::start_new_run(GroupState& group) {
   const int active = spec.active_sockets > 0
                          ? std::min(spec.active_sockets, group.sockets)
                          : group.sockets;
-  group.run_start = now_;
+  group.run_start = now;
   group.in_gap = false;
   ++group.run_index;
   for (int s = 0; s < group.sockets; ++s) {
@@ -240,90 +218,122 @@ void Cluster::start_new_run(GroupState& group) {
 
 void Cluster::step(Seconds dt, std::span<const Watts> effective_caps,
                    std::span<Watts> true_power_out) {
+  step_block(StepBlock{0, num_groups(), 0, total_units()}, dt, effective_caps,
+             true_power_out);
+  end_step(dt);
+}
+
+std::vector<Cluster::StepBlock> Cluster::step_blocks(int min_units) const {
+  if (job_mode_) return {StepBlock{0, 0, 0, total_units()}};
+  std::vector<StepBlock> blocks;
+  StepBlock block;
+  for (int g = 0; g < num_groups(); ++g) {
+    const GroupState& group = groups_[static_cast<std::size_t>(g)];
+    block.last_group = g + 1;
+    block.last_unit = group.first_unit + group.sockets;
+    if (block.last_unit - block.first_unit >= min_units) {
+      blocks.push_back(block);
+      block = StepBlock{g + 1, g + 1, block.last_unit, block.last_unit};
+    }
+  }
+  if (block.last_group > block.first_group) blocks.push_back(block);
+  return blocks;
+}
+
+void Cluster::step_block(const StepBlock& block, Seconds dt,
+                         std::span<const Watts> effective_caps,
+                         std::span<Watts> true_power_out) {
   const std::size_t n = unit_group_.size();
   if (effective_caps.size() != n || true_power_out.size() != n) {
     throw std::invalid_argument("Cluster::step: span size mismatch");
   }
-  if (job_mode_) {
-    step_jobs(dt, effective_caps, true_power_out);
+  if (!job_mode_) {
+    const Seconds end = now_ + dt;
+    for (int g = block.first_group; g < block.last_group; ++g) {
+      step_group(groups_[static_cast<std::size_t>(g)], dt, end,
+                 effective_caps, true_power_out);
+    }
     return;
   }
-
-  // Groups own contiguous unit ranges, so walking group-by-group visits
-  // units in ascending order (identical accumulation order to a flat
-  // per-unit walk) while hoisting the per-group branches out of the
-  // inner pass.
-  for (auto& group : groups_) {
-    const std::size_t begin = static_cast<std::size_t>(group.first_unit);
-    const std::size_t end = begin + static_cast<std::size_t>(group.sockets);
-    if (group.in_gap) {
-      for (std::size_t u = begin; u < end; ++u) {
-        if (unit_crashed_[u]) {
-          unit_last_power_[u] = 0.0;
-          true_power_out[u] = 0.0;
-          continue;
-        }
-        unit_last_power_[u] = kIdlePower;
-        unit_energy_[u] += kIdlePower * dt;
-        true_power_out[u] = kIdlePower;
-      }
+  // Job mode: the units' physics; their jobs retire in end_step().
+  for (auto u = static_cast<std::size_t>(block.first_unit);
+       u < static_cast<std::size_t>(block.last_unit); ++u) {
+    if (unit_crashed_[u]) {
+      unit_last_power_[u] = 0.0;
+      true_power_out[u] = 0.0;
       continue;
     }
-    for (std::size_t u = begin; u < end; ++u) {
+    Watts demand = kIdlePower;
+    const bool running = unit_job_slot_[u] >= 0 && !unit_done_[u];
+    if (running) {
+      demand = unit_piece_[u].demand(unit_progress_[u]);
+      const double speed = model_.speed(demand, effective_caps[u]);
+      unit_progress_[u] += speed * dt;
+      if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
+    }
+    const Watts drawn = unit_job_slot_[u] >= 0 && !unit_done_[u]
+                            ? model_.power_drawn(demand, effective_caps[u])
+                            : kIdlePower;
+    unit_last_power_[u] = drawn;
+    unit_energy_[u] += drawn * dt;
+    true_power_out[u] = drawn;
+  }
+}
+
+void Cluster::step_group(GroupState& group, Seconds dt, Seconds end,
+                         std::span<const Watts> effective_caps,
+                         std::span<Watts> true_power_out) {
+  const std::size_t begin = static_cast<std::size_t>(group.first_unit);
+  const std::size_t stop = begin + static_cast<std::size_t>(group.sockets);
+  if (group.in_gap) {
+    for (std::size_t u = begin; u < stop; ++u) {
       if (unit_crashed_[u]) {
-        // Dark node: no draw, no progress; the group's run stalls on it
-        // until the restart.
         unit_last_power_[u] = 0.0;
         true_power_out[u] = 0.0;
         continue;
       }
-      Watts demand = kIdlePower;
-      if (!unit_done_[u]) {
-        demand = unit_piece_[u].demand(unit_progress_[u]);
-        const double speed = model_.speed(demand, effective_caps[u]);
-        unit_progress_[u] += speed * dt;
-        if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
-      }
-      const Watts drawn = unit_done_[u]
-                              ? kIdlePower
-                              : model_.power_drawn(demand, effective_caps[u]);
-      unit_last_power_[u] = drawn;
-      unit_energy_[u] += drawn * dt;
-      true_power_out[u] = drawn;
-      group.active_energy += drawn * dt;
+      unit_last_power_[u] = kIdlePower;
+      unit_energy_[u] += kIdlePower * dt;
+      true_power_out[u] = kIdlePower;
     }
+    // Count down the inter-run gap.
+    group.gap_remaining -= dt;
+    if (group.gap_remaining <= 0.0) start_new_run(group, end);
+    return;
   }
-
-  for (auto& group : groups_) {
-    if (!group.in_gap) group.active_time += dt;
-  }
-
-  now_ += dt;
-
-  // Group bookkeeping: finish runs whose active sockets are all done, and
-  // count down inter-run gaps.
-  for (auto& group : groups_) {
-    if (group.in_gap) {
-      group.gap_remaining -= dt;
-      if (group.gap_remaining <= 0.0) start_new_run(group);
+  for (std::size_t u = begin; u < stop; ++u) {
+    if (unit_crashed_[u]) {
+      // Dark node: no draw, no progress; the group's run stalls on it
+      // until the restart.
+      unit_last_power_[u] = 0.0;
+      true_power_out[u] = 0.0;
       continue;
     }
-    bool all_done = true;
-    const std::size_t begin = static_cast<std::size_t>(group.first_unit);
-    const std::size_t end = begin + static_cast<std::size_t>(group.sockets);
-    for (std::size_t u = begin; u < end; ++u) {
-      if (unit_active_[u] && !unit_done_[u]) {
-        all_done = false;
-        break;
-      }
+    Watts demand = kIdlePower;
+    if (!unit_done_[u]) {
+      demand = unit_piece_[u].demand(unit_progress_[u]);
+      const double speed = model_.speed(demand, effective_caps[u]);
+      unit_progress_[u] += speed * dt;
+      if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
     }
-    if (all_done) {
-      group.completions.push_back(
-          Completion{group.run_start, now_, group.current_workload_index});
-      group.in_gap = true;
-      group.gap_remaining = group.current().inter_run_gap;
-    }
+    const Watts drawn = unit_done_[u]
+                            ? kIdlePower
+                            : model_.power_drawn(demand, effective_caps[u]);
+    unit_last_power_[u] = drawn;
+    unit_energy_[u] += drawn * dt;
+    true_power_out[u] = drawn;
+    group.active_energy += drawn * dt;
   }
+  group.active_time += dt;
+
+  // The run finishes once its active sockets are all done.
+  for (std::size_t u = begin; u < stop; ++u) {
+    if (unit_active_[u] && !unit_done_[u]) return;
+  }
+  group.completions.push_back(
+      Completion{group.run_start, end, group.current_workload_index});
+  group.in_gap = true;
+  group.gap_remaining = group.current().inter_run_gap;
 }
 
 void Cluster::true_demands(std::span<Watts> out) const {

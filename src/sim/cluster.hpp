@@ -73,9 +73,38 @@ class Cluster : public sched::JobHost {
   int num_groups() const { return static_cast<int>(groups_.size()); }
 
   /// Advances the whole system by `dt`, writing each unit's true power draw
-  /// into `true_power_out` (size must equal total_units()).
+  /// into `true_power_out` (size must equal total_units()). One block
+  /// covering every group, then end_step().
   void step(Seconds dt, std::span<const Watts> effective_caps,
             std::span<Watts> true_power_out);
+
+  /// A run of whole groups and the contiguous units they own: the piece of
+  /// a step that one thread advances (see SimulationEngine::run).
+  struct StepBlock {
+    int first_group = 0;
+    int last_group = 0;
+    int first_unit = 0;
+    int last_unit = 0;
+  };
+
+  /// The groups, in order, cut into blocks that each close once they hold
+  /// at least `min_units` units (the last may hold fewer). A job-mode
+  /// cluster is one block of every unit.
+  std::vector<StepBlock> step_blocks(int min_units) const;
+
+  /// Advances `block`'s units by `dt` under `effective_caps`, writing their
+  /// power into `true_power_out` (both spans cover every unit), then runs
+  /// its groups' bookkeeping (completions, gaps, new runs) against the
+  /// post-step clock now() + dt. Blocks share no state, so the blocks of
+  /// one step may run on different threads and in any order; end_step()
+  /// closes the step once all of them have run.
+  void step_block(const StepBlock& block, Seconds dt,
+                  std::span<const Watts> effective_caps,
+                  std::span<Watts> true_power_out);
+
+  /// Advances the clock by `dt` after every block of the step; in job mode
+  /// it also retires the jobs whose units all finished.
+  void end_step(Seconds dt);
 
   /// Instantaneous true (uncapped) power demand of every unit; this is what
   /// the oracle manager is allowed to see and what satisfaction's
@@ -90,7 +119,7 @@ class Cluster : public sched::JobHost {
   int min_completions() const;
 
   // --- sched::JobHost (job mode only; throws in group mode) ---
-  int start_job(const WorkloadSpec& spec, std::span<const int> units,
+  int start_job(WorkloadSpec spec, std::span<const int> units,
                 std::uint64_t seed) override;
   void abort_job(int slot) override;
   std::vector<int> drain_finished_jobs() override;
@@ -162,9 +191,13 @@ class Cluster : public sched::JobHost {
     }
   };
 
-  void start_new_run(GroupState& group);
-  void step_jobs(Seconds dt, std::span<const Watts> effective_caps,
-                 std::span<Watts> true_power_out);
+  /// Starts `group`'s next run at time `now`.
+  void start_new_run(GroupState& group, Seconds now);
+  /// One step of `group`: its units' physics, then its bookkeeping against
+  /// the post-step clock `end`.
+  void step_group(GroupState& group, Seconds dt, Seconds end,
+                  std::span<const Watts> effective_caps,
+                  std::span<Watts> true_power_out);
   void resize_units(std::size_t n);
   /// Binds `instance` to unit `u` at progress 0 and caches its first
   /// piece.

@@ -5,6 +5,7 @@
 #include "faults/faulty_power.hpp"
 #include "faults/resilience.hpp"
 #include "thermal/governor.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <memory>
@@ -12,6 +13,15 @@
 #include <stdexcept>
 
 namespace dps {
+namespace {
+
+/// Units per block of a sharded engine step. A block is about 0.25 ms of
+/// physics and telemetry at this size, so waking a worker for it costs
+/// little against the block, while a 100k-unit fleet still splits into
+/// about 25 blocks that balance over a few CPUs.
+constexpr int kStepBlockUnits = 4096;
+
+}  // namespace
 
 SimulationEngine::SimulationEngine(const EngineConfig& config)
     : config_(config) {
@@ -117,6 +127,44 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
       "engine_decide_seconds", "Wall time of one manager decision");
   obs::Gauge* obs_budget = obs.gauge(
       "engine_budget_watts", "Cluster budget currently in effect");
+
+  // Physics blocks. With no fault, schedule, thermal or trace hook between
+  // its phases, a step's per-unit work (effective caps, cluster physics,
+  // RAPL record and read) runs as blocks of whole groups that this thread
+  // and a run-scoped pool claim; the read's noise is drawn serially first,
+  // one deviate per unit in unit order, since every unit is recorded with
+  // dt > 0 before it is read. A run of one block, or with a hook, steps
+  // its one block on this thread and reads through the telemetry seam
+  // after the hooks.
+  const bool hooked = injector || sched_rt || thermal || result.trace;
+  const std::vector<Cluster::StepBlock> blocks =
+      cluster.step_blocks(hooked ? n : kStepBlockUnits);
+  const bool sharded = blocks.size() > 1;
+  const std::size_t workers =
+      sharded ? std::min<std::size_t>(available_threads(), blocks.size())
+              : 1;
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) {
+    pool = std::make_unique<ThreadPool>(static_cast<int>(workers) - 1);
+  }
+  if (obs::Gauge* g = obs.gauge("engine_physics_blocks",
+                                "Blocks of units one engine step splits into")) {
+    g->set(static_cast<double>(blocks.size()));
+  }
+  if (obs::Gauge* g = obs.gauge(
+          "engine_physics_workers",
+          "Threads stepping the physics blocks, the engine's own included")) {
+    g->set(static_cast<double>(workers));
+  }
+  const auto step_block = [&](std::size_t b) {
+    const auto first = static_cast<std::size_t>(blocks[b].first_unit);
+    const auto last = static_cast<std::size_t>(blocks[b].last_unit);
+    rapl.effective_caps_block(first, last, effective);
+    cluster.step_block(blocks[b], config_.dt, effective, true_power);
+    rapl.record_block(first, last, true_power, config_.dt);
+    rapl.advance_block(first, last);
+    if (sharded) rapl.read_power_block(first, last, measured);
+  };
   // Previous step's caps, for emitting kCapWrite only when a cap moved.
   std::vector<Watts> obs_prev_caps;
   if (obs.enabled()) obs_prev_caps = caps;
@@ -174,15 +222,14 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
       }
     }
 
-    // Advance the system one period under the currently enforced caps.
-    rapl.effective_caps_batch(effective);
     // True demands are only consumed by the optional trace artifact; the
     // scan (a per-unit segment lookup) stays off the hot path otherwise.
     if (result.trace) cluster.true_demands(demands);
-    cluster.step(config_.dt, effective, true_power);
+    // Advance the system one period under the currently enforced caps.
+    if (sharded) rapl.draw_block_noise();
+    run_blocks(pool.get(), Caller::kClaims, blocks.size(), 1, step_block);
+    cluster.end_step(config_.dt);
     if (sched_rt) sched_rt->end_tick(cluster, cluster.now(), config_.dt);
-    rapl.record_batch(true_power, config_.dt);
-    rapl.advance_step();
     if (thermal) {
       // The model's own pass reports the hottest true temperature, so the
       // engine does not re-scan every unit.
@@ -192,7 +239,7 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
     }
 
     // Controller turn: read (possibly faulted) power, decide, actuate.
-    telemetry.read_power_batch(measured);
+    if (!sharded) telemetry.read_power_batch(measured);
     {
       obs::ScopedSpan span(obs, obs_decide_seconds, "decide");
       manager.decide(measured, caps);

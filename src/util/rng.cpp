@@ -55,19 +55,59 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
   return v % n;
 }
 
+void box_muller(double u1, double u2, double& cos_deviate,
+                double& sin_deviate) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * std::numbers::pi * u2;
+  cos_deviate = r * std::cos(theta);
+  sin_deviate = r * std::sin(theta);
+}
+
+void Rng::draw_pair(double& u1, double& u2) {
+  u1 = 0.0;
+  while (u1 == 0.0) u1 = uniform();
+  u2 = uniform();
+}
+
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  double u1 = 0.0;
-  while (u1 == 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
+  double u1, u2, deviate;
+  draw_pair(u1, u2);
+  box_muller(u1, u2, deviate, cached_normal_);
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return deviate;
+}
+
+void Rng::draw_normals(std::size_t count, NormalDraws& out) {
+  out.count_ = count;
+  out.skip_ = 0;
+  out.last_ = NormalDraws::Memo{};
+  std::size_t fresh = count;
+  if (count > 0 && has_cached_normal_) {
+    out.pending_ = cached_normal_;
+    out.skip_ = 1;
+    has_cached_normal_ = false;
+    --fresh;
+  }
+  const std::size_t pairs = (fresh + 1) / 2;
+  out.uniforms_.resize(2 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    draw_pair(out.uniforms_[2 * p], out.uniforms_[2 * p + 1]);
+  }
+  if (pairs > 0) {
+    // The last pair's sine stays in the cache, as after the normal() call
+    // that drew the pair: pending when the run ends on the pair's cosine,
+    // spent (but still saved by save()) when it ends on the sine. The run
+    // keeps the pair's transform, so it is computed once.
+    out.last_.pair = pairs - 1;
+    box_muller(out.uniforms_[2 * pairs - 2], out.uniforms_[2 * pairs - 1],
+               out.last_.cos, out.last_.sin);
+    cached_normal_ = out.last_.sin;
+    has_cached_normal_ = fresh % 2 == 1;
+  }
 }
 
 double Rng::normal(double mean, double stddev) {

@@ -2,7 +2,24 @@
 
 #include <stdexcept>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace dps {
+
+unsigned available_threads() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int cpus = CPU_COUNT(&mask);
+    if (cpus > 0) return static_cast<unsigned>(cpus);
+  }
+#endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
 
 ThreadPool::ThreadPool(int threads) {
   if (threads < 1) {

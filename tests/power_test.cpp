@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "power/rapl_sim.hpp"
 
@@ -156,6 +159,71 @@ TEST(RaplSim, PerUnitStateIsIndependent) {
   rapl.set_cap(0, 60.0);
   EXPECT_DOUBLE_EQ(rapl.cap(0), 60.0);
   EXPECT_DOUBLE_EQ(rapl.cap(1), 165.0);
+}
+
+// The engine's sharded read: drawing every unit's noise serially, then
+// reading blocks of units in any order, gives read_power_batch's readings
+// and leaves the noise stream where it leaves it. Covers an odd unit
+// count (a Box-Muller pair straddles two blocks), a pending cached
+// deviate, and the actuation pipeline.
+TEST(RaplSim, BlockReadsMatchTheBatchRead) {
+  for (const int delay : {0, 2}) {
+    SCOPED_TRACE("actuation_delay_steps " + std::to_string(delay));
+    RaplSimConfig config;
+    config.actuation_delay_steps = delay;
+    const int n = 37;
+    const auto un = static_cast<std::size_t>(n);
+    SimulatedRapl whole(n, config), blocked(n, config);
+    // Blocks of 10, 10, 17 units, read last block first.
+    const std::size_t cuts[] = {0, 10, 20, un};
+    std::vector<Watts> truth(un), caps(un), read_a(un), read_b(un);
+    std::vector<Watts> eff_a(un), eff_b(un);
+    for (int step = 0; step < 6; ++step) {
+      for (std::size_t u = 0; u < un; ++u) {
+        truth[u] = 60.0 + 3.0 * static_cast<double>((u * 7 + step) % 29);
+        caps[u] = 50.0 + static_cast<double>((u + 3 * step) % 100);
+      }
+      // A lone read first leaves a deviate cached on odd steps.
+      if (step % 2 == 1) {
+        whole.record(0, 80.0, 0.5);
+        blocked.record(0, 80.0, 0.5);
+        ASSERT_EQ(whole.read_power(0), blocked.read_power(0));
+      }
+      whole.effective_caps_batch(eff_a);
+      whole.record_batch(truth, 1.0);
+      whole.advance_step();
+      whole.read_power_batch(read_a);
+      whole.set_cap_batch(caps);
+
+      blocked.draw_block_noise();
+      for (std::size_t b = 3; b-- > 0;) {
+        blocked.effective_caps_block(cuts[b], cuts[b + 1], eff_b);
+        blocked.record_block(cuts[b], cuts[b + 1], truth, 1.0);
+        blocked.advance_block(cuts[b], cuts[b + 1]);
+        blocked.read_power_block(cuts[b], cuts[b + 1], read_b);
+      }
+      blocked.set_cap_batch(caps);
+      for (std::size_t u = 0; u < un; ++u) {
+        ASSERT_EQ(eff_a[u], eff_b[u]) << "step " << step << " unit " << u;
+        ASSERT_EQ(read_a[u], read_b[u]) << "step " << step << " unit " << u;
+        ASSERT_EQ(whole.raw_energy_counter(static_cast<int>(u)),
+                  blocked.raw_energy_counter(static_cast<int>(u)));
+      }
+    }
+  }
+}
+
+// A sharded read gives unit u deviate u, which holds only if every window
+// is open; a closed one must stop the read rather than shift the rest.
+TEST(RaplSim, BlockReadOfAClosedWindowThrows) {
+  SimulatedRapl rapl(4);
+  std::vector<Watts> truth(4, 100.0), out(4, 0.0);
+  rapl.record_batch(truth, 1.0);
+  rapl.read_power(2);  // closes unit 2's window
+  rapl.draw_block_noise();
+  rapl.read_power_block(0, 2, out);
+  EXPECT_THROW(rapl.read_power_block(2, 4, out), std::logic_error);
+  EXPECT_THROW(rapl.read_power_block(3, 5, out), std::out_of_range);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <vector>
 
 #include "analysis/trace_analysis.hpp"
@@ -321,6 +322,94 @@ TEST(Engine, RejectsBadConfig) {
 }
 
 // --- SimNode ---
+
+// The engine's sharded step: stepping the groups as blocks, in any order,
+// then closing the step must match one Cluster::step bit for bit. The
+// groups complete runs, sit in gaps, restart, rotate through workloads,
+// idle inactive sockets and stall on a crashed unit.
+TEST(Cluster, BlocksInAnyOrderMatchOneStep) {
+  auto jittery = tiny_workload(6.0);
+  jittery.duration_jitter = 0.2;
+  jittery.power_jitter = 0.1;
+  jittery.socket_skew = 2.0;
+  auto sort = spark_workload("Sort");  // one active socket of the group
+  const auto make_groups = [&] {
+    return std::vector<GroupSpec>{
+        GroupSpec{tiny_workload(), 3, 1},
+        GroupSpec{jittery, 4, 2, {tiny_workload(4.0), jittery, sort}},
+        GroupSpec{sort, 5, 3},
+        GroupSpec{jittery, 2, 4},
+        GroupSpec{tiny_workload(3.0), 1, 5, {jittery, tiny_workload(9.0)}},
+        GroupSpec{jittery, 6, 6}};
+  };
+  const Cluster reference(make_groups());
+  // Units 3 | 4 | 5 | 2+1 | 6: each block closes once it holds 3.
+  const std::vector<Cluster::StepBlock> blocks = reference.step_blocks(3);
+  ASSERT_EQ(blocks.size(), 5u);
+  EXPECT_EQ(blocks[3].first_group, 3);
+  EXPECT_EQ(blocks[3].last_group, 5);
+  EXPECT_EQ(blocks[3].first_unit, 12);
+  EXPECT_EQ(blocks[3].last_unit, 15);
+  std::vector<std::vector<std::size_t>> orders(3);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    orders[0].push_back(b);
+    orders[1].insert(orders[1].begin(), b);
+  }
+  orders[2] = {0, 2, 4, 1, 3};
+
+  const auto n = static_cast<std::size_t>(reference.total_units());
+  for (const auto& order : orders) {
+    Cluster ref(make_groups()), blocked(make_groups());
+    std::vector<Watts> caps(n), power_a(n), power_b(n), demand_a(n),
+        demand_b(n);
+    for (int step = 0; step < 120; ++step) {
+      for (std::size_t u = 0; u < n; ++u) {
+        caps[u] = 60.0 + static_cast<double>((u * 13 + step * 7) % 105);
+      }
+      const bool crashed = step >= 30 && step < 45;
+      ref.set_crashed(5, crashed);
+      blocked.set_crashed(5, crashed);
+      ref.step(1.0, caps, power_a);
+      for (const std::size_t b : order) {
+        blocked.step_block(blocks[b], 1.0, caps, power_b);
+      }
+      blocked.end_step(1.0);
+      ref.true_demands(demand_a);
+      blocked.true_demands(demand_b);
+      ASSERT_EQ(ref.now(), blocked.now());
+      for (std::size_t u = 0; u < n; ++u) {
+        ASSERT_EQ(power_a[u], power_b[u]) << "step " << step << " unit " << u;
+        ASSERT_EQ(demand_a[u], demand_b[u]) << "step " << step << " unit " << u;
+      }
+    }
+    for (int g = 0; g < ref.num_groups(); ++g) {
+      const auto& a = ref.completions(g);
+      const auto& b = blocked.completions(g);
+      ASSERT_EQ(a.size(), b.size()) << "group " << g;
+      EXPECT_FALSE(a.empty()) << "group " << g;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].start, b[i].start);
+        EXPECT_EQ(a[i].end, b[i].end);
+        EXPECT_EQ(a[i].workload_index, b[i].workload_index);
+      }
+      EXPECT_EQ(ref.group_mean_power(g), blocked.group_mean_power(g));
+    }
+    for (std::size_t u = 0; u < n; ++u) {
+      EXPECT_EQ(ref.mean_true_power(static_cast<int>(u)),
+                blocked.mean_true_power(static_cast<int>(u)));
+    }
+  }
+  // The rotating group's completions name more than one workload.
+  const std::vector<int> rotated = [&] {
+    Cluster c(make_groups());
+    std::vector<Watts> caps(n, 165.0), power(n);
+    for (int step = 0; step < 120; ++step) c.step(1.0, caps, power);
+    std::vector<int> seen;
+    for (const auto& done : c.completions(1)) seen.push_back(done.workload_index);
+    return seen;
+  }();
+  EXPECT_GT(std::set<int>(rotated.begin(), rotated.end()).size(), 1u);
+}
 
 /// Sets every cap to 60, 110 and 165 W in turn, 7 steps each, and records
 /// the readings it is given.

@@ -4,7 +4,10 @@
 #include <chrono>
 #include <latch>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -144,6 +147,91 @@ TEST(ThreadPool, SubmitFromManyThreads) {
   }
   for (auto& producer : producers) producer.join();
   EXPECT_EQ(total.load(), 200);
+}
+
+// run_blocks, the one claim-and-rethrow mechanism of the tree's leaf tier
+// and the engine's physics blocks: with a pool every index runs exactly
+// once across the calling thread and the workers, a throwing block stops
+// neither its thread nor the others, and the call returns only after every
+// task has finished, rethrowing the lowest failing block's exception.
+// Without a pool the blocks run in order up to the first throw.
+TEST(RunBlocks, RunsEveryBlockOnceWaitsForAllAndRethrowsTheLowestFailure) {
+  ThreadPool pool(3);
+  struct Setup {
+    ThreadPool* pool;
+    Caller caller;
+    std::size_t claim;
+  };
+  for (const Setup setup : {Setup{nullptr, Caller::kClaims, 1},
+                            Setup{&pool, Caller::kClaims, 1},
+                            Setup{&pool, Caller::kClaims, 4},
+                            Setup{&pool, Caller::kWaits, 1},
+                            Setup{&pool, Caller::kWaits, 4}}) {
+    SCOPED_TRACE(std::string(setup.pool ? "pool" : "inline") +
+                 (setup.caller == Caller::kClaims ? ", caller claims"
+                                                  : ", caller waits") +
+                 ", claim " + std::to_string(setup.claim));
+    constexpr std::size_t kBlocks = 37;
+    std::vector<std::atomic<int>> runs(kBlocks);
+    std::atomic<int> finished{0};
+    try {
+      run_blocks(setup.pool, setup.caller, kBlocks, setup.claim,
+                 [&](std::size_t b) {
+                   runs[b].fetch_add(1);
+                   if (b == 29 || b == 11) {
+                     throw std::runtime_error("block " + std::to_string(b));
+                   }
+                   // Slow blocks keep other tasks running when the throws
+                   // happen.
+                   std::this_thread::sleep_for(std::chrono::microseconds(200));
+                   finished.fetch_add(1);
+                 });
+      ADD_FAILURE() << "run_blocks did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "block 11");
+    }
+    // Nothing runs after the rethrow.
+    const int at_throw = finished.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(finished.load(), at_throw);
+    const bool inline_run = setup.pool == nullptr;
+    EXPECT_EQ(at_throw, inline_run ? 11 : static_cast<int>(kBlocks) - 2);
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      EXPECT_EQ(runs[b].load(), inline_run && b > 11 ? 0 : 1) << "block " << b;
+    }
+  }
+  // No blocks: no call, no throw.
+  run_blocks(&pool, Caller::kClaims, 0, 1, [](std::size_t) { FAIL(); });
+}
+
+// Caller::kClaims puts the calling thread beside every worker: three
+// blocks on a two-worker pool are all in flight at once, on three threads.
+// Caller::kWaits leaves every block to the workers.
+TEST(RunBlocks, CallerClaimsOrWaits) {
+  ThreadPool pool(2);
+  for (const Caller caller : {Caller::kClaims, Caller::kWaits}) {
+    const bool claims = caller == Caller::kClaims;
+    SCOPED_TRACE(claims ? "caller claims" : "caller waits");
+    const int blocks = claims ? 3 : 2;
+    std::atomic<int> in_flight{0};
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    run_blocks(&pool, caller, static_cast<std::size_t>(blocks), 1,
+               [&](std::size_t) {
+                 in_flight.fetch_add(1);
+                 {
+                   std::lock_guard<std::mutex> lock(mu);
+                   threads.insert(std::this_thread::get_id());
+                 }
+                 // Bounded wait, so a broken pool fails instead of hanging.
+                 for (int i = 0; i < 2000 && in_flight.load() < blocks; ++i) {
+                   std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                 }
+               });
+    EXPECT_EQ(in_flight.load(), blocks);
+    EXPECT_EQ(threads.size(), static_cast<std::size_t>(blocks));
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), claims ? 1u : 0u);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/env.hpp"
@@ -91,6 +93,41 @@ TEST(Rng, SplitStreamsAreIndependent) {
     if (parent.next_u64() == child.next_u64()) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+// The serial half of a sharded read: draw_normals(k) and the pure
+// transform must give the k deviates that k normal() calls give, and leave
+// the generator in the same state, cached deviate included. Odd and even
+// k, from states with and without a pending cached deviate.
+TEST(Rng, DrawNormalsMatchesSuccessiveNormalCalls) {
+  for (const bool cached : {false, true}) {
+    for (const std::size_t k : {0, 1, 2, 3, 7, 8}) {
+      SCOPED_TRACE("k " + std::to_string(k) + (cached ? " cached" : ""));
+      Rng serial(77), batched(77);
+      if (cached) {
+        // One call leaves the pair's sine cached.
+        EXPECT_EQ(serial.normal(), batched.normal());
+      }
+      NormalDraws draws;
+      batched.draw_normals(k, draws);
+      ASSERT_EQ(draws.size(), k);
+      // Read out of order, and each deviate with a fresh memo as well as
+      // a shared one: a deviate depends on nothing but its index.
+      std::vector<double> expected(k);
+      for (std::size_t i = 0; i < k; ++i) expected[i] = serial.normal();
+      NormalDraws::Memo memo;
+      for (std::size_t i = k; i-- > 0;) {
+        NormalDraws::Memo fresh;
+        EXPECT_EQ(draws.deviate(i, fresh), expected[i]) << "deviate " << i;
+        EXPECT_EQ(draws.deviate(i, memo), expected[i]) << "deviate " << i;
+      }
+      ByteWriter a, b;
+      serial.save(a);
+      batched.save(b);
+      EXPECT_EQ(a.take(), b.take());
+      EXPECT_EQ(serial.normal(), batched.normal());
+    }
+  }
 }
 
 TEST(ShuffleIndices, ProducesPermutation) {
