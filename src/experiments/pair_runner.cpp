@@ -191,15 +191,16 @@ PairRunner::SoloStats PairRunner::solo_run(const WorkloadSpec& spec,
   const auto result =
       SimulationEngine(engine_config).run(cluster, rapl, constant);
 
-  SoloStats stats;
+  std::vector<double> latencies;
   for (const auto& c : result.completions[0]) {
-    stats.latencies.push_back(c.latency());
+    latencies.push_back(c.latency());
   }
-  if (stats.latencies.empty()) {
+  if (latencies.empty()) {
     throw std::runtime_error("solo run finished zero completions of " +
                              spec.name);
   }
-  stats.hmean = hmean_latency(stats.latencies);
+  SoloStats stats;
+  stats.hmean = hmean_latency(latencies);
   stats.mean_power = result.group_mean_power[0];
   return stats;
 }
@@ -234,10 +235,6 @@ double PairRunner::baseline_hmean(const WorkloadSpec& spec) {
 
 Watts PairRunner::uncapped_mean_power(const WorkloadSpec& spec) {
   return uncapped(spec).mean_power;
-}
-
-std::vector<double> PairRunner::baseline_latencies(const WorkloadSpec& spec) {
-  return baseline(spec).latencies;
 }
 
 }  // namespace dps

@@ -124,15 +124,10 @@ class PairRunner {
   /// Solo run with caps at TDP; returns the mean per-socket active power.
   Watts uncapped_mean_power(const WorkloadSpec& spec);
 
-  /// Solo run under constant allocation; returns all completion latencies
-  /// (used by the Table 2 / Table 4 characterization benches).
-  std::vector<double> baseline_latencies(const WorkloadSpec& spec);
-
   const ExperimentParams& params() const { return params_; }
 
  private:
   struct SoloStats {
-    std::vector<double> latencies;
     double hmean = 0.0;
     Watts mean_power = 0.0;
   };

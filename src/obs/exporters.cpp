@@ -6,6 +6,7 @@
 
 #include "util/csv.hpp"
 #include "util/csv_reader.hpp"
+#include "util/ini.hpp"
 
 namespace dps::obs {
 namespace {
@@ -124,12 +125,25 @@ std::vector<EventRecord> read_events_csv(const std::string& path) {
   std::vector<EventRecord> records;
   records.reserve(csv.num_rows());
   for (std::size_t r = 0; r < csv.num_rows(); ++r) {
+    const auto bad = [&](const char* column) {
+      return std::runtime_error(
+          "events csv: line " + std::to_string(csv.line(r)) + ": bad " +
+          column + " '" + csv.cell(r, column).value_or("") + "' in " + path);
+    };
+    const auto number = [&](const char* column) {
+      const auto value = csv.number(r, column);
+      if (!value) throw bad(column);
+      return *value;
+    };
     EventRecord record;
-    record.time = csv.number(r, "time").value_or(0.0);
+    record.time = number("time");
     record.kind = csv.cell(r, "kind").value_or("");
-    record.unit = static_cast<std::int32_t>(csv.number(r, "unit").value_or(-1));
-    record.value = csv.number(r, "value").value_or(0.0);
-    record.extra = csv.number(r, "extra").value_or(0.0);
+    const auto unit =
+        parse_integer<std::int32_t>(csv.cell(r, "unit").value_or(""));
+    if (!unit) throw bad("unit");
+    record.unit = *unit;
+    record.value = number("value");
+    record.extra = number("extra");
     record.detail = csv.cell(r, "detail").value_or("");
     records.push_back(std::move(record));
   }

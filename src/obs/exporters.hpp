@@ -31,8 +31,10 @@ void write_events_csv(const std::vector<Event>& events,
 void write_events_csv(const EventLog& log, const std::string& path);
 
 /// Reads an events CSV back. Throws std::runtime_error on an unreadable
-/// file or missing columns; rows with an unknown kind are kept verbatim
-/// (the trace exporter renders them as generic instants).
+/// file, a missing column, or a row whose time, value or extra is not a
+/// number or whose unit is not a 32-bit integer, naming the row's line;
+/// rows with an unknown kind are kept verbatim (the trace exporter renders
+/// them as generic instants).
 std::vector<EventRecord> read_events_csv(const std::string& path);
 
 /// Writes the Chrome trace_event JSON format ("JSON object format":

@@ -48,7 +48,6 @@ class ArrivalStream {
   bool has_due(Seconds now) const {
     return next_ < records_.size() && records_[next_].time <= now;
   }
-  const JobArrival& next() const { return records_[next_]; }
   JobArrival take() { return records_[next_++]; }
   bool exhausted() const { return next_ >= records_.size(); }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,5 +103,33 @@ struct SchedStats {
 /// callers pass `workload_by_name` or their own table. Must throw
 /// std::invalid_argument on unknown names.
 using WorkloadResolver = std::function<WorkloadSpec(const std::string&)>;
+
+/// What runs jobs on concrete units, and the one record of which unit runs
+/// which job. Jobs are named by the scheduling runtime's own ids.
+/// Implemented by the simulator's Cluster (job mode); keeping it abstract
+/// lets dps_sched sit below dps_sim in the library stack.
+class JobHost {
+ public:
+  virtual ~JobHost() = default;
+
+  /// Starts job `job` running `spec` on the given idle units; `seed` keys
+  /// the per-unit jitter realizations. The host keeps the spec, so callers
+  /// move theirs in.
+  virtual void start_job(int job, WorkloadSpec spec,
+                         std::span<const int> units, std::uint64_t seed) = 0;
+
+  /// Kills running job `job` (crash requeue); its units go idle. Does
+  /// nothing when `job` is not running.
+  virtual void abort_job(int job) = 0;
+
+  /// Jobs whose units all finished since the previous drain, in start
+  /// order.
+  virtual std::vector<int> drain_finished_jobs() = 0;
+
+  /// Whether the unit is bound to a running job.
+  virtual bool unit_busy(int unit) const = 0;
+  /// Whether the unit is currently crashed (fault-injected).
+  virtual bool unit_crashed(int unit) const = 0;
+};
 
 }  // namespace dps::sched

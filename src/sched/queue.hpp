@@ -18,7 +18,6 @@ class JobQueue {
   std::size_t size() const { return jobs_.size(); }
 
   const Job& at(std::size_t i) const { return jobs_.at(i); }
-  const std::deque<Job>& jobs() const { return jobs_; }
 
   /// Appends a newly submitted job (arrivals come in time order).
   void submit(Job job) { jobs_.push_back(std::move(job)); }

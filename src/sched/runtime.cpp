@@ -27,18 +27,25 @@ WorkloadSpec shrink_spec(const WorkloadSpec& spec, int requested,
   return scaled;
 }
 
+bool unit_free(const JobHost& host, int unit) {
+  return !host.unit_busy(unit) && !host.unit_crashed(unit);
+}
+
 }  // namespace
 
 SchedRuntime::SchedRuntime(const JobScheduleConfig& config, int total_units,
                            const obs::ObsSink& obs)
-    : resolve_(config.resolve),
+    : total_units_(total_units),
+      resolve_(config.resolve),
       seed_(config.seed),
       retry_cap_(config.retry_cap),
       slowdown_bound_(config.slowdown_bound),
       walltime_factor_(config.walltime_factor),
       scheduler_(make_scheduler(config.policy, config.power)),
-      placement_(total_units),
       obs_(obs) {
+  if (total_units <= 0) {
+    throw std::invalid_argument("SchedRuntime: total_units must be > 0");
+  }
   if (!resolve_) {
     throw std::invalid_argument(
         "JobScheduleConfig: a workload resolver is required");
@@ -82,8 +89,7 @@ void SchedRuntime::submit_due_arrivals(Seconds now) {
     // Jobs wider than the machine are clamped to it (a real scheduler
     // would reject them; clamping keeps trace replays runnable on any
     // cluster size).
-    job.arrival.n_units =
-        std::min(job.arrival.n_units, placement_.total_units());
+    job.arrival.n_units = std::min(job.arrival.n_units, total_units_);
     job.submit_time = record.time;
     job.walltime = record.walltime > 0.0
                        ? record.walltime
@@ -101,34 +107,20 @@ void SchedRuntime::submit_due_arrivals(Seconds now) {
   }
 }
 
-void SchedRuntime::requeue_crashed(JobHost& host, Seconds now) {
-  // Sync per-unit crash state first so allocations skip dark units.
-  for (int u = 0; u < placement_.total_units(); ++u) {
-    placement_.set_crashed(u, host.unit_crashed(u));
-  }
-  std::vector<int> victims;
-  for (const auto& [id, entry] : running_) {
-    for (const int u : placement_.units_of(id)) {
-      if (placement_.crashed(u)) {
-        victims.push_back(id);
-        break;
-      }
+void SchedRuntime::requeue_crashed(JobHost& host) {
+  for (auto it = running_.begin(); it != running_.end();) {
+    const std::vector<int>& units = it->second.units;
+    const auto crashed = std::find_if(
+        units.begin(), units.end(),
+        [&](int u) { return host.unit_crashed(u); });
+    if (crashed == units.end()) {
+      ++it;
+      continue;
     }
-  }
-  for (const int id : victims) {
-    RunningEntry entry = std::move(running_.at(id));
-    running_.erase(id);
-    slot_to_job_.erase(entry.slot);
-    host.abort_job(entry.slot);
-    const std::vector<int> units = placement_.release(id);
-    int crashed_unit = units.empty() ? -1 : units.front();
-    for (const int u : units) {
-      if (placement_.crashed(u)) {
-        crashed_unit = u;
-        break;
-      }
-    }
-    Job job = std::move(entry.job);
+    const int crashed_unit = *crashed;
+    host.abort_job(it->first);
+    Job job = std::move(it->second.job);
+    it = running_.erase(it);
     ++job.retries;
     ++requeued_;
     if (obs_requeued_ != nullptr) obs_requeued_->add();
@@ -140,7 +132,6 @@ void SchedRuntime::requeue_crashed(JobHost& host, Seconds now) {
     }
     queue_.requeue(std::move(job));
   }
-  (void)now;
 }
 
 void SchedRuntime::start_job(JobHost& host, Job job, int granted,
@@ -152,39 +143,43 @@ void SchedRuntime::start_job(JobHost& host, Job job, int granted,
                               ? shrink_spec(job.spec, requested, granted)
                               : job.spec;
   if (granted < requested) ++shrunk_;
-  const std::vector<int> units = placement_.bind(job.id, granted);
+  RunningEntry entry;
+  entry.units.reserve(static_cast<std::size_t>(granted));
+  for (int u = 0; u < total_units_ && std::ssize(entry.units) < granted; ++u) {
+    if (unit_free(host, u)) entry.units.push_back(u);
+  }
+  if (std::ssize(entry.units) < granted) {
+    throw std::logic_error("SchedRuntime: fewer units free than granted");
+  }
   // Per-(run seed, job, attempt) jitter stream: a requeued job restarts
   // from scratch with a fresh realization.
-  const int slot = host.start_job(
-      std::move(spec_run), units,
-      mix_seed(seed_, static_cast<std::uint64_t>(job.id),
-               static_cast<std::uint64_t>(job.retries)));
-  obs_.event(obs::EventKind::kJobStart, units.front(), job.id, granted);
+  host.start_job(job.id, std::move(spec_run), entry.units,
+                 mix_seed(seed_, static_cast<std::uint64_t>(job.id),
+                          static_cast<std::uint64_t>(job.retries)));
+  obs_.event(obs::EventKind::kJobStart, entry.units.front(), job.id, granted);
   if (obs_started_ != nullptr) obs_started_->add();
   ++started_;
-  RunningEntry entry;
   entry.start = now;
-  entry.granted = granted;
   entry.expected_end =
       now + job.walltime * static_cast<double>(requested) / granted;
   entry.projected_demand = job.spec.mean_demand() * granted;
-  entry.slot = slot;
   const int id = job.id;
   entry.job = std::move(job);
-  slot_to_job_[slot] = id;
   running_.emplace(id, std::move(entry));
 }
 
 void SchedRuntime::begin_tick(JobHost& host, Seconds now, Watts budget,
                               std::span<const Watts> caps) {
-  requeue_crashed(host, now);
+  requeue_crashed(host);
   submit_due_arrivals(now);
   if (queue_.empty()) return;
 
   SchedView view;
   view.now = now;
-  view.total_units = placement_.total_units();
-  view.free_units = placement_.free_count();
+  view.total_units = total_units_;
+  for (int u = 0; u < total_units_; ++u) {
+    if (unit_free(host, u)) ++view.free_units;
+  }
   view.budget = budget;
   for (const Watts cap : caps) view.cap_sum += cap;
   view.idle_power = kIdlePower;
@@ -192,8 +187,9 @@ void SchedRuntime::begin_tick(JobHost& host, Seconds now, Watts budget,
   for (const auto& [id, entry] : running_) {
     // Overdue estimates clamp to "just after now": the job is still
     // holding its units, so reservations cannot assume they are free.
-    view.running.push_back(RunningJob{
-        std::max(entry.expected_end, now + 1.0), entry.granted});
+    view.running.push_back(
+        RunningJob{std::max(entry.expected_end, now + 1.0),
+                   static_cast<int>(entry.units.size())});
     view.running_demand += entry.projected_demand;
   }
 
@@ -227,21 +223,16 @@ void SchedRuntime::begin_tick(JobHost& host, Seconds now, Watts budget,
 
 void SchedRuntime::end_tick(JobHost& host, Seconds now, Seconds dt) {
   // Jobs finishing this step were busy through it; charge before retiring.
-  busy_unit_seconds_ += static_cast<double>(placement_.busy_count()) * dt;
-  for (const int slot : host.drain_finished_jobs()) {
-    const auto it = slot_to_job_.find(slot);
-    if (it == slot_to_job_.end()) continue;  // aborted earlier this tick
-    const int id = it->second;
-    slot_to_job_.erase(it);
+  busy_unit_seconds_ += static_cast<double>(busy_units()) * dt;
+  for (const int id : host.drain_finished_jobs()) {
     RunningEntry entry = std::move(running_.at(id));
     running_.erase(id);
-    placement_.release(id);
     JobOutcome outcome;
     outcome.id = id;
     outcome.submit = entry.job.submit_time;
     outcome.start = entry.start;
     outcome.end = now;
-    outcome.granted_units = entry.granted;
+    outcome.granted_units = static_cast<int>(entry.units.size());
     outcome.retries = entry.job.retries;
     obs_.event(obs::EventKind::kJobEnd, -1, id,
                outcome.start - outcome.submit);
@@ -254,6 +245,14 @@ void SchedRuntime::end_tick(JobHost& host, Seconds now, Seconds dt) {
   if (obs_queue_depth_ != nullptr) {
     obs_queue_depth_->set(static_cast<double>(queue_.size()));
   }
+}
+
+int SchedRuntime::busy_units() const {
+  int busy = 0;
+  for (const auto& [id, entry] : running_) {
+    busy += static_cast<int>(entry.units.size());
+  }
+  return busy;
 }
 
 SchedStats SchedRuntime::stats(Seconds elapsed, int total_units) const {

@@ -6,7 +6,6 @@
 
 #include "obs/sink.hpp"
 #include "sched/arrivals.hpp"
-#include "sched/placement.hpp"
 #include "sched/queue.hpp"
 #include "sched/scheduler.hpp"
 
@@ -44,14 +43,16 @@ struct JobScheduleConfig {
 };
 
 /// Drives one job-scheduled run: drains arrivals into the JobQueue, asks
-/// the Scheduler for placements, binds them to units through the
-/// PlacementMap / JobHost, requeues crash victims, and keeps the KPI
-/// ledger. The engine calls begin_tick before advancing the cluster and
-/// end_tick after it.
+/// the Scheduler for placements, starts them on the lowest-index idle,
+/// un-crashed units of the JobHost (the one record of which unit runs
+/// which job), requeues crash victims, and keeps the KPI ledger. The
+/// engine calls begin_tick before advancing the cluster and end_tick
+/// after it.
 class SchedRuntime {
  public:
-  /// Throws std::invalid_argument without a resolver, or when `config`
-  /// breaks a rule of sched_section() ("[sched]: retry_cap ...").
+  /// Throws std::invalid_argument on total_units <= 0, without a
+  /// resolver, or when `config` breaks a rule of sched_section()
+  /// ("[sched]: retry_cap ...").
   SchedRuntime(const JobScheduleConfig& config, int total_units,
                const obs::ObsSink& obs);
 
@@ -61,14 +62,16 @@ class SchedRuntime {
     return arrivals_.exhausted() && queue_.empty() && running_.empty();
   }
 
-  /// Pre-step scheduling round: syncs crash state (requeueing victims up
-  /// to the retry cap), drains arrivals due at `now`, and starts the
-  /// placements the policy picks given the budget and the manager's caps.
+  /// Pre-step scheduling round: evicts the jobs with a crashed unit, in
+  /// job-id order (requeueing them up to the retry cap), drains arrivals
+  /// due at `now`, and starts the placements the policy picks given the
+  /// budget and the manager's caps.
   void begin_tick(JobHost& host, Seconds now, Watts budget,
                   std::span<const Watts> caps);
 
-  /// Post-step bookkeeping: charges busy-unit time and retires the jobs
-  /// the host completed during the step.
+  /// Post-step bookkeeping: charges busy-unit time for the jobs that ran
+  /// through the step, then retires the ones the host completed, in start
+  /// order.
   void end_tick(JobHost& host, Seconds now, Seconds dt);
 
   /// Finished jobs' lifecycle records, in completion order.
@@ -77,23 +80,23 @@ class SchedRuntime {
   /// KPI rollup over the run ([0, elapsed] on total_units units).
   SchedStats stats(Seconds elapsed, int total_units) const;
 
-  int busy_units() const { return placement_.busy_count(); }
-  std::size_t queue_depth() const { return queue_.size(); }
+  /// Units granted to running jobs.
+  int busy_units() const;
 
  private:
   struct RunningEntry {
     Job job;
-    int slot = -1;  // host handle
+    std::vector<int> units;  // granted, lowest index first
     Seconds start = 0.0;
-    int granted = 0;
     Seconds expected_end = 0.0;
     Watts projected_demand = 0.0;  // granted x mean demand
   };
 
   void submit_due_arrivals(Seconds now);
-  void requeue_crashed(JobHost& host, Seconds now);
+  void requeue_crashed(JobHost& host);
   void start_job(JobHost& host, Job job, int granted, Seconds now);
 
+  int total_units_;
   // Config subset the runtime needs after construction.
   WorkloadResolver resolve_;
   std::uint64_t seed_;
@@ -104,9 +107,7 @@ class SchedRuntime {
   ArrivalStream arrivals_;
   JobQueue queue_;
   std::unique_ptr<Scheduler> scheduler_;
-  PlacementMap placement_;
   std::map<int, RunningEntry> running_;  // job id -> entry
-  std::map<int, int> slot_to_job_;
   std::vector<JobOutcome> outcomes_;
   int next_job_id_ = 0;
 

@@ -10,12 +10,10 @@ void Cluster::resize_units(std::size_t n) {
   const WorkloadInstance idle = WorkloadInstance::idle(1.0);
   unit_instance_.assign(n, idle);
   unit_group_.assign(n, 0);
-  unit_job_slot_.assign(n, -1);
   unit_progress_.assign(n, 0.0);
   unit_piece_.assign(n, WorkloadInstance::Piece{});
   unit_active_.assign(n, idle.active() ? 1 : 0);
   unit_energy_.assign(n, 0.0);
-  unit_last_power_.assign(n, 0.0);
   unit_done_.assign(n, 0);
   unit_crashed_.assign(n, 0);
 }
@@ -84,102 +82,89 @@ void Cluster::advance(std::size_t u) {
   }
 }
 
-int Cluster::start_job(WorkloadSpec spec, std::span<const int> units,
-                       std::uint64_t seed) {
+void Cluster::start_job(int job, WorkloadSpec spec,
+                        std::span<const int> units, std::uint64_t seed) {
   if (!job_mode_) {
     throw std::logic_error("Cluster::start_job: not a job-mode cluster");
   }
   if (units.empty()) {
     throw std::invalid_argument("Cluster::start_job: empty allocation");
   }
-  const int slot = static_cast<int>(jobs_.size());
-  JobState job;
-  job.active = true;
-  job.units.assign(units.begin(), units.end());
+  for (const JobState& running : running_jobs_) {
+    if (running.id == job) {
+      throw std::invalid_argument("Cluster::start_job: job already running");
+    }
+  }
   // Claim every unit before binding any, so a refused allocation leaves
   // no unit bound.
-  for (std::size_t i = 0; i < job.units.size(); ++i) {
-    const auto u = static_cast<std::size_t>(job.units[i]);
-    if (u >= unit_job_slot_.size() || unit_job_slot_[u] >= 0) {
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const auto u = static_cast<std::size_t>(units[i]);
+    if (u >= unit_active_.size() || unit_active_[u]) {
       for (std::size_t j = 0; j < i; ++j) {
-        unit_job_slot_[static_cast<std::size_t>(job.units[j])] = -1;
+        unit_active_[static_cast<std::size_t>(units[j])] = 0;
       }
       throw std::invalid_argument(
           "Cluster::start_job: unit out of range or already bound");
     }
-    unit_job_slot_[u] = slot;
+    unit_active_[u] = 1;
   }
+  JobState& state = running_jobs_.emplace_back();
+  state.id = job;
+  state.units.assign(units.begin(), units.end());
   // The job owns the spec its instances refer to.
-  job.spec = std::make_unique<const WorkloadSpec>(std::move(spec));
-  for (std::size_t i = 0; i < job.units.size(); ++i) {
-    const auto u = static_cast<std::size_t>(job.units[i]);
+  state.spec = std::make_unique<const WorkloadSpec>(std::move(spec));
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const auto u = static_cast<std::size_t>(units[i]);
     unit_done_[u] = 0;
     // Realizations are keyed by position within the allocation, so a
     // job's jitter draw does not depend on which physical units the
     // placement handed it.
-    bind(u, WorkloadInstance(*job.spec,
+    bind(u, WorkloadInstance(*state.spec,
                              mix_seed(seed, static_cast<std::uint64_t>(i))));
   }
-  jobs_.push_back(std::move(job));
-  return slot;
 }
 
-void Cluster::abort_job(int slot) {
-  auto& job = jobs_.at(static_cast<std::size_t>(slot));
-  if (!job.active) return;
-  job.active = false;
+void Cluster::release(const JobState& job) {
   for (const int u : job.units) {
     const auto su = static_cast<std::size_t>(u);
-    if (unit_job_slot_.at(su) != slot) continue;
-    unit_job_slot_[su] = -1;
-    unit_done_[su] = 1;
     bind(su, WorkloadInstance::idle(1.0));
+    unit_done_[su] = 1;
   }
-  job.spec.reset();
+}
+
+void Cluster::abort_job(int job) {
+  const auto it =
+      std::find_if(running_jobs_.begin(), running_jobs_.end(),
+                   [&](const JobState& running) { return running.id == job; });
+  if (it == running_jobs_.end()) return;
+  release(*it);
+  running_jobs_.erase(it);
 }
 
 std::vector<int> Cluster::drain_finished_jobs() {
-  std::vector<int> finished = std::move(finished_slots_);
-  finished_slots_.clear();
+  std::vector<int> finished = std::move(finished_jobs_);
+  finished_jobs_.clear();
   return finished;
-}
-
-int Cluster::busy_units() const {
-  int busy = 0;
-  for (const int slot : unit_job_slot_) {
-    if (slot >= 0) ++busy;
-  }
-  return busy;
 }
 
 void Cluster::end_step(Seconds dt) {
   now_ += dt;
-  if (!job_mode_) return;
-
-  // A job retires when all of its units finished their realizations. A
-  // crashed unit stalls its job until the scheduling runtime evicts it.
-  for (std::size_t slot = 0; slot < jobs_.size(); ++slot) {
-    auto& job = jobs_[slot];
-    if (!job.active) continue;
-    bool all_done = true;
-    for (const int u : job.units) {
-      const auto su = static_cast<std::size_t>(u);
-      if (unit_crashed_[su] || !unit_done_[su]) {
-        all_done = false;
-        break;
-      }
+  // A job retires once all of its units finished their realizations. A
+  // crashed unit stalls its job until the scheduling runtime aborts it.
+  for (auto job = running_jobs_.begin(); job != running_jobs_.end();) {
+    const bool all_done =
+        std::all_of(job->units.begin(), job->units.end(), [&](int u) {
+          const auto su = static_cast<std::size_t>(u);
+          return unit_done_[su] && !unit_crashed_[su];
+        });
+    if (!all_done) {
+      ++job;
+      continue;
     }
-    if (!all_done) continue;
-    job.active = false;
-    for (const int u : job.units) {
-      const auto su = static_cast<std::size_t>(u);
-      unit_job_slot_[su] = -1;
-      bind(su, WorkloadInstance::idle(1.0));
-      unit_done_[su] = 1;
-    }
-    job.spec.reset();
-    finished_slots_.push_back(static_cast<int>(slot));
+    release(*job);
+    finished_jobs_.push_back(job->id);
     ++jobs_completed_;
+    job = running_jobs_.erase(job);
   }
 }
 
@@ -240,6 +225,22 @@ std::vector<Cluster::StepBlock> Cluster::step_blocks(int min_units) const {
   return blocks;
 }
 
+Watts Cluster::step_unit(std::size_t u, Seconds dt, Watts cap) {
+  // Dark node: no draw, no progress; its run or job stalls on it until
+  // the restart.
+  if (unit_crashed_[u]) return 0.0;
+  Watts demand = kIdlePower;
+  if (!unit_done_[u]) {
+    demand = unit_piece_[u].demand(unit_progress_[u]);
+    unit_progress_[u] += model_.speed(demand, cap) * dt;
+    if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
+  }
+  const Watts drawn =
+      unit_done_[u] ? kIdlePower : model_.power_drawn(demand, cap);
+  unit_energy_[u] += drawn * dt;
+  return drawn;
+}
+
 void Cluster::step_block(const StepBlock& block, Seconds dt,
                          std::span<const Watts> effective_caps,
                          std::span<Watts> true_power_out) {
@@ -258,25 +259,7 @@ void Cluster::step_block(const StepBlock& block, Seconds dt,
   // Job mode: the units' physics; their jobs retire in end_step().
   for (auto u = static_cast<std::size_t>(block.first_unit);
        u < static_cast<std::size_t>(block.last_unit); ++u) {
-    if (unit_crashed_[u]) {
-      unit_last_power_[u] = 0.0;
-      true_power_out[u] = 0.0;
-      continue;
-    }
-    Watts demand = kIdlePower;
-    const bool running = unit_job_slot_[u] >= 0 && !unit_done_[u];
-    if (running) {
-      demand = unit_piece_[u].demand(unit_progress_[u]);
-      const double speed = model_.speed(demand, effective_caps[u]);
-      unit_progress_[u] += speed * dt;
-      if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
-    }
-    const Watts drawn = unit_job_slot_[u] >= 0 && !unit_done_[u]
-                            ? model_.power_drawn(demand, effective_caps[u])
-                            : kIdlePower;
-    unit_last_power_[u] = drawn;
-    unit_energy_[u] += drawn * dt;
-    true_power_out[u] = drawn;
+    true_power_out[u] = step_unit(u, dt, effective_caps[u]);
   }
 }
 
@@ -286,15 +269,9 @@ void Cluster::step_group(GroupState& group, Seconds dt, Seconds end,
   const std::size_t begin = static_cast<std::size_t>(group.first_unit);
   const std::size_t stop = begin + static_cast<std::size_t>(group.sockets);
   if (group.in_gap) {
+    // Every unit is done, so it idles.
     for (std::size_t u = begin; u < stop; ++u) {
-      if (unit_crashed_[u]) {
-        unit_last_power_[u] = 0.0;
-        true_power_out[u] = 0.0;
-        continue;
-      }
-      unit_last_power_[u] = kIdlePower;
-      unit_energy_[u] += kIdlePower * dt;
-      true_power_out[u] = kIdlePower;
+      true_power_out[u] = step_unit(u, dt, effective_caps[u]);
     }
     // Count down the inter-run gap.
     group.gap_remaining -= dt;
@@ -302,25 +279,7 @@ void Cluster::step_group(GroupState& group, Seconds dt, Seconds end,
     return;
   }
   for (std::size_t u = begin; u < stop; ++u) {
-    if (unit_crashed_[u]) {
-      // Dark node: no draw, no progress; the group's run stalls on it
-      // until the restart.
-      unit_last_power_[u] = 0.0;
-      true_power_out[u] = 0.0;
-      continue;
-    }
-    Watts demand = kIdlePower;
-    if (!unit_done_[u]) {
-      demand = unit_piece_[u].demand(unit_progress_[u]);
-      const double speed = model_.speed(demand, effective_caps[u]);
-      unit_progress_[u] += speed * dt;
-      if (unit_progress_[u] >= unit_piece_[u].end) advance(u);
-    }
-    const Watts drawn = unit_done_[u]
-                            ? kIdlePower
-                            : model_.power_drawn(demand, effective_caps[u]);
-    unit_last_power_[u] = drawn;
-    unit_energy_[u] += drawn * dt;
+    const Watts drawn = step_unit(u, dt, effective_caps[u]);
     true_power_out[u] = drawn;
     group.active_energy += drawn * dt;
   }
@@ -342,15 +301,9 @@ void Cluster::true_demands(std::span<Watts> out) const {
     throw std::invalid_argument("Cluster::true_demands: span size mismatch");
   }
   for (std::size_t u = 0; u < n; ++u) {
-    if (unit_crashed_[u]) {
-      out[u] = 0.0;
-      continue;
-    }
-    const bool running =
-        job_mode_ ? unit_job_slot_[u] >= 0 && !unit_done_[u]
-                  : !groups_[static_cast<std::size_t>(unit_group_[u])].in_gap &&
-                        !unit_done_[u];
-    out[u] = running ? unit_piece_[u].demand(unit_progress_[u]) : kIdlePower;
+    out[u] = unit_crashed_[u] ? 0.0
+             : unit_done_[u]  ? kIdlePower
+                              : unit_piece_[u].demand(unit_progress_[u]);
   }
 }
 

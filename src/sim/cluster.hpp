@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "sched/placement.hpp"
+#include "sched/job.hpp"
 #include "sim/perf_model.hpp"
 #include "util/rng.hpp"
 #include "workloads/instance.hpp"
@@ -52,10 +52,12 @@ struct GroupSpec {
 /// and MPI ranks synchronize), and schedules the next run after the
 /// workload's inter-run gap.
 /// In *job mode* (the second constructor) there are no static groups:
-/// units start idle and the scheduling runtime binds WorkloadSpecs to them
-/// through the sched::JobHost interface. A job finishes when every unit of
-/// its allocation finishes its realization (synchronizing stages, as in
-/// group mode).
+/// units start idle and the scheduling runtime starts jobs on them through
+/// the sched::JobHost interface, under its own job ids; the cluster is the
+/// one record of which unit runs which job. A job finishes when every unit
+/// of its allocation finishes its realization (synchronizing stages, as in
+/// group mode). Every unit, in a group's run, in its gap or in job mode,
+/// steps through the same per-unit physics.
 class Cluster : public sched::JobHost {
  public:
   Cluster(std::vector<GroupSpec> groups, const PerfModel& model = PerfModel());
@@ -103,7 +105,7 @@ class Cluster : public sched::JobHost {
                   std::span<Watts> true_power_out);
 
   /// Advances the clock by `dt` after every block of the step; in job mode
-  /// it also retires the jobs whose units all finished.
+  /// it also retires, in start order, the jobs whose units all finished.
   void end_step(Seconds dt);
 
   /// Instantaneous true (uncapped) power demand of every unit; this is what
@@ -118,18 +120,24 @@ class Cluster : public sched::JobHost {
   /// (no groups) this is the number of completed jobs.
   int min_completions() const;
 
-  // --- sched::JobHost (job mode only; throws in group mode) ---
-  int start_job(WorkloadSpec spec, std::span<const int> units,
-                std::uint64_t seed) override;
-  void abort_job(int slot) override;
+  // --- sched::JobHost (job mode; start_job throws in group mode) ---
+  /// Throws std::invalid_argument on an empty allocation, a job id that is
+  /// already running, or a unit that is out of range or bound; it then
+  /// binds no unit.
+  void start_job(int job, WorkloadSpec spec, std::span<const int> units,
+                 std::uint64_t seed) override;
+  void abort_job(int job) override;
   std::vector<int> drain_finished_jobs() override;
+  /// Whether a running job holds the unit: its units run real work until
+  /// the job ends.
+  bool unit_busy(int unit) const override {
+    return unit_active_.at(static_cast<std::size_t>(unit)) != 0;
+  }
   bool unit_crashed(int unit) const override {
     return unit_crashed_.at(static_cast<std::size_t>(unit)) != 0;
   }
 
   bool job_mode() const { return job_mode_; }
-  /// Units currently bound to a job (job mode).
-  int busy_units() const;
 
   /// Simulated time so far.
   Seconds now() const { return now_; }
@@ -162,10 +170,10 @@ class Cluster : public sched::JobHost {
 
  private:
   struct JobState {
+    int id = -1;
     std::vector<int> units;
     // What the job's instances refer to; freed when the job ends.
     std::unique_ptr<const WorkloadSpec> spec;
-    bool active = false;
   };
 
   struct GroupState {
@@ -198,6 +206,12 @@ class Cluster : public sched::JobHost {
   void step_group(GroupState& group, Seconds dt, Seconds end,
                   std::span<const Watts> effective_caps,
                   std::span<Watts> true_power_out);
+  /// Unit `u`'s physics over `dt` under `cap`; returns its true draw.
+  /// Inline (defined in cluster.cpp before its callers): the group, gap
+  /// and job loops call it once per unit.
+  inline Watts step_unit(std::size_t u, Seconds dt, Watts cap);
+  /// Returns a job's units to idle.
+  void release(const JobState& job);
   void resize_units(std::size_t n);
   /// Binds `instance` to unit `u` at progress 0 and caches its first
   /// piece.
@@ -216,15 +230,14 @@ class Cluster : public sched::JobHost {
   // strided walks over a fat struct. Invariant: a running unit's cached
   // piece holds its progress (the first piece at progress 0), so its
   // demand costs no pointer chase; the unit's instance is touched only
-  // when its progress leaves the piece.
+  // when its progress leaves the piece. A unit that is done idles: every
+  // unit of a group in its gap, and every unit no job holds.
   std::vector<WorkloadInstance> unit_instance_;
   std::vector<int> unit_group_;             // -1 in job mode
-  std::vector<int> unit_job_slot_;          // job mode: bound slot, -1 = idle
   std::vector<Seconds> unit_progress_;
   std::vector<WorkloadInstance::Piece> unit_piece_;
-  std::vector<std::uint8_t> unit_active_;
+  std::vector<std::uint8_t> unit_active_;   // bound to real work
   std::vector<Joules> unit_energy_;
-  std::vector<Watts> unit_last_power_;
   std::vector<std::uint8_t> unit_done_;     // finished, waiting for the group
   std::vector<std::uint8_t> unit_crashed_;  // dark, frozen until restart
 
@@ -233,8 +246,8 @@ class Cluster : public sched::JobHost {
 
   // Job mode.
   bool job_mode_ = false;
-  std::vector<JobState> jobs_;       // slot = index; slots are not reused
-  std::vector<int> finished_slots_;  // completed since the last drain
+  std::vector<JobState> running_jobs_;  // in start order
+  std::vector<int> finished_jobs_;      // retired since the last drain
   int jobs_completed_ = 0;
 };
 

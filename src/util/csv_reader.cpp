@@ -7,13 +7,17 @@
 namespace dps {
 namespace {
 
-/// Splits CSV text into records of fields, honouring RFC 4180 quoting.
-std::vector<std::vector<std::string>> tokenize(const std::string& text) {
+/// Splits CSV text into records of fields, honouring RFC 4180 quoting;
+/// `lines` gets the 1-based line each record starts on.
+std::vector<std::vector<std::string>> tokenize(
+    const std::string& text, std::vector<std::size_t>& lines) {
   std::vector<std::vector<std::string>> records;
   std::vector<std::string> record;
   std::string field;
   bool in_quotes = false;
   bool field_started = false;
+  std::size_t line = 1;
+  std::size_t record_line = 1;
 
   auto end_field = [&] {
     record.push_back(std::move(field));
@@ -25,11 +29,13 @@ std::vector<std::vector<std::string>> tokenize(const std::string& text) {
       end_field();
       records.push_back(std::move(record));
       record.clear();
+      lines.push_back(record_line);
     }
   };
 
   for (std::size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
+    if (c == '\n') ++line;
     if (in_quotes) {
       if (c == '"') {
         if (i + 1 < text.size() && text[i + 1] == '"') {
@@ -56,6 +62,7 @@ std::vector<std::vector<std::string>> tokenize(const std::string& text) {
         break;
       case '\n':
         end_record();
+        record_line = line;
         break;
       default:
         field += c;
@@ -73,7 +80,7 @@ std::vector<std::vector<std::string>> tokenize(const std::string& text) {
 
 CsvReader CsvReader::parse(const std::string& text, bool has_header) {
   CsvReader reader;
-  auto records = tokenize(text);
+  auto records = tokenize(text, reader.lines_);
   if (records.empty()) return reader;
   std::size_t first_row = 0;
   if (has_header) {
@@ -82,6 +89,7 @@ CsvReader CsvReader::parse(const std::string& text, bool has_header) {
       reader.column_lookup_.emplace(reader.header_[c], c);
     }
     first_row = 1;
+    reader.lines_.erase(reader.lines_.begin());
   }
   for (std::size_t r = first_row; r < records.size(); ++r) {
     reader.rows_.push_back(std::move(records[r]));

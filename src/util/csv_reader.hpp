@@ -20,6 +20,8 @@ class CsvReader {
   static CsvReader load(const std::string& path, bool has_header = true);
 
   std::size_t num_rows() const { return rows_.size(); }
+  /// The 1-based line of the text that row `row` starts on.
+  std::size_t line(std::size_t row) const { return lines_.at(row); }
   std::size_t num_columns() const { return header_.size(); }
   const std::vector<std::string>& header() const { return header_; }
 
@@ -45,6 +47,7 @@ class CsvReader {
   std::vector<std::string> header_;
   std::map<std::string, std::size_t> column_lookup_;
   std::vector<std::vector<std::string>> rows_;
+  std::vector<std::size_t> lines_;  // per row
 };
 
 }  // namespace dps

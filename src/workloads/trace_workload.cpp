@@ -2,10 +2,18 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "util/ini.hpp"
+
 namespace dps {
+namespace {
+
+/// How far a trace's time step may stray from its first period, as a
+/// share of that period: sampling jitter passes, a missed sample does not.
+constexpr double kPeriodTolerance = 0.01;
+
+}  // namespace
 
 PowerType classify_power_type(const WorkloadSpec& spec) {
   const double above = spec.fraction_above(110.0);
@@ -19,8 +27,16 @@ WorkloadSpec workload_from_samples(std::span<const double> power_samples,
   if (power_samples.size() < 2) {
     throw std::runtime_error("workload_from_samples: need >= 2 samples");
   }
-  if (sample_period <= 0.0) {
-    throw std::runtime_error("workload_from_samples: period must be > 0");
+  if (!std::isfinite(sample_period) || sample_period <= 0.0) {
+    throw std::runtime_error(
+        "workload_from_samples: period must be finite and > 0");
+  }
+  for (std::size_t i = 0; i < power_samples.size(); ++i) {
+    if (!std::isfinite(power_samples[i]) || power_samples[i] < 0.0) {
+      throw std::runtime_error("workload_from_samples: sample " +
+                               std::to_string(i) +
+                               " must be a finite power >= 0");
+    }
   }
 
   WorkloadSpec spec;
@@ -62,32 +78,45 @@ WorkloadSpec workload_from_trace_csv(const std::string& path,
   if (!in) {
     throw std::runtime_error("workload_from_trace_csv: cannot open " + path);
   }
-  std::vector<double> times;
   std::vector<double> powers;
+  Seconds period = 0.0;
+  Seconds last_time = 0.0;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string time_field, power_field;
-    if (!std::getline(row, time_field, ',') ||
-        !std::getline(row, power_field, ',')) {
-      continue;
+  for (int number = 1; std::getline(in, line); ++number) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const auto bad = [&](const std::string& what) {
+      return std::runtime_error("workload_from_trace_csv: line " +
+                                std::to_string(number) + ": " + what +
+                                " in " + path);
+    };
+    const std::size_t comma = line.find(',');
+    const std::string time_field = line.substr(0, comma);
+    const std::optional<double> time = parse_double(time_field);
+    if (number == 1 && !time) continue;  // the header
+    if (comma == std::string::npos ||
+        line.find(',', comma + 1) != std::string::npos) {
+      throw bad("need two fields, time_s,power_w");
     }
-    char* end = nullptr;
-    const double t = std::strtod(time_field.c_str(), &end);
-    if (end == time_field.c_str()) continue;  // header or junk row
-    const double p = std::strtod(power_field.c_str(), &end);
-    if (end == power_field.c_str()) continue;
-    times.push_back(t);
-    powers.push_back(p);
+    const std::string power_field = line.substr(comma + 1);
+    const std::optional<double> power = parse_double(power_field);
+    if (!time) throw bad("bad time '" + time_field + "'");
+    if (!power || *power < 0.0) {
+      throw bad("power '" + power_field + "' is not a finite number >= 0");
+    }
+    if (powers.size() == 1) {
+      period = *time - last_time;
+      if (period <= 0.0) throw bad("time does not increase");
+    } else if (!powers.empty() &&
+               std::abs(*time - last_time - period) >
+                   kPeriodTolerance * period) {
+      throw bad("time does not advance by the first period (" +
+                std::to_string(period) + " s)");
+    }
+    last_time = *time;
+    powers.push_back(*power);
   }
   if (powers.size() < 2) {
     throw std::runtime_error("workload_from_trace_csv: fewer than 2 samples in " +
-                             path);
-  }
-  const Seconds period = times[1] - times[0];
-  if (period <= 0.0) {
-    throw std::runtime_error("workload_from_trace_csv: non-increasing time in " +
                              path);
   }
   return workload_from_samples(powers, period, std::move(name));

@@ -13,15 +13,20 @@ namespace dps {
 /// every manager can be evaluated against that exact demand profile
 /// offline. Consecutive equal samples merge into holds; differing samples
 /// become linear ramps. The power type is classified with the paper's
-/// Table 2 rule (share of time above 110 W).
+/// Table 2 rule (share of time above 110 W). Throws std::runtime_error on
+/// fewer than two samples, a period that is not finite and > 0, or a
+/// sample that is not a finite power >= 0.
 WorkloadSpec workload_from_samples(std::span<const double> power_samples,
                                    Seconds sample_period, std::string name);
 
-/// Same, reading a two-column CSV (header row skipped if non-numeric):
+/// Same, reading a two-column CSV:
 ///   time_s,power_w
-/// The time column is ignored except for inferring the sample period from
-/// the first two rows. Throws std::runtime_error on unreadable input or
-/// fewer than two samples.
+/// Only the first line may be a header (its time field is not a number).
+/// Every other line holds exactly two fields that parse completely: a
+/// finite time and a finite power >= 0. The first two rows set the sample
+/// period, which must be > 0, and every later time must advance by it
+/// (within 1 %). Throws std::runtime_error on unreadable input, fewer than
+/// two samples, or a row that breaks these rules, naming its line.
 WorkloadSpec workload_from_trace_csv(const std::string& path,
                                      std::string name);
 

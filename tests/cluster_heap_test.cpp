@@ -102,11 +102,11 @@ TEST(ClusterHeap, JobBindAllocatesNothingPerUnit) {
   std::vector<int> units(kUnits);
   for (int u = 0; u < kUnits; ++u) units[static_cast<std::size_t>(u)] = u;
   const std::size_t before = g_allocations;
-  const int slot = cluster.start_job(spec, units, 5);
-  // The job's unit list, its copy of the spec and the slot table.
+  cluster.start_job(0, spec, units, 5);
+  // The job's unit list, its copy of the spec and the running-job list.
   EXPECT_LT(g_allocations - before, 8u);
   const std::size_t bound = g_allocations;
-  cluster.abort_job(slot);
+  cluster.abort_job(0);
   EXPECT_EQ(g_allocations, bound);
 }
 

@@ -468,6 +468,44 @@ TEST(Exporters, ReadRejectsMissingColumns) {
   EXPECT_THROW(read_events_csv(path), std::runtime_error);
 }
 
+TEST(Exporters, ReadRejectsUnparsableCellsNamingTheLine) {
+  const std::string path = testing::TempDir() + "/obs_corrupt_events.csv";
+  // The quoted detail spans lines 3 and 4, so the corrupt row is line 5.
+  const std::string head =
+      "time,kind,unit,value,extra,detail\n"
+      "1.0,decision,-1,440,0,\n"
+      "2.0,fault_begin,3,1,0,\"two\nlines\"\n";
+  const struct {
+    const char* row;
+    const char* column;
+  } cases[] = {
+      {"bogus,cap_write,2,110,0,", "time"},
+      {"3.0,cap_write,x7,110,0,", "unit"},
+      {"3.0,cap_write,2.5,110,0,", "unit"},
+      {"3.0,cap_write,,110,0,", "unit"},
+      {"3.0,cap_write,2,abc,0,", "value"},
+      {"3.0,cap_write,2,110,0.5s,", "extra"},
+      {"3.0,cap_write,2,110", "extra"},
+  };
+  for (const auto& c : cases) {
+    std::ofstream(path) << head << c.row << "\n";
+    try {
+      read_events_csv(path);
+      ADD_FAILURE() << "accepted " << c.row;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("line 5: bad " + std::string(c.column)),
+                std::string::npos)
+          << what;
+    }
+  }
+  std::ofstream(path) << head;
+  const auto records = read_events_csv(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].unit, 3);
+  EXPECT_EQ(records[1].detail, "two\nlines");
+}
+
 TEST(Exporters, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");

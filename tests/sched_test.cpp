@@ -317,6 +317,87 @@ TEST(SchedRuntimeTest, RequeuesCrashVictimsUpToRetryCap) {
   EXPECT_TRUE(runtime.finished());
 }
 
+/// One engine tick by hand at full speed: the scheduling round, the
+/// cluster step, the bookkeeping.
+void tick(SchedRuntime& runtime, Cluster& cluster) {
+  const auto n = static_cast<std::size_t>(cluster.total_units());
+  const std::vector<Watts> caps(n, 200.0);
+  std::vector<Watts> power(n);
+  runtime.begin_tick(cluster, cluster.now(), 1e6, caps);
+  cluster.step(1.0, caps, power);
+  runtime.end_tick(cluster, cluster.now(), 1.0);
+}
+
+std::vector<int> busy_units_of(const Cluster& cluster) {
+  std::vector<int> busy;
+  for (int u = 0; u < cluster.total_units(); ++u) {
+    if (cluster.unit_busy(u)) busy.push_back(u);
+  }
+  return busy;
+}
+
+TEST(SchedRuntimeTest, CrashVictimRestartsOnLowestIdleHealthyUnits) {
+  JobScheduleConfig config;
+  config.trace = {{0.0, "long", 2, 10000.0}, {0.0, "long", 2, 10000.0}};
+  config.resolve = [](const std::string&) {
+    return flat_spec("long", 5000.0, 100.0);
+  };
+  obs::ObsSink obs;  // disabled
+  Cluster cluster(6);
+  SchedRuntime runtime(config, cluster.total_units(), obs);
+  tick(runtime, cluster);
+  EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{0, 1, 2, 3}));
+
+  // Job 0 loses unit 1: it restarts on unit 0, its own healthy unit, and
+  // unit 4, skipping crashed unit 1 and job 1's units 2 and 3.
+  cluster.set_crashed(1, true);
+  tick(runtime, cluster);
+  EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{0, 2, 3, 4}));
+  EXPECT_EQ(runtime.busy_units(), 4);
+  EXPECT_EQ(runtime.stats(cluster.now(), 6).requeued, 1);
+}
+
+TEST(SchedRuntimeTest, JobsFinishingInOneStepRetireInStartOrder) {
+  JobScheduleConfig config;
+  config.trace = {{0.0, "a", 2, 100.0}, {0.0, "b", 2, 100.0}};
+  config.resolve = [](const std::string& name) {
+    return flat_spec(name, name == "a" ? 10.0 : 11.0, 100.0);
+  };
+  obs::ObsSink obs;  // disabled
+  Cluster cluster(5);
+  SchedRuntime runtime(config, cluster.total_units(), obs);
+  tick(runtime, cluster);
+  // Job 0 loses a unit and restarts one second after job 1 started, so
+  // both end at 11 s, job 1 first in start order.
+  cluster.set_crashed(0, true);
+  while (!runtime.finished() && cluster.now() < 20.0) tick(runtime, cluster);
+  const std::vector<JobOutcome>& outcomes = runtime.outcomes();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].id, 1);
+  EXPECT_EQ(outcomes[1].id, 0);
+  EXPECT_EQ(outcomes[0].start, 0.0);
+  EXPECT_EQ(outcomes[1].start, 1.0);
+  EXPECT_EQ(outcomes[0].end, 11.0);
+  EXPECT_EQ(outcomes[1].end, 11.0);
+}
+
+TEST(SchedRuntimeTest, UtilizationChargesTheStepAJobFinishesIn) {
+  JobScheduleConfig config;
+  config.trace = {{3.0, "short", 2, 100.0}};
+  config.resolve = [](const std::string&) {
+    return flat_spec("short", 10.0, 100.0);
+  };
+  obs::ObsSink obs;  // disabled
+  Cluster cluster(4);
+  SchedRuntime runtime(config, cluster.total_units(), obs);
+  while (!runtime.finished() && cluster.now() < 50.0) tick(runtime, cluster);
+  // Two units busy from 3 s to 13 s, on four units over 13 s.
+  ASSERT_EQ(cluster.now(), 13.0);
+  const SchedStats stats = runtime.stats(cluster.now(), 4);
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.mean_utilization, 20.0 / (13.0 * 4.0));
+}
+
 // ------------------------------------------------------------- end to end
 
 EngineConfig job_config(SchedPolicy policy, std::uint64_t seed,

@@ -246,6 +246,96 @@ TEST(Cluster, RejectsMismatchedSpans) {
   EXPECT_THROW(cluster.step(1.0, caps, power), std::invalid_argument);
 }
 
+// --- Job mode: the cluster is the one record of which unit runs which job
+
+std::vector<int> busy_units_of(const Cluster& cluster) {
+  std::vector<int> busy;
+  for (int u = 0; u < cluster.total_units(); ++u) {
+    if (cluster.unit_busy(u)) busy.push_back(u);
+  }
+  return busy;
+}
+
+/// Steps `cluster` `steps` times at full speed, draining after each step;
+/// returns the drained jobs in drain order.
+std::vector<int> step_jobs(Cluster& cluster, int steps) {
+  const auto n = static_cast<std::size_t>(cluster.total_units());
+  const std::vector<Watts> caps(n, 165.0);
+  std::vector<Watts> power(n);
+  std::vector<int> drained;
+  for (int step = 0; step < steps; ++step) {
+    cluster.step(1.0, caps, power);
+    for (const int job : cluster.drain_finished_jobs()) drained.push_back(job);
+  }
+  return drained;
+}
+
+TEST(Cluster, JobsFinishingInOneStepDrainInStartOrder) {
+  Cluster cluster(6);
+  // Started out of id order; all three finish in the same step.
+  cluster.start_job(9, tiny_workload(), std::vector<int>{4, 5}, 1);
+  cluster.start_job(4, tiny_workload(), std::vector<int>{0}, 2);
+  cluster.start_job(7, tiny_workload(), std::vector<int>{1, 2}, 3);
+  EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{0, 1, 2, 4, 5}));
+  EXPECT_TRUE(step_jobs(cluster, 19).empty());
+  EXPECT_EQ(step_jobs(cluster, 1), (std::vector<int>{9, 4, 7}));
+  EXPECT_TRUE(busy_units_of(cluster).empty());
+  EXPECT_EQ(cluster.min_completions(), 3);
+}
+
+TEST(Cluster, StartJobRefusesARunningIdOrABoundUnitAndBindsNothing) {
+  Cluster cluster(4);
+  cluster.start_job(5, tiny_workload(), std::vector<int>{0, 1}, 1);
+  const std::vector<std::vector<int>> refused = {
+      {2, 3},   // job 5 is running
+      {2, 1},   // unit 1 is bound
+      {2, 4},   // out of range
+      {2, -1},  // out of range
+      {2, 2},   // bound by this very allocation
+      {}};
+  for (std::size_t i = 0; i < refused.size(); ++i) {
+    const int job = i == 0 ? 5 : 6;
+    EXPECT_THROW(cluster.start_job(job, tiny_workload(), refused[i], 2),
+                 std::invalid_argument)
+        << "case " << i;
+    EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{0, 1})) << "case " << i;
+  }
+  // The refused starts left no job behind: only job 5 runs, then job 6.
+  EXPECT_EQ(step_jobs(cluster, 3), std::vector<int>{});
+  cluster.start_job(6, tiny_workload(), std::vector<int>{3, 2}, 2);
+  EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(step_jobs(cluster, 20), (std::vector<int>{5, 6}));
+
+  Cluster groups({GroupSpec{tiny_workload(), 2, 1}});
+  EXPECT_THROW(groups.start_job(0, tiny_workload(), std::vector<int>{0}, 1),
+               std::logic_error);
+}
+
+TEST(Cluster, AbortOfAJobThatIsNotRunningDoesNothing) {
+  Cluster cluster(4);
+  cluster.start_job(1, tiny_workload(2.0), std::vector<int>{0, 1}, 1);
+  cluster.start_job(2, tiny_workload(), std::vector<int>{2, 3}, 2);
+  EXPECT_TRUE(step_jobs(cluster, 11).empty());
+  // Job 1's 12 s of work end in the next step; it is not drained yet.
+  const std::vector<Watts> caps(4, 165.0);
+  std::vector<Watts> power(4);
+  cluster.step(1.0, caps, power);
+  EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{2, 3}));
+  cluster.abort_job(1);
+  cluster.abort_job(99);
+  EXPECT_EQ(cluster.drain_finished_jobs(), std::vector<int>{1});
+  // Its units run job 3 now; aborting job 1 again leaves job 3 be.
+  cluster.start_job(3, tiny_workload(), std::vector<int>{0, 1}, 3);
+  cluster.abort_job(1);
+  EXPECT_EQ(busy_units_of(cluster), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(step_jobs(cluster, 20), (std::vector<int>{2, 3}));
+  // Aborting a running job frees its units at once.
+  cluster.start_job(4, tiny_workload(), std::vector<int>{1, 2}, 4);
+  cluster.abort_job(4);
+  EXPECT_TRUE(busy_units_of(cluster).empty());
+  EXPECT_TRUE(step_jobs(cluster, 25).empty());
+}
+
 // --- Engine ---
 
 TEST(Engine, RunsToTargetCompletions) {

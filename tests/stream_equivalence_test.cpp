@@ -373,28 +373,29 @@ class EagerCluster {
     units_.resize(static_cast<std::size_t>(units));
   }
 
-  int start_job(const WorkloadSpec& spec, std::span<const int> units,
-                std::uint64_t seed) {
+  void start_job(int id, const WorkloadSpec& spec, std::span<const int> units,
+                 std::uint64_t seed) {
     const int slot = static_cast<int>(jobs_.size());
-    jobs_.push_back({std::vector<int>(units.begin(), units.end()), true});
+    jobs_.push_back({id, std::vector<int>(units.begin(), units.end()), true});
     for (std::size_t i = 0; i < units.size(); ++i) {
       Unit& unit = units_[static_cast<std::size_t>(units[i])];
       unit.slot = slot;
       unit.bind(EagerInstance(spec, mix_seed(seed, i)));
     }
-    return slot;
   }
 
-  void abort_job(int slot) {
-    auto& job = jobs_[static_cast<std::size_t>(slot)];
-    if (!job.active) return;
-    job.active = false;
-    for (const int u : job.units) {
-      Unit& unit = units_[static_cast<std::size_t>(u)];
-      if (unit.slot != slot) continue;
-      unit.slot = -1;
-      unit.bind(EagerInstance::idle(1.0));
-      unit.done = true;
+  void abort_job(int id) {
+    for (std::size_t slot = 0; slot < jobs_.size(); ++slot) {
+      auto& job = jobs_[slot];
+      if (job.id != id || !job.active) continue;
+      job.active = false;
+      for (const int u : job.units) {
+        Unit& unit = units_[static_cast<std::size_t>(u)];
+        if (unit.slot != static_cast<int>(slot)) continue;
+        unit.slot = -1;
+        unit.bind(EagerInstance::idle(1.0));
+        unit.done = true;
+      }
     }
   }
 
@@ -482,6 +483,7 @@ class EagerCluster {
     }
   };
   struct Job {
+    int id = -1;
     std::vector<int> units;
     bool active = false;
   };
@@ -560,7 +562,7 @@ class EagerCluster {
         unit.bind(EagerInstance::idle(1.0));
         unit.done = true;
       }
-      finished_.push_back(static_cast<int>(slot));
+      finished_.push_back(job.id);
     }
   }
 
@@ -659,14 +661,16 @@ TEST(DemandPieceCache, JobModeRebindingMatchesUncachedDemand) {
   Cluster cluster(10);
   EagerCluster eager(10);
   const std::vector<Watts> caps(10, kUnbounded);
-  std::map<int, std::vector<int>> jobs;  // live slot -> its units
+  std::map<int, std::vector<int>> jobs;  // running job id -> its units
+  int next_id = 1000;  // ids fall, so start order is not id order
   // Each spec is a temporary, as the scheduling runtime passes them.
   auto start = [&](bool first, std::vector<int> units, std::uint64_t seed) {
     const WorkloadSpec spec = first ? a : b;
-    const int slot = cluster.start_job(spec, units, seed);
-    EXPECT_EQ(eager.start_job(spec, units, seed), slot);
-    jobs[slot] = std::move(units);
-    return slot;
+    const int id = next_id--;
+    cluster.start_job(id, spec, units, seed);
+    eager.start_job(id, spec, units, seed);
+    jobs[id] = std::move(units);
+    return id;
   };
   const int first = start(true, {0, 1, 2}, 11);
   start(false, {4, 5, 6, 7}, 12);
@@ -689,9 +693,9 @@ TEST(DemandPieceCache, JobModeRebindingMatchesUncachedDemand) {
     // A retired job's units are rebound to a fresh job at once.
     const std::vector<int> finished = cluster.drain_finished_jobs();
     EXPECT_EQ(finished, eager.drain_finished_jobs()) << "step " << step;
-    for (const int slot : finished) {
-      std::vector<int> units = std::move(jobs.at(slot));
-      jobs.erase(slot);
+    for (const int id : finished) {
+      std::vector<int> units = std::move(jobs.at(id));
+      jobs.erase(id);
       ++retired;
       start(retired % 2 == 0, std::move(units),
             100 + static_cast<std::uint64_t>(retired));

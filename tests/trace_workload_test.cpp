@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "workloads/trace_workload.hpp"
@@ -41,6 +43,26 @@ TEST(TraceWorkload, RejectsDegenerateInput) {
   EXPECT_THROW(workload_from_samples(two, 0.0, "x"), std::runtime_error);
 }
 
+TEST(TraceWorkload, SamplesMustBeFiniteAndNonNegative) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -40.0}) {
+    const std::vector<double> samples = {50.0, bad, 60.0};
+    try {
+      workload_from_samples(samples, 1.0, "x");
+      ADD_FAILURE() << "accepted sample " << bad;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("sample 1"), std::string::npos)
+          << error.what();
+    }
+  }
+  const std::vector<double> idle = {0.0, 0.0, 50.0};
+  EXPECT_NO_THROW(workload_from_samples(idle, 1.0, "x"));
+  const std::vector<double> two = {50.0, 60.0};
+  EXPECT_THROW(workload_from_samples(two, nan, "x"), std::runtime_error);
+  EXPECT_THROW(workload_from_samples(two, inf, "x"), std::runtime_error);
+}
+
 TEST(TraceWorkload, ClassifiesPowerTypes) {
   WorkloadSpec low;
   low.segments = {hold(100, 60.0), hold(5, 120.0)};
@@ -70,18 +92,54 @@ TEST(TraceWorkload, CsvRoundTrip) {
   EXPECT_DOUBLE_EQ(spec.demand_at(2.5), 140.0);
 }
 
-TEST(TraceWorkload, CsvSkipsHeaderAndJunk) {
-  const std::string path = testing::TempDir() + "/trace_junk.csv";
-  {
-    std::ofstream out(path);
-    out << "# a comment-ish line\n";
-    out << "time,power\n";
-    out << "0,100\n";
-    out << "not,a,number\n";
-    out << "1,110\n";
+TEST(TraceWorkload, CsvSkipsOnlyAHeaderLine) {
+  const std::string path = testing::TempDir() + "/trace_header.csv";
+  std::ofstream(path) << "time,power\r\n0,100\r\n1,110\r\n";
+  EXPECT_DOUBLE_EQ(workload_from_trace_csv(path, "x").nominal_duration(),
+                   1.0);
+  // A second non-numeric line is junk, not a header.
+  std::ofstream(path) << "# a comment-ish line\ntime,power\n0,100\n1,110\n";
+  EXPECT_THROW(workload_from_trace_csv(path, "x"), std::runtime_error);
+}
+
+TEST(TraceWorkload, CsvRejectsMalformedRowsNamingTheLine) {
+  const std::string path = testing::TempDir() + "/trace_malformed.csv";
+  const std::string head = "time_s,power_w\n0,100\n1,120\n";
+  const struct {
+    std::string text;
+    int line;
+  } cases[] = {
+      {head + "not,a,number\n3,90\n", 4},
+      {head + "2\n", 4},
+      {head + "2,90,7\n", 4},
+      {head + "\n3,90\n", 4},
+      {head + "2,nan\n", 4},
+      {head + "2,inf\n", 4},
+      {head + "2,150junk\n", 4},
+      {head + "2,-40\n", 4},
+      {head + "2x,90\n", 4},
+      {head + "2,90\n3,95\n5,100\n", 6},  // a missed sample
+      {head + "2,90\n2.5,95\n", 5},
+      {"time_s,power_w\n0,100\n0,120\n", 3},  // no period
+      {"time_s,power_w\n1,100\n0,120\n", 3},
+      {"0,100\ntime_s,power_w\n", 2},  // the header must come first
+  };
+  for (const auto& c : cases) {
+    std::ofstream(path) << c.text;
+    try {
+      workload_from_trace_csv(path, "x");
+      ADD_FAILURE() << "accepted:\n" << c.text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(
+                    "line " + std::to_string(c.line) + ":"),
+                std::string::npos)
+          << error.what();
+    }
   }
-  const auto spec = workload_from_trace_csv(path, "x");
-  EXPECT_DOUBLE_EQ(spec.nominal_duration(), 1.0);
+  // Sampling jitter within 1 % of the period passes.
+  std::ofstream(path) << head << "2.005,90\n2.999,95\n";
+  EXPECT_DOUBLE_EQ(workload_from_trace_csv(path, "x").nominal_duration(),
+                   3.0);
 }
 
 TEST(TraceWorkload, CsvErrors) {
