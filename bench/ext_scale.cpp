@@ -19,8 +19,6 @@
 ///
 /// Knobs:
 ///   DPS_SCALE_MAX     largest unit count        [100000; CI smoke: 1000]
-///   DPS_SCALE_ROUNDS  decision rounds per size  [60]
-///   DPS_SCALE_SHARD   units per leaf shard      [32]
 ///   DPS_SEED          demand-model base seed    [42]
 ///   DPS_JOBS          sweep worker threads (timings are measured inside
 ///                     each task; decisions are identical at any value)
@@ -43,6 +41,10 @@
 namespace {
 
 using namespace dps;
+
+/// Decision rounds per fleet size, and units per leaf shard.
+constexpr int kRounds = 60;
+constexpr int kShardSize = 32;
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -107,7 +109,7 @@ double mean_pairwise_abs_diff(std::vector<double> values) {
 }
 
 RunResult run_controller(PowerManager& manager, TreeController* tree,
-                         int units, int rounds, std::uint64_t seed) {
+                         int units, std::uint64_t seed) {
   const DemandModel model(units, seed);
   ManagerContext ctx;
   ctx.num_units = units;
@@ -123,7 +125,7 @@ RunResult run_controller(PowerManager& manager, TreeController* tree,
   std::vector<double> demand_energy(static_cast<std::size_t>(units), 0.0);
 
   std::uint64_t decide_ns = 0, total_ns = 0;
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < kRounds; ++r) {
     for (int u = 0; u < units; ++u) {
       const Watts d = model.demand(u, r);
       const Watts p = std::min(d, caps[static_cast<std::size_t>(u)]);
@@ -148,8 +150,8 @@ RunResult run_controller(PowerManager& manager, TreeController* tree,
 
   RunResult result;
   result.decide_us_per_round =
-      1e-3 * static_cast<double>(decide_ns) / rounds;
-  result.total_us_per_round = 1e-3 * static_cast<double>(total_ns) / rounds;
+      1e-3 * static_cast<double>(decide_ns) / kRounds;
+  result.total_us_per_round = 1e-3 * static_cast<double>(total_ns) / kRounds;
   double capped = 0.0, wanted = 0.0;
   std::vector<double> sats(static_cast<std::size_t>(units));
   for (int u = 0; u < units; ++u) {
@@ -181,10 +183,6 @@ int main() {
   using namespace dps;
   const int max_units =
       static_cast<int>(bench::int_knob("DPS_SCALE_MAX", 100000, 1));
-  const int rounds =
-      static_cast<int>(bench::int_knob("DPS_SCALE_ROUNDS", 60, 1));
-  const int shard =
-      static_cast<int>(bench::int_knob("DPS_SCALE_SHARD", 32, 1));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(bench::int_knob("DPS_SEED", 42, 0, LONG_MAX));
   const std::string json_path =
@@ -198,7 +196,7 @@ int main() {
       "Extension: control-plane scale — flat DPS vs src/ctrl/ tree "
       "(shard %d),\n%d rounds of a synthetic two-phase demand fleet, "
       "10..%d units.\n\n",
-      shard, rounds, max_units);
+      kShardSize, kRounds, max_units);
 
   // One task per size; the timings are taken inside the task, the CSV is
   // written serially from the ordered results.
@@ -207,14 +205,14 @@ int main() {
     row.units = sizes[i];
     {
       DpsManager flat;
-      row.flat = run_controller(flat, nullptr, row.units, rounds, seed);
+      row.flat = run_controller(flat, nullptr, row.units, seed);
     }
     {
       CtrlConfig ctrl;
-      ctrl.shard_size = shard;
+      ctrl.shard_size = kShardSize;
       ctrl.max_levels = 3;
       TreeController tree(ctrl);
-      row.tree = run_controller(tree, &tree, row.units, rounds, seed);
+      row.tree = run_controller(tree, &tree, row.units, seed);
     }
     return row;
   });
@@ -255,8 +253,8 @@ int main() {
   {
     std::ofstream json(json_path, std::ios::trunc);
     json << "{\n  \"bench\": \"ext_scale\",\n  \"schema_version\": 1,\n"
-         << "  \"rounds\": " << rounds << ",\n  \"shard_size\": " << shard
-         << ",\n  \"sizes\": [\n";
+         << "  \"rounds\": " << kRounds
+         << ",\n  \"shard_size\": " << kShardSize << ",\n  \"sizes\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       char buf[512];
       std::snprintf(

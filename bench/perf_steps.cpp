@@ -29,7 +29,6 @@
 /// headline "serial_steps_per_s" is the dps pair20 rate, which CI gates
 /// with DPS_PERF_MIN_STEPS_PER_S. Knobs:
 ///   DPS_REPEATS              completed runs per workload in pair20 [1]
-///   DPS_STEPS_ROUNDS         engine steps per fleet scenario      [300]
 ///   DPS_PERF_MIN_STEPS_PER_S exit nonzero if the dps pair20 rate falls
 ///                            below this (default 0 = never)
 ///   DPS_BENCH_JSON           output path (default "BENCH_steps.json")
@@ -56,6 +55,9 @@
 namespace {
 
 using namespace dps;
+
+/// Engine steps per fleet scenario (units1k, units10k, tree10k, floor100k).
+constexpr int kFleetRounds = 300;
 
 struct Scenario {
   std::string name;
@@ -233,8 +235,6 @@ std::vector<Scenario> run_floor100k(int rounds, std::uint64_t seed) {
 int main() {
   using namespace dps;
   const int repeats = static_cast<int>(bench::int_knob("DPS_REPEATS", 1, 1));
-  const int rounds =
-      static_cast<int>(bench::int_knob("DPS_STEPS_ROUNDS", 300, 1));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(bench::int_knob("DPS_SEED", 42, 0, LONG_MAX));
   const double min_steps =
@@ -246,17 +246,17 @@ int main() {
       "perf_steps: engine microbench (fleets of 4,096+ units shard their "
       "physics over %u CPUs; tree10k decides on 2 leaf threads), repeats=%d, "
       "synthetic rounds=%d.\n\n",
-      available_threads(), repeats, rounds);
+      available_threads(), repeats, kFleetRounds);
 
   std::vector<Scenario> scenarios;
   for (const auto kind :
        {ManagerKind::kConstant, ManagerKind::kSlurm, ManagerKind::kDps}) {
     scenarios.push_back(run_pair20(kind, repeats, seed));
   }
-  scenarios.push_back(run_synthetic("units1k", 1000, rounds, seed));
-  scenarios.push_back(run_synthetic("units10k", 10000, rounds, seed));
-  scenarios.push_back(run_tree10k(rounds, seed));
-  const std::vector<Scenario> floor = run_floor100k(rounds, seed);
+  scenarios.push_back(run_synthetic("units1k", 1000, kFleetRounds, seed));
+  scenarios.push_back(run_synthetic("units10k", 10000, kFleetRounds, seed));
+  scenarios.push_back(run_tree10k(kFleetRounds, seed));
+  const std::vector<Scenario> floor = run_floor100k(kFleetRounds, seed);
   scenarios.insert(scenarios.end(), floor.begin(), floor.end());
 
   CsvWriter csv(dps::bench::out_dir() + "/perf_steps.csv");
@@ -297,8 +297,8 @@ int main() {
   {
     std::ofstream json(json_path, std::ios::trunc);
     json << "{\n  \"bench\": \"perf_steps\",\n  \"schema_version\": 2,\n"
-         << "  \"repeats\": " << repeats << ",\n  \"rounds\": " << rounds
-         << ",\n  \"scenarios\": [\n";
+         << "  \"repeats\": " << repeats
+         << ",\n  \"rounds\": " << kFleetRounds << ",\n  \"scenarios\": [\n";
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
       const auto& s = scenarios[i];
       char buf[512];

@@ -5,44 +5,51 @@
 
 #include "metrics/metrics.hpp"
 #include "signal/rolling.hpp"
-#include "util/csv_reader.hpp"
 
 namespace dps {
 
-Trace Trace::load_csv(const std::string& path) {
-  const auto csv = CsvReader::load(path);
-  for (const char* column :
-       {"time", "unit", "true_power", "measured_power", "cap", "demand"}) {
-    if (!csv.column_index(column)) {
-      throw std::runtime_error("Trace: missing column " +
-                               std::string(column) + " in " + path);
-    }
-  }
+Trace Trace::from_csv(const CsvReader& csv) {
+  const std::size_t time = csv.require_column("time");
+  const std::size_t unit = csv.require_column("unit");
+  const std::size_t true_power = csv.require_column("true_power");
+  const std::size_t measured = csv.require_column("measured_power");
+  const std::size_t cap = csv.require_column("cap");
+  const std::size_t demand = csv.require_column("demand");
+  const auto priority = csv.column_index("priority");
   Trace trace;
   for (std::size_t r = 0; r < csv.num_rows(); ++r) {
-    const auto unit = csv.number(r, "unit");
-    const auto time = csv.number(r, "time");
-    const auto true_power = csv.number(r, "true_power");
-    const auto measured = csv.number(r, "measured_power");
-    const auto cap = csv.number(r, "cap");
-    const auto demand = csv.number(r, "demand");
-    if (!unit || !time || !true_power || !measured || !cap || !demand) {
-      throw std::runtime_error("Trace: unparsable row " + std::to_string(r) +
-                               " in " + path);
-    }
-    auto& series = trace.units_[static_cast<int>(*unit)];
-    series.time.push_back(*time);
-    series.true_power.push_back(*true_power);
-    series.measured_power.push_back(*measured);
-    series.cap.push_back(*cap);
-    series.demand.push_back(*demand);
-    const auto priority = csv.number(r, "priority");
-    series.priority.push_back(priority ? static_cast<int>(*priority) : -1);
+    auto& series = trace.units_[csv.integer<int>(r, unit)];
+    series.time.push_back(csv.real(r, time));
+    series.true_power.push_back(csv.real(r, true_power));
+    series.measured_power.push_back(csv.real(r, measured));
+    series.cap.push_back(csv.real(r, cap));
+    series.demand.push_back(csv.real(r, demand));
+    const int p = priority ? csv.integer<int>(r, *priority) : -1;
+    if (p < -1 || p > 1) csv.bad(r, *priority);
+    series.priority.push_back(p);
   }
   if (trace.units_.empty()) {
-    throw std::runtime_error("Trace: no samples in " + path);
+    throw std::runtime_error(csv.source() + ": no samples");
+  }
+  // n distinct units are 0..n-1 unless one lies outside [0, n): the scan
+  // then stops at its first row.
+  const int n = trace.num_units();
+  if (trace.units_.begin()->first != 0 ||
+      trace.units_.rbegin()->first != n - 1) {
+    for (std::size_t r = 0;; ++r) {
+      const int u = csv.integer<int>(r, unit);
+      if (u < 0 || u >= n) {
+        csv.fail(r, "unit " + std::to_string(u) +
+                        ", but units must be numbered 0.." +
+                        std::to_string(n - 1));
+      }
+    }
   }
   return trace;
+}
+
+Trace Trace::load_csv(const std::string& path) {
+  return from_csv(CsvReader::load(path));
 }
 
 const UnitTrace& Trace::unit(int u) const {

@@ -6,6 +6,7 @@
 
 #include "power/power_interface.hpp"
 #include "signal/phase_stats.hpp"
+#include "util/csv_reader.hpp"
 
 namespace dps {
 
@@ -32,7 +33,15 @@ struct UnitTrace {
 /// A parsed multi-unit trace.
 class Trace {
  public:
-  /// Loads a TraceRecorder CSV. Throws std::runtime_error on bad input.
+  /// Reads a TraceRecorder CSV. Every row must hold a time, true_power,
+  /// measured_power, cap and demand that are finite numbers, an int unit,
+  /// and, when the column exists, a priority of -1, 0 or 1; the units must
+  /// be numbered 0..n-1. Throws std::runtime_error naming the line of the
+  /// first row that breaks a rule, or on a missing column or no rows.
+  static Trace from_csv(const CsvReader& csv);
+
+  /// Same, over a file (errors cite its path). Throws std::runtime_error
+  /// if unreadable.
   static Trace load_csv(const std::string& path);
 
   int num_units() const { return static_cast<int>(units_.size()); }

@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace dps {
@@ -21,12 +22,25 @@ void write_context(ByteWriter& out, const ManagerContext& ctx) {
 
 ManagerContext read_context(ByteReader& in) {
   ManagerContext ctx;
-  ctx.num_units = static_cast<int>(in.i64());
+  const std::int64_t units = in.i64();
+  if (units < 0 || units > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("checkpoint context has " +
+                             std::to_string(units) + " units");
+  }
+  ctx.num_units = static_cast<int>(units);
   ctx.total_budget = in.f64();
   ctx.tdp = in.f64();
   ctx.min_cap = in.f64();
   ctx.dt = in.f64();
   ctx.unit_tdp = in.doubles();
+  // Managers index unit_tdp by unit (ManagerContext::tdp_of).
+  if (!ctx.unit_tdp.empty() &&
+      ctx.unit_tdp.size() != static_cast<std::size_t>(ctx.num_units)) {
+    throw std::runtime_error("checkpoint context has " +
+                             std::to_string(ctx.unit_tdp.size()) +
+                             " unit TDPs for " +
+                             std::to_string(ctx.num_units) + " units");
+  }
   return ctx;
 }
 

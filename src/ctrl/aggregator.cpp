@@ -1,5 +1,6 @@
 #include "ctrl/aggregator.hpp"
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -14,25 +15,40 @@ constexpr std::uint32_t kAggrFormatVersion = 1;
 
 }  // namespace
 
-void write_aggregator_checkpoint_file(const std::string& path,
-                                      const AggregatorCheckpoint& ckpt) {
+std::vector<std::uint8_t> encode_aggregator_checkpoint(
+    const AggregatorCheckpoint& ckpt) {
   ByteWriter out;
   out.i64(ckpt.parent_unit);
   out.blob(encode_checkpoint(ckpt.inner));
-  write_framed_file(path, kAggrMagic, kAggrFormatVersion, out.bytes());
+  return out.take();
 }
 
-AggregatorCheckpoint read_aggregator_checkpoint_file(const std::string& path) {
-  const std::vector<std::uint8_t> payload =
-      read_framed_file(path, kAggrMagic, kAggrFormatVersion);
+AggregatorCheckpoint decode_aggregator_checkpoint(
+    std::span<const std::uint8_t> payload) {
   ByteReader in(payload);
   AggregatorCheckpoint ckpt;
-  ckpt.parent_unit = static_cast<int>(in.i64());
+  const std::int64_t parent_unit = in.i64();
+  if (parent_unit < -1 || parent_unit > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("aggregator checkpoint has parent slot " +
+                             std::to_string(parent_unit));
+  }
+  ckpt.parent_unit = static_cast<int>(parent_unit);
   ckpt.inner = decode_checkpoint(in.blob());
   if (!in.exhausted()) {
     throw std::runtime_error("aggregator checkpoint has trailing bytes");
   }
   return ckpt;
+}
+
+void write_aggregator_checkpoint_file(const std::string& path,
+                                      const AggregatorCheckpoint& ckpt) {
+  write_framed_file(path, kAggrMagic, kAggrFormatVersion,
+                    encode_aggregator_checkpoint(ckpt));
+}
+
+AggregatorCheckpoint read_aggregator_checkpoint_file(const std::string& path) {
+  return decode_aggregator_checkpoint(
+      read_framed_file(path, kAggrMagic, kAggrFormatVersion));
 }
 
 AggregatorNode::AggregatorNode(PowerManager& manager,

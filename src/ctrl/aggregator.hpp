@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "ctrl/ctrl_config.hpp"
@@ -27,9 +29,17 @@ struct AggregatorCheckpoint {
   ControlCheckpoint inner;
 };
 
-/// Atomic write / validated read with the shared framed-file format
-/// (magic "DPSAGGR", CRC-32, tmp+rename) — see core/checkpoint.hpp. The
-/// payload is the parent slot, then the inner ControlCheckpoint's payload.
+/// The "DPSAGGR" payload: the parent slot, then the inner
+/// ControlCheckpoint's payload. decode throws std::runtime_error on a
+/// truncated, malformed or overlong payload.
+std::vector<std::uint8_t> encode_aggregator_checkpoint(
+    const AggregatorCheckpoint& ckpt);
+AggregatorCheckpoint decode_aggregator_checkpoint(
+    std::span<const std::uint8_t> payload);
+
+/// Atomic write / validated read of that payload with the shared
+/// framed-file format (magic "DPSAGGR", CRC-32, tmp+rename) — see
+/// core/checkpoint.hpp.
 void write_aggregator_checkpoint_file(const std::string& path,
                                       const AggregatorCheckpoint& ckpt);
 AggregatorCheckpoint read_aggregator_checkpoint_file(const std::string& path);

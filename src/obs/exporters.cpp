@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "util/csv.hpp"
-#include "util/csv_reader.hpp"
-#include "util/ini.hpp"
 
 namespace dps::obs {
 namespace {
@@ -114,40 +112,26 @@ void write_events_csv(const EventLog& log, const std::string& path) {
   write_events_csv(log.snapshot(), path);
 }
 
-std::vector<EventRecord> read_events_csv(const std::string& path) {
-  const CsvReader csv = CsvReader::load(path);
-  for (const char* column : {"time", "kind", "unit", "value", "extra"}) {
-    if (!csv.column_index(column)) {
-      throw std::runtime_error("events csv: missing column " +
-                               std::string(column) + " in " + path);
-    }
-  }
+std::vector<EventRecord> read_events_csv(const CsvReader& csv) {
+  const std::size_t time = csv.require_column("time");
+  csv.require_column("kind");
+  const std::size_t unit = csv.require_column("unit");
+  const std::size_t value = csv.require_column("value");
+  const std::size_t extra = csv.require_column("extra");
   std::vector<EventRecord> records;
   records.reserve(csv.num_rows());
   for (std::size_t r = 0; r < csv.num_rows(); ++r) {
-    const auto bad = [&](const char* column) {
-      return std::runtime_error(
-          "events csv: line " + std::to_string(csv.line(r)) + ": bad " +
-          column + " '" + csv.cell(r, column).value_or("") + "' in " + path);
-    };
-    const auto number = [&](const char* column) {
-      const auto value = csv.number(r, column);
-      if (!value) throw bad(column);
-      return *value;
-    };
-    EventRecord record;
-    record.time = number("time");
-    record.kind = csv.cell(r, "kind").value_or("");
-    const auto unit =
-        parse_integer<std::int32_t>(csv.cell(r, "unit").value_or(""));
-    if (!unit) throw bad("unit");
-    record.unit = *unit;
-    record.value = number("value");
-    record.extra = number("extra");
-    record.detail = csv.cell(r, "detail").value_or("");
-    records.push_back(std::move(record));
+    // A braced list runs in order: time, unit, value, extra are checked
+    // left to right.
+    records.push_back({csv.real(r, time), csv.cell(r, "kind").value_or(""),
+                       csv.integer<std::int32_t>(r, unit), csv.real(r, value),
+                       csv.real(r, extra), csv.cell(r, "detail").value_or("")});
   }
   return records;
+}
+
+std::vector<EventRecord> read_events_csv(const std::string& path) {
+  return read_events_csv(CsvReader::load(path));
 }
 
 void write_chrome_trace(const std::vector<EventRecord>& events,

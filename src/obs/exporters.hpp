@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/event_log.hpp"
+#include "util/csv_reader.hpp"
 
 namespace dps::obs {
 
@@ -30,11 +31,15 @@ void write_events_csv(const std::vector<Event>& events,
                       const std::string& path);
 void write_events_csv(const EventLog& log, const std::string& path);
 
-/// Reads an events CSV back. Throws std::runtime_error on an unreadable
-/// file, a missing column, or a row whose time, value or extra is not a
-/// number or whose unit is not a 32-bit integer, naming the row's line;
-/// rows with an unknown kind are kept verbatim (the trace exporter renders
-/// them as generic instants).
+/// Reads an events CSV back. Throws std::runtime_error on a missing
+/// column, or on a row (a blank line included) whose time, value or extra
+/// is not a finite number or whose unit is not a 32-bit integer, naming
+/// the row's line; rows with an unknown kind are kept verbatim (the trace
+/// exporter renders them as generic instants).
+std::vector<EventRecord> read_events_csv(const CsvReader& csv);
+
+/// Same, over a file (errors cite its path). Throws std::runtime_error if
+/// unreadable.
 std::vector<EventRecord> read_events_csv(const std::string& path);
 
 /// Writes the Chrome trace_event JSON format ("JSON object format":

@@ -1,9 +1,6 @@
 #include "sched/arrivals.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -28,30 +25,6 @@ void validate(const std::vector<JobArrival>& records) {
     }
     last = r.time;
   }
-}
-
-[[noreturn]] void malformed(std::size_t line, const std::string& what) {
-  throw std::runtime_error("job trace line " + std::to_string(line) + ": " +
-                           what);
-}
-
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r");
-  return s.substr(begin, end - begin + 1);
-}
-
-double parse_number(const std::string& field, std::size_t line,
-                    const char* what) {
-  const std::string t = trim(field);
-  if (t.empty()) malformed(line, std::string("empty ") + what);
-  char* end = nullptr;
-  const double v = std::strtod(t.c_str(), &end);
-  if (end != t.c_str() + t.size() || !std::isfinite(v)) {
-    malformed(line, std::string("unparsable ") + what + " '" + t + "'");
-  }
-  return v;
 }
 
 }  // namespace
@@ -103,60 +76,43 @@ ArrivalStream ArrivalStream::poisson(const PoissonArrivalConfig& config) {
   return from_records(std::move(records));
 }
 
-std::vector<JobArrival> parse_job_trace(const std::string& text) {
+std::vector<JobArrival> parse_job_trace(const CsvReader& csv) {
   std::vector<JobArrival> records;
-  std::istringstream in(text);
-  std::string raw;
-  std::size_t line_no = 0;
-  Seconds last = 0.0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const std::string line = trim(raw);
-    if (line.empty() || line[0] == '#' || line[0] == ';') continue;
-
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream fs(line);
-    while (std::getline(fs, field, ',')) fields.push_back(trim(field));
-    if (line.back() == ',') fields.push_back("");
-
-    // Optional header row.
-    if (fields.size() >= 1 && fields[0] == "arrival_time") continue;
-
-    if (fields.size() != 4) {
-      malformed(line_no, "expected 4 fields "
-                         "(arrival_time, workload_name, n_units, walltime), "
-                         "got " + std::to_string(fields.size()));
+  for (std::size_t r = 0; r < csv.num_rows(); ++r) {
+    const std::string_view first = trim(csv.cell(r, 0));
+    if (first.empty() && csv.num_fields(r) == 1) continue;  // blank line
+    if (first.starts_with('#') || first.starts_with(';') ||
+        first == "arrival_time") {
+      continue;  // a comment or the header
+    }
+    if (csv.num_fields(r) != 4) {
+      csv.fail(r, "expected 4 fields (arrival_time, workload_name, "
+                  "n_units, walltime), got " +
+                      std::to_string(csv.num_fields(r)));
     }
     JobArrival record;
-    record.time = parse_number(fields[0], line_no, "arrival_time");
-    if (record.time < 0.0) malformed(line_no, "negative arrival_time");
-    if (record.time < last) {
-      malformed(line_no, "arrival_time not sorted (goes backwards)");
+    record.time = csv.real(r, 0, "arrival_time");
+    if (record.time < 0.0) csv.fail(r, "negative arrival_time");
+    if (!records.empty() && record.time < records.back().time) {
+      csv.fail(r, "arrival_time not sorted (goes backwards)");
     }
-    record.workload = fields[1];
-    if (record.workload.empty()) malformed(line_no, "empty workload_name");
-    const double units = parse_number(fields[2], line_no, "n_units");
-    if (units < 1.0 || units != std::floor(units)) {
-      malformed(line_no, "n_units must be a positive integer");
-    }
-    record.n_units = static_cast<int>(units);
-    record.walltime = parse_number(fields[3], line_no, "walltime");
-    if (record.walltime <= 0.0) malformed(line_no, "walltime must be > 0");
-    last = record.time;
+    record.workload = trim(csv.cell(r, 1));
+    if (record.workload.empty()) csv.fail(r, "empty workload_name");
+    record.n_units = csv.integer<int>(r, 2, "n_units");
+    if (record.n_units < 1) csv.fail(r, "n_units must be >= 1");
+    record.walltime = csv.real(r, 3, "walltime");
+    if (record.walltime <= 0.0) csv.fail(r, "walltime must be > 0");
     records.push_back(std::move(record));
   }
   return records;
 }
 
+std::vector<JobArrival> parse_job_trace(const std::string& text) {
+  return parse_job_trace(CsvReader::parse(text, false, "job trace"));
+}
+
 std::vector<JobArrival> load_job_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("cannot read job trace: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_job_trace(buffer.str());
+  return parse_job_trace(CsvReader::load(path, false));
 }
 
 }  // namespace dps::sched

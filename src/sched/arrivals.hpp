@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sched/job.hpp"
+#include "util/csv_reader.hpp"
 
 namespace dps::sched {
 
@@ -56,16 +57,23 @@ class ArrivalStream {
   std::size_t next_ = 0;
 };
 
-/// Parses a job-trace text: one `arrival_time, workload_name, n_units,
-/// walltime` record per line, `#`/`;` comments and blank lines skipped,
-/// and an optional header line (detected by a non-numeric first field
-/// named "arrival_time"). Records must be sorted by arrival_time.
-/// Throws std::runtime_error naming the 1-based line on any malformed
-/// line: wrong field count, unparsable numbers, negative time, empty
-/// workload name, n_units < 1, walltime <= 0, or out-of-order times.
+/// Reads a job trace: one `arrival_time, workload_name, n_units,
+/// walltime` record per row, fields trimmed of surrounding blanks. Skipped
+/// rows: blank lines, comments (a first field starting with `#` or `;`;
+/// comments pass through the CSV tokenizer, so a `"` in one must be
+/// balanced) and header rows (a first field of exactly "arrival_time").
+/// Records must be sorted by arrival_time. Throws std::runtime_error
+/// naming the 1-based line on any malformed row: wrong field count, a
+/// time or walltime that is not a finite number, an n_units that is not an
+/// int, negative time, empty workload name, n_units < 1, walltime <= 0, or
+/// out-of-order times.
+std::vector<JobArrival> parse_job_trace(const CsvReader& csv);
+
+/// Same, over trace text (errors cite "job trace").
 std::vector<JobArrival> parse_job_trace(const std::string& text);
 
-/// Reads and parses a trace file. Throws std::runtime_error if unreadable.
+/// Same, over a trace file (errors cite its path). Throws
+/// std::runtime_error if unreadable.
 std::vector<JobArrival> load_job_trace(const std::string& path);
 
 }  // namespace dps::sched

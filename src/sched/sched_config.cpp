@@ -10,10 +10,9 @@ std::vector<std::string> split_names(const std::string& value) {
   std::istringstream in(value);
   std::string item;
   while (std::getline(in, item, ',')) {
-    const auto begin = item.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const auto end = item.find_last_not_of(" \t");
-    names.push_back(item.substr(begin, end - begin + 1));
+    if (const std::string_view name = trim(item); !name.empty()) {
+      names.emplace_back(name);
+    }
   }
   return names;
 }

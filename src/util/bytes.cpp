@@ -46,8 +46,10 @@ void ByteWriter::blob(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void ByteReader::need(std::size_t n) const {
-  if (data_.size() - pos_ < n) {
+void ByteReader::need(std::size_t n, std::size_t item_size) const {
+  // Divide rather than multiply: a hostile count times 8 can wrap to a
+  // small number and pass.
+  if (n > (data_.size() - pos_) / item_size) {
     throw std::runtime_error("truncated checkpoint payload");
   }
 }
@@ -93,7 +95,7 @@ std::string ByteReader::str() {
 
 std::vector<double> ByteReader::doubles() {
   const std::uint64_t n = u64();
-  need(n * 8);
+  need(n, 8);
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
@@ -111,7 +113,7 @@ std::vector<bool> ByteReader::bools() {
 
 std::vector<int> ByteReader::ints() {
   const std::uint64_t n = u64();
-  need(n * 8);
+  need(n, 8);
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(static_cast<int>(i64()));

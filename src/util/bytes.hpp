@@ -60,7 +60,8 @@ class ByteReader {
   bool exhausted() const { return pos_ == data_.size(); }
 
  private:
-  void need(std::size_t n) const;
+  /// Throws unless `n` items of `item_size` bytes remain.
+  void need(std::size_t n, std::size_t item_size = 1) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -1,5 +1,7 @@
 #include "util/csv_reader.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,29 +10,30 @@ namespace dps {
 namespace {
 
 /// Splits CSV text into records of fields, honouring RFC 4180 quoting;
-/// `lines` gets the 1-based line each record starts on.
+/// `lines` gets the 1-based line each record starts on. Every newline
+/// outside quotes ends a record, so a blank line is a record of one empty
+/// field; only the text's end adds no empty record.
 std::vector<std::vector<std::string>> tokenize(
-    const std::string& text, std::vector<std::size_t>& lines) {
+    const std::string& text, const std::string& source,
+    std::vector<std::size_t>& lines) {
   std::vector<std::vector<std::string>> records;
   std::vector<std::string> record;
   std::string field;
   bool in_quotes = false;
-  bool field_started = false;
+  bool started = false;  // the current record has a character
   std::size_t line = 1;
   std::size_t record_line = 1;
+  std::size_t quote_line = 1;
 
   auto end_field = [&] {
     record.push_back(std::move(field));
     field.clear();
-    field_started = false;
   };
   auto end_record = [&] {
-    if (field_started || !field.empty() || !record.empty()) {
-      end_field();
-      records.push_back(std::move(record));
-      record.clear();
-      lines.push_back(record_line);
-    }
+    end_field();
+    records.push_back(std::move(record));
+    record.clear();
+    lines.push_back(record_line);
   };
 
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -52,57 +55,57 @@ std::vector<std::vector<std::string>> tokenize(
     switch (c) {
       case '"':
         in_quotes = true;
-        field_started = true;
+        quote_line = line;
+        started = true;
         break;
       case ',':
         end_field();
-        field_started = true;  // the next field exists even if empty
+        started = true;
         break;
       case '\r':
         break;
       case '\n':
         end_record();
+        started = false;
         record_line = line;
         break;
       default:
         field += c;
-        field_started = true;
+        started = true;
     }
   }
   if (in_quotes) {
-    throw std::runtime_error("CsvReader: unterminated quoted field");
+    throw std::runtime_error(source + ": line " + std::to_string(quote_line) +
+                             ": unterminated quoted field");
   }
-  end_record();
+  if (started) end_record();
   return records;
 }
 
 }  // namespace
 
-CsvReader CsvReader::parse(const std::string& text, bool has_header) {
+CsvReader CsvReader::parse(const std::string& text, bool has_header,
+                           std::string source) {
   CsvReader reader;
-  auto records = tokenize(text, reader.lines_);
-  if (records.empty()) return reader;
-  std::size_t first_row = 0;
-  if (has_header) {
-    reader.header_ = records.front();
-    for (std::size_t c = 0; c < reader.header_.size(); ++c) {
-      reader.column_lookup_.emplace(reader.header_[c], c);
-    }
-    first_row = 1;
+  reader.source_ = std::move(source);
+  reader.rows_ = tokenize(text, reader.source_, reader.lines_);
+  if (has_header && !reader.rows_.empty()) {
+    reader.header_ = std::move(reader.rows_.front());
+    reader.rows_.erase(reader.rows_.begin());
     reader.lines_.erase(reader.lines_.begin());
-  }
-  for (std::size_t r = first_row; r < records.size(); ++r) {
-    reader.rows_.push_back(std::move(records[r]));
   }
   return reader;
 }
 
 CsvReader CsvReader::load(const std::string& path, bool has_header) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("CsvReader: cannot open " + path);
+  // A directory opens, then reads as empty text.
+  if (!in || std::filesystem::is_directory(path)) {
+    throw std::runtime_error("CsvReader: cannot open " + path);
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return parse(buffer.str(), has_header);
+  return parse(buffer.str(), has_header, path);
 }
 
 const std::string& CsvReader::cell(std::size_t row,
@@ -119,31 +122,44 @@ std::optional<std::string> CsvReader::cell(std::size_t row,
   return fields[*index];
 }
 
-std::optional<double> CsvReader::number(std::size_t row,
-                                        const std::string& column) const {
-  const auto value = cell(row, column);
-  if (!value) return std::nullopt;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') return std::nullopt;
-  return parsed;
-}
-
-std::vector<double> CsvReader::column_as_doubles(
-    const std::string& column) const {
-  std::vector<double> values;
-  values.reserve(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (const auto value = number(r, column)) values.push_back(*value);
-  }
-  return values;
-}
-
 std::optional<std::size_t> CsvReader::column_index(
     const std::string& column) const {
-  const auto it = column_lookup_.find(column);
-  if (it == column_lookup_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::find(header_.begin(), header_.end(), column);
+  if (it == header_.end()) return std::nullopt;
+  return static_cast<std::size_t>(it - header_.begin());
+}
+
+std::size_t CsvReader::require_column(const std::string& column) const {
+  if (const auto index = column_index(column)) return *index;
+  throw std::runtime_error(source_ + ": missing column " + column);
+}
+
+double CsvReader::real(std::size_t row, std::size_t column,
+                       const char* name) const {
+  if (const auto value = parse_double(trim(field(row, column)))) {
+    return *value;
+  }
+  bad(row, column, name);
+}
+
+void CsvReader::bad(std::size_t row, std::size_t column,
+                    const char* name) const {
+  const std::string label =
+      name != nullptr              ? name
+      : column < header_.size() ? header_[column]
+                                : "column " + std::to_string(column + 1);
+  fail(row, "bad " + label + " '" + std::string(field(row, column)) + "'");
+}
+
+void CsvReader::fail(std::size_t row, const std::string& what) const {
+  throw std::runtime_error(source_ + ": line " + std::to_string(line(row)) +
+                           ": " + what);
+}
+
+std::string_view CsvReader::field(std::size_t row, std::size_t column) const {
+  const auto& fields = rows_.at(row);
+  return column < fields.size() ? std::string_view(fields[column])
+                                : std::string_view();
 }
 
 }  // namespace dps

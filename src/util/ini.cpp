@@ -1,6 +1,7 @@
 #include "util/ini.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -10,13 +11,6 @@
 namespace dps {
 namespace {
 
-std::string trim(const std::string& text) {
-  const auto begin = text.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  const auto end = text.find_last_not_of(" \t\r");
-  return text.substr(begin, end - begin + 1);
-}
-
 std::string lower(std::string text) {
   std::transform(text.begin(), text.end(), text.begin(),
                  [](unsigned char c) { return std::tolower(c); });
@@ -25,14 +19,22 @@ std::string lower(std::string text) {
 
 }  // namespace
 
+std::string_view trim(std::string_view text) {
+  const auto begin = text.find_first_not_of(" \t\r");
+  if (begin == std::string_view::npos) return {};
+  const auto end = text.find_last_not_of(" \t\r");
+  return text.substr(begin, end - begin + 1);
+}
+
 std::optional<double> parse_double(std::string_view text) {
   // strtod needs a terminated string; it also accepts what the old
-  // getters did (leading '+', exponents, hex floats).
+  // getters did (leading '+', exponents, hex floats), and would skip
+  // leading blanks, which the whole-text rule refuses.
   const std::string copy(text);
   char* end = nullptr;
   const double value = std::strtod(copy.c_str(), &end);
-  if (copy.empty() || end != copy.c_str() + copy.size() ||
-      !std::isfinite(value)) {
+  if (copy.empty() || std::isspace(static_cast<unsigned char>(copy[0])) ||
+      end != copy.c_str() + copy.size() || !std::isfinite(value)) {
     return std::nullopt;
   }
   return value;
@@ -55,7 +57,7 @@ IniFile IniFile::parse(const std::string& text) {
     ++line_number;
     const auto comment = line.find_first_of("#;");
     if (comment != std::string::npos) line.erase(comment);
-    line = trim(line);
+    line = std::string(trim(line));
     if (line.empty()) continue;
 
     if (line.front() == '[') {
@@ -63,7 +65,7 @@ IniFile IniFile::parse(const std::string& text) {
         throw std::runtime_error("IniFile: unterminated section at line " +
                                  std::to_string(line_number));
       }
-      section = trim(line.substr(1, line.size() - 2));
+      section = std::string(trim(line.substr(1, line.size() - 2)));
       continue;
     }
 
@@ -72,8 +74,8 @@ IniFile IniFile::parse(const std::string& text) {
       throw std::runtime_error("IniFile: expected key=value at line " +
                                std::to_string(line_number));
     }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+    const std::string key(trim(std::string_view(line).substr(0, eq)));
+    const std::string value(trim(std::string_view(line).substr(eq + 1)));
     if (key.empty()) {
       throw std::runtime_error("IniFile: empty key at line " +
                                std::to_string(line_number));

@@ -8,10 +8,13 @@
 
 namespace dps {
 
-/// INI value syntax of the config tables (util/config_table.hpp). The
-/// whole text must parse: a double must be finite, an integer must fit
-/// `Int` (an optional leading '+'; a '-' only for signed types), and a bool
-/// is true/yes/on/1 or false/no/off/0 in any case. nullopt otherwise.
+/// The one number syntax: INI values of the config tables
+/// (util/config_table.hpp), flags, environment knobs (util/env.hpp) and
+/// CSV cells (util/csv_reader.hpp) all parse through these. The whole text
+/// must parse, with no surrounding blanks: a double must be finite, an
+/// integer must fit `Int` (an optional leading '+'; a '-' only for signed
+/// types), and a bool is true/yes/on/1 or false/no/off/0 in any case.
+/// nullopt otherwise.
 std::optional<double> parse_double(std::string_view text);
 std::optional<bool> parse_bool(std::string_view text);
 
@@ -26,6 +29,9 @@ std::optional<Int> parse_integer(std::string_view text) {
   if (error != std::errc{} || ptr != end) return std::nullopt;
   return value;
 }
+
+/// `text` without leading and trailing spaces, tabs and carriage returns.
+std::string_view trim(std::string_view text);
 
 /// Minimal INI-style configuration parser (the C++ counterpart of the
 /// paper artifact's config.py). Supports `[section]` headers, `key = value`

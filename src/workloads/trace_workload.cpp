@@ -1,10 +1,7 @@
 #include "workloads/trace_workload.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
-
-#include "util/ini.hpp"
 
 namespace dps {
 namespace {
@@ -72,54 +69,38 @@ WorkloadSpec workload_from_samples(std::span<const double> power_samples,
   return spec;
 }
 
-WorkloadSpec workload_from_trace_csv(const std::string& path,
-                                     std::string name) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("workload_from_trace_csv: cannot open " + path);
-  }
+WorkloadSpec workload_from_trace_csv(const CsvReader& csv, std::string name) {
   std::vector<double> powers;
   Seconds period = 0.0;
   Seconds last_time = 0.0;
-  std::string line;
-  for (int number = 1; std::getline(in, line); ++number) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const auto bad = [&](const std::string& what) {
-      return std::runtime_error("workload_from_trace_csv: line " +
-                                std::to_string(number) + ": " + what +
-                                " in " + path);
-    };
-    const std::size_t comma = line.find(',');
-    const std::string time_field = line.substr(0, comma);
-    const std::optional<double> time = parse_double(time_field);
-    if (number == 1 && !time) continue;  // the header
-    if (comma == std::string::npos ||
-        line.find(',', comma + 1) != std::string::npos) {
-      throw bad("need two fields, time_s,power_w");
-    }
-    const std::string power_field = line.substr(comma + 1);
-    const std::optional<double> power = parse_double(power_field);
-    if (!time) throw bad("bad time '" + time_field + "'");
-    if (!power || *power < 0.0) {
-      throw bad("power '" + power_field + "' is not a finite number >= 0");
-    }
+  for (std::size_t r = 0; r < csv.num_rows(); ++r) {
+    if (r == 0 && !parse_double(trim(csv.cell(r, 0)))) continue;  // header
+    if (csv.num_fields(r) != 2) csv.fail(r, "need two fields, time_s,power_w");
+    const double time = csv.real(r, 0, "time");
+    const double power = csv.real(r, 1, "power");
+    if (power < 0.0) csv.bad(r, 1, "power");
     if (powers.size() == 1) {
-      period = *time - last_time;
-      if (period <= 0.0) throw bad("time does not increase");
+      period = time - last_time;
+      if (period <= 0.0) csv.fail(r, "time does not increase");
     } else if (!powers.empty() &&
-               std::abs(*time - last_time - period) >
+               std::abs(time - last_time - period) >
                    kPeriodTolerance * period) {
-      throw bad("time does not advance by the first period (" +
-                std::to_string(period) + " s)");
+      csv.fail(r, "time does not advance by the first period (" +
+                      std::to_string(period) + " s)");
     }
-    last_time = *time;
-    powers.push_back(*power);
+    last_time = time;
+    powers.push_back(power);
   }
   if (powers.size() < 2) {
-    throw std::runtime_error("workload_from_trace_csv: fewer than 2 samples in " +
-                             path);
+    throw std::runtime_error(csv.source() + ": fewer than 2 samples");
   }
   return workload_from_samples(powers, period, std::move(name));
+}
+
+WorkloadSpec workload_from_trace_csv(const std::string& path,
+                                     std::string name) {
+  return workload_from_trace_csv(CsvReader::load(path, false),
+                                 std::move(name));
 }
 
 }  // namespace dps

@@ -3,6 +3,7 @@
 #include <span>
 #include <string>
 
+#include "util/csv_reader.hpp"
 #include "workloads/spec.hpp"
 
 namespace dps {
@@ -22,11 +23,16 @@ WorkloadSpec workload_from_samples(std::span<const double> power_samples,
 /// Same, reading a two-column CSV:
 ///   time_s,power_w
 /// Only the first line may be a header (its time field is not a number).
-/// Every other line holds exactly two fields that parse completely: a
-/// finite time and a finite power >= 0. The first two rows set the sample
-/// period, which must be > 0, and every later time must advance by it
-/// (within 1 %). Throws std::runtime_error on unreadable input, fewer than
-/// two samples, or a row that breaks these rules, naming its line.
+/// Every other line, a blank one included, must hold exactly two fields in
+/// the number syntax of util/ini.hpp: a finite time and a finite power
+/// >= 0. The first two rows set the sample period, which must be > 0, and
+/// every later time must advance by it (within 1 %). Throws
+/// std::runtime_error on fewer than two samples, or on a row that breaks
+/// these rules, naming its line.
+WorkloadSpec workload_from_trace_csv(const CsvReader& csv, std::string name);
+
+/// Same, over a file (errors cite its path). Throws std::runtime_error if
+/// unreadable.
 WorkloadSpec workload_from_trace_csv(const std::string& path,
                                      std::string name);
 

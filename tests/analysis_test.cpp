@@ -39,12 +39,19 @@ TEST(CsvReader, RoundTripsCsvWriterOutput) {
 }
 
 TEST(CsvReader, NumberParsingAndColumnExtraction) {
-  const auto csv = CsvReader::parse("v\n1.5\nnope\n-2\n");
-  EXPECT_DOUBLE_EQ(*csv.number(0, "v"), 1.5);
-  EXPECT_FALSE(csv.number(1, "v").has_value());
-  const auto values = csv.column_as_doubles("v");
-  ASSERT_EQ(values.size(), 2u);  // "nope" skipped
-  EXPECT_DOUBLE_EQ(values[1], -2.0);
+  const auto csv = CsvReader::parse("v\n1.5\nnope\n -2 \n");
+  const std::size_t v = csv.require_column("v");
+  EXPECT_DOUBLE_EQ(csv.real(0, v), 1.5);
+  EXPECT_DOUBLE_EQ(csv.real(2, v), -2.0);  // blanks around a number pass
+  EXPECT_EQ(csv.integer<int>(2, v), -2);
+  try {
+    (void)csv.real(1, v);
+    ADD_FAILURE() << "accepted 'nope'";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "csv: line 3: bad v 'nope'");
+  }
+  EXPECT_THROW(csv.integer<int>(0, v), std::runtime_error);  // 1.5
+  EXPECT_THROW(csv.require_column("w"), std::runtime_error);
 }
 
 TEST(CsvReader, MissingColumnAndRow) {
@@ -64,6 +71,35 @@ TEST(CsvReader, NoHeaderMode) {
 TEST(CsvReader, ErrorsOnUnterminatedQuoteAndMissingFile) {
   EXPECT_THROW(CsvReader::parse("a\n\"oops\n"), std::runtime_error);
   EXPECT_THROW(CsvReader::load("/no/such.csv"), std::runtime_error);
+}
+
+TEST(CsvReader, BlankLinesAreRowsOfOneEmptyField) {
+  const auto csv = CsvReader::parse("a,b\n1,2\n\r\n3,4\n");
+  ASSERT_EQ(csv.num_rows(), 3u);  // the final newline adds no row
+  EXPECT_EQ(csv.num_fields(1), 1u);
+  EXPECT_EQ(csv.cell(1, 0), "");
+  EXPECT_EQ(csv.line(1), 3u);
+  EXPECT_EQ(csv.line(2), 4u);
+  try {
+    (void)csv.real(1, 1);  // past the row's end: an empty cell
+    ADD_FAILURE() << "a blank line parsed as a number";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "csv: line 3: bad b ''");
+  }
+}
+
+TEST(CsvReader, UnterminatedQuoteNamesItsLine) {
+  try {
+    CsvReader::parse("a\n1\n\"open\nstill open\n", true, "t.csv");
+    ADD_FAILURE() << "accepted an unterminated quote";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "t.csv: line 3: unterminated quoted field");
+  }
+}
+
+TEST(CsvReader, LoadRefusesADirectory) {
+  // It would open, then read as empty text: an empty job trace, say.
+  EXPECT_THROW(CsvReader::load(testing::TempDir()), std::runtime_error);
 }
 
 TEST(CsvReader, CrlfLineEndings) {
@@ -131,6 +167,42 @@ TEST(TraceAnalysis, RejectsBadInput) {
   }
   EXPECT_THROW(Trace::load_csv(path), std::runtime_error);
   EXPECT_THROW(Trace::load_csv("/no/such/trace.csv"), std::runtime_error);
+}
+
+TEST(TraceAnalysis, RefusesBadUnitAndPriorityCellsNamingTheLine) {
+  const std::string path = testing::TempDir() + "/trace_bad_cells.csv";
+  const std::string head =
+      "time,unit,true_power,measured_power,cap,demand,priority\n"
+      "1,0,100,100,110,100,1\n";
+  const struct {
+    const char* row;
+    const char* message;
+  } cases[] = {
+      {"1,2.7,100,100,110,100,1", "line 3: bad unit '2.7'"},
+      {"1,1e10,100,100,110,100,1", "line 3: bad unit '1e10'"},
+      {"1,nan,100,100,110,100,1", "line 3: bad unit 'nan'"},
+      {"1,1,100,100,110,100,nan", "line 3: bad priority 'nan'"},
+      {"1,1,100,100,110,100,2", "line 3: bad priority '2'"},
+      {"1,1,100,inf,110,100,1", "line 3: bad measured_power 'inf'"},
+      {"", "line 3: bad "},  // a blank line
+      {"1,2,100,100,110,100,1",
+       "line 3: unit 2, but units must be numbered 0..1"},
+      {"1,-1,100,100,110,100,1",
+       "line 3: unit -1, but units must be numbered 0..1"},
+  };
+  for (const auto& c : cases) {
+    std::ofstream(path) << head << c.row << "\n1,0,100,100,110,100,0\n";
+    try {
+      Trace::load_csv(path);
+      ADD_FAILURE() << "accepted " << c.row;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(c.message), std::string::npos) << what;
+      EXPECT_EQ(what.rfind(path + ": ", 0), 0u) << what;
+    }
+  }
+  std::ofstream(path) << head << "1,1,100,100,110,100,-1\n";
+  EXPECT_EQ(Trace::load_csv(path).num_units(), 2);
 }
 
 TEST(TraceAnalysis, HighPriorityShareFromPriorityColumn) {

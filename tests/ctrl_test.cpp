@@ -466,6 +466,28 @@ TEST(AggregatorCheckpoint, FileRoundTripAndCorruptionRejected) {
   EXPECT_THROW(read_aggregator_checkpoint_file(path), std::runtime_error);
 }
 
+TEST(AggregatorCheckpoint, ParentSlotIsAnIntFromMinusOne) {
+  // The payload starts with the parent slot as an i64; one outside an int
+  // would be cut to another slot, so it is refused.
+  AggregatorCheckpoint ckpt;
+  ckpt.inner.manager_name = "dps";
+  ckpt.inner.ctx = make_ctx(4, 95.0);
+  for (const int slot : {-1, 0, 7}) {
+    ckpt.parent_unit = slot;
+    EXPECT_EQ(decode_aggregator_checkpoint(encode_aggregator_checkpoint(ckpt))
+                  .parent_unit,
+              slot);
+  }
+  auto bytes = encode_aggregator_checkpoint(ckpt);
+  for (const std::int64_t slot : {std::int64_t{-2}, std::int64_t{1} << 32}) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = (static_cast<std::uint64_t>(slot) >> (8 * i)) & 0xff;
+    }
+    EXPECT_THROW(decode_aggregator_checkpoint(bytes), std::runtime_error)
+        << slot;
+  }
+}
+
 /// Starts one client per unit on `port`, each claiming its own slot:
 /// unit 0 hungry (pins its cap), the others quiet.
 void start_clients(std::uint16_t port, int units,

@@ -8,7 +8,11 @@
 ///     buffers; always built, so tier-1 ctest exercises every driver.
 ///   * tests/fuzz_libfuzzer.cpp — LLVMFuzzerTestOneInput entry points,
 ///     built only with -DDPS_LIBFUZZER=ON (needs clang's libFuzzer).
-/// drive_command_line covers the tools' flag parser the same way.
+/// drive_command_line covers the tools' flag parser the same way; the
+/// reader and checkpoint drivers cover every CSV input (obs events,
+/// analyze's trace, job traces, power traces) and every checkpoint payload
+/// ("DPSCKPT", "DPSAGGR", and the manager state restore_manager replays
+/// into DPS, SLURM and a two-level tree).
 
 #include <algorithm>
 #include <bit>
@@ -17,7 +21,9 @@
 #include <cstdint>
 #include <iomanip>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,19 +31,28 @@
 #include <variant>
 #include <vector>
 
+#include "analysis/trace_analysis.hpp"
+#include "core/checkpoint.hpp"
 #include "core/config_io.hpp"
+#include "core/dps_manager.hpp"
+#include "ctrl/aggregator.hpp"
 #include "ctrl/ctrl_config.hpp"
+#include "ctrl/tree.hpp"
 #include "faults/fault_config.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
+#include "managers/slurm_stateless.hpp"
 #include "net/net_config.hpp"
 #include "net/protocol.hpp"
+#include "obs/exporters.hpp"
 #include "obs/obs_config.hpp"
+#include "sched/arrivals.hpp"
 #include "sched/sched_config.hpp"
 #include "thermal/thermal_config.hpp"
 #include "util/config_table.hpp"
 #include "util/csv_reader.hpp"
 #include "util/ini.hpp"
+#include "workloads/trace_workload.hpp"
 
 namespace dps::fuzz {
 
@@ -77,16 +92,168 @@ inline void drive_ini(const std::uint8_t* data, std::size_t size) {
   }
 }
 
-/// CSV parser: parse + probe every row; unterminated quotes throw.
+/// CSV tokenizer: parse, then read every cell (and one past each row's
+/// end, which reads as empty) through both checked accessors. Unterminated
+/// quotes and unparsable cells throw std::runtime_error.
 inline void drive_csv(const std::uint8_t* data, std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
   try {
     const auto csv = CsvReader::parse(text);
     for (std::size_t r = 0; r < csv.num_rows(); ++r) {
       (void)csv.cell(r, std::string("a"));
-      (void)csv.number(r, std::string("b"));
+      for (std::size_t c = 0; c <= csv.num_fields(r); ++c) {
+        try {
+          (void)csv.real(r, c);
+        } catch (const std::runtime_error&) {
+        }
+        try {
+          (void)csv.integer<int>(r, c);
+        } catch (const std::runtime_error&) {
+        }
+      }
     }
-    (void)csv.column_as_doubles("a");
+  } catch (const std::runtime_error&) {
+  }
+}
+
+/// The obs event-log reader (tools/obs_dump's input).
+inline void drive_events_csv(const std::uint8_t* data, std::size_t size) {
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  try {
+    (void)obs::read_events_csv(CsvReader::parse(text));
+  } catch (const std::runtime_error&) {
+  }
+}
+
+/// analyze's trace reader, then every statistic analyze prints.
+inline void drive_trace_csv(const std::uint8_t* data, std::size_t size) {
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  try {
+    const Trace trace = Trace::from_csv(CsvReader::parse(text));
+    for (int u = 0; u < trace.num_units(); ++u) {
+      (void)trace.satisfaction_of(u);
+      (void)trace.starved_share(u);
+      (void)trace.high_priority_share(u);
+      (void)trace.phases_of(u);
+    }
+    (void)trace.group_fairness({0}, {trace.num_units() - 1});
+    (void)trace.mean_cap_sum();
+  } catch (const std::runtime_error&) {
+  }
+}
+
+/// The job-trace reader: whatever it accepts, ArrivalStream must take.
+/// Returns false if the stream refuses a parsed trace.
+inline bool drive_job_trace(const std::uint8_t* data, std::size_t size) {
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  std::vector<sched::JobArrival> records;
+  try {
+    records = sched::parse_job_trace(text);
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  try {
+    (void)sched::ArrivalStream::from_records(std::move(records));
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return true;
+}
+
+/// The power-trace reader (workload replay), down to the built spec.
+inline void drive_power_trace(const std::uint8_t* data, std::size_t size) {
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  try {
+    const WorkloadSpec spec =
+        workload_from_trace_csv(CsvReader::parse(text, false), "fuzz");
+    (void)spec.demand_at(spec.nominal_duration() / 2);
+  } catch (const std::runtime_error&) {
+  }
+}
+
+/// "DPSCKPT" payloads: whatever decodes must re-encode to the same bytes.
+/// Returns false on a mismatch.
+inline bool drive_checkpoint(const std::uint8_t* data, std::size_t size) {
+  const std::span<const std::uint8_t> payload(data, size);
+  try {
+    const auto again = encode_checkpoint(decode_checkpoint(payload));
+    return std::equal(again.begin(), again.end(), payload.begin(),
+                      payload.end());
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+}
+
+/// "DPSAGGR" payloads, with the same round-trip invariant.
+inline bool drive_aggregator_checkpoint(const std::uint8_t* data,
+                                        std::size_t size) {
+  const std::span<const std::uint8_t> payload(data, size);
+  try {
+    const auto again =
+        encode_aggregator_checkpoint(decode_aggregator_checkpoint(payload));
+    return std::equal(again.begin(), again.end(), payload.begin(),
+                      payload.end());
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+}
+
+/// The managers drive_restore restores into, and the one unit count it
+/// resets them for.
+inline constexpr std::uint8_t kRestoreManagers = 3;
+inline constexpr int kRestoreUnits = 4;
+
+/// DPS, the SLURM baseline, or a two-level tree of DPS leaves over shards
+/// of two units, as `kind` (modulo kRestoreManagers) picks.
+inline std::unique_ptr<PowerManager> restore_target(std::uint8_t kind) {
+  switch (kind % kRestoreManagers) {
+    case 0:
+      return std::make_unique<DpsManager>();
+    case 1:
+      return std::make_unique<SlurmStatelessManager>();
+    default: {
+      CtrlConfig ctrl;
+      ctrl.shard_size = 2;
+      ctrl.max_levels = 2;
+      return std::make_unique<TreeController>(ctrl);
+    }
+  }
+}
+
+/// A valid drive_restore input: the selector byte `kind`, then the
+/// "DPSCKPT" payload of that manager after 30 rounds over kRestoreUnits
+/// units, so mutations start from deep, well-formed state.
+inline std::vector<std::uint8_t> restore_seed(std::uint8_t kind) {
+  const auto manager = restore_target(kind);
+  ManagerContext ctx;
+  ctx.num_units = kRestoreUnits;
+  ctx.total_budget = 110.0 * kRestoreUnits;
+  manager->reset(ctx);
+  std::vector<Watts> caps(kRestoreUnits, ctx.constant_cap());
+  std::vector<Watts> power(kRestoreUnits);
+  for (int r = 0; r < 30; ++r) {
+    for (std::size_t u = 0; u < power.size(); ++u) {
+      power[u] = u % 2 == 1 ? caps[u] * 0.99 : 30.0 + r % 5;
+    }
+    manager->decide(power, caps);
+  }
+  std::vector<std::uint8_t> bytes = {kind};
+  const auto payload =
+      encode_checkpoint(make_checkpoint(*manager, ctx, 30, caps, caps));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+/// restore_manager: the first byte picks the manager (restore_target), the
+/// rest is a "DPSCKPT" payload. Only a snapshot of kRestoreUnits units is
+/// restored, as AggregatorNode::restore refuses a count other than its
+/// configured one, so no hostile count makes a manager allocate for it.
+inline void drive_restore(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) return;
+  const auto manager = restore_target(data[0]);
+  try {
+    const auto ckpt = decode_checkpoint({data + 1, size - 1});
+    if (ckpt.ctx.num_units == kRestoreUnits) restore_manager(*manager, ckpt);
   } catch (const std::runtime_error&) {
   }
 }

@@ -659,6 +659,29 @@ TEST(Checkpoint, WrongManagerSnapshotRejected) {
   EXPECT_THROW(restore_manager(other, ckpt), std::runtime_error);
 }
 
+TEST(Checkpoint, ContextMustMatchItsUnitCount) {
+  // Managers index unit_tdp by unit and size their state by num_units, so
+  // a snapshot (CRC-valid, say) whose context disagrees with itself is
+  // refused before any manager sees it.
+  DpsManager manager;
+  ManagerContext ctx;
+  std::vector<Watts> caps;
+  ControlCheckpoint ckpt = sample_checkpoint(manager, ctx, caps);
+  ckpt.ctx.unit_tdp = {165.0, 165.0, 165.0, 165.0};
+  EXPECT_EQ(decode_checkpoint(encode_checkpoint(ckpt)).ctx.unit_tdp.size(),
+            4u);
+  ckpt.ctx.unit_tdp = {165.0};
+  EXPECT_THROW(decode_checkpoint(encode_checkpoint(ckpt)), std::runtime_error);
+  // num_units follows the u64 round and the length-prefixed manager name.
+  ckpt.ctx.unit_tdp.clear();
+  auto bytes = encode_checkpoint(ckpt);
+  const std::size_t at = 16 + ckpt.manager_name.size();
+  for (const std::uint64_t units : {~0ULL, 1ULL << 40}) {
+    for (int i = 0; i < 8; ++i) bytes[at + i] = (units >> (8 * i)) & 0xff;
+    EXPECT_THROW(decode_checkpoint(bytes), std::runtime_error) << units;
+  }
+}
+
 // --- Reconnect & readmission ---
 
 TEST(Readmission, RestartedClientReclaimsSlotAndGetsResynced) {

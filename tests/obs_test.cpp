@@ -506,6 +506,33 @@ TEST(Exporters, ReadRejectsUnparsableCellsNamingTheLine) {
   EXPECT_EQ(records[1].detail, "two\nlines");
 }
 
+TEST(Exporters, ReadRefusesABlankLineNamingIt) {
+  const std::string path = testing::TempDir() + "/obs_blank_events.csv";
+  std::ofstream(path) << "time,kind,unit,value,extra,detail\n"
+                         "1.0,decision,-1,440,0,\n"
+                         "\n"
+                         "2.0,decision,-1,440,0,\n";
+  try {
+    read_events_csv(path);
+    ADD_FAILURE() << "accepted a blank line";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), path + ": line 3: bad time ''");
+  }
+}
+
+TEST(Exporters, EventsCsvRoundTripsAQuotedMultiLineDetail) {
+  const std::string path = testing::TempDir() + "/obs_detail_events.csv";
+  static const char kDetail[] = "two\nlines, \"quoted\"\r\nand more";
+  std::vector<Event> events = sample_events();
+  events[1].detail = kDetail;
+  write_events_csv(events, path);
+  const auto records = read_events_csv(path);
+  ASSERT_EQ(records.size(), events.size());
+  EXPECT_EQ(records[1].detail, kDetail);
+  EXPECT_EQ(records[2].detail, "unit_crash");
+  EXPECT_EQ(records[3].time, 2.0);
+}
+
 TEST(Exporters, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");

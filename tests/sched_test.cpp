@@ -124,6 +124,41 @@ TEST(JobTraceTest, MalformedLinesRejectedWithLineNumbers) {
   expect_rejected("0, , 4, 100\n", "line 1");                // empty name
 }
 
+TEST(JobTraceTest, UnitCountsThatAreNotIntsRejectedNamingTheLine) {
+  expect_rejected("0, Kmeans, 1e10, 100\n", "line 1: bad n_units ' 1e10'");
+  expect_rejected("# head\n0, Kmeans, 2.5, 100\n",
+                  "line 2: bad n_units ' 2.5'");
+  expect_rejected("0, Kmeans, 2147483648, 100\n", "line 1: bad n_units");
+  // Through the file loader that `exp --job-trace` calls, errors cite the
+  // path.
+  const std::string path = testing::TempDir() + "/job_trace_1e10.csv";
+  std::ofstream(path) << "0, Kmeans, 1e10, 100\n";
+  try {
+    load_job_trace(path);
+    ADD_FAILURE() << "accepted an n_units of 1e10";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              path + ": line 1: bad n_units ' 1e10'");
+  }
+}
+
+TEST(JobTraceTest, BlankLinesSkippedAndCommentQuotesBalanced) {
+  const auto records = parse_job_trace(
+      "\n"
+      "   \r\n"
+      "# a \"quoted\" word, and a comma\n"
+      "1.5, GMM, 2, 42\n"
+      "\t\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], (JobArrival{1.5, "GMM", 2, 42.0}));
+  // A comment is tokenized like any row: an unbalanced quote runs on.
+  expect_rejected("1.5, GMM, 2, 42\n# a 3.5\" disk\n2, GMM, 2, 42\n",
+                  "line 2: unterminated quoted field");
+  // Only a first field of exactly arrival_time is a header.
+  expect_rejected("time, workload_name, n_units, walltime\n",
+                  "line 1: bad arrival_time 'time'");
+}
+
 TEST(JobTraceTest, HeaderCommentsAndBlanksAccepted) {
   const auto records = parse_job_trace(
       "arrival_time, workload_name, n_units, walltime\n"

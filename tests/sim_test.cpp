@@ -8,12 +8,14 @@
 
 #include "analysis/trace_analysis.hpp"
 #include "core/dps_manager.hpp"
+#include "faults/fault_plan.hpp"
 #include "managers/constant.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/perf_model.hpp"
 #include "sim/sim_node.hpp"
 #include "sim/trace.hpp"
+#include "thermal/thermal_model.hpp"
 #include "util/rng.hpp"
 #include "workloads/npb_suite.hpp"
 #include "workloads/spark_suite.hpp"
@@ -617,6 +619,66 @@ TEST(Trace, CsvReloadsDpsTraceBitForBit) {
   }
   // Caps that four decimals cannot hold, or the reload proves little.
   EXPECT_GT(uneven_caps, 100);
+}
+
+TEST(Trace, CsvReloadsFaultedThermalTraceBitForBit) {
+  // The stricter reader accepts what the engine writes under every fault
+  // kind, sensor garbage and dropout included, with the thermal governor
+  // rewriting caps.
+  constexpr int kUnits = 20;
+  FaultPlanConfig faults;
+  faults.seed = 11;
+  faults.horizon = 300.0;
+  faults.crash_rate = faults.sensor_dropout_rate = 20.0;
+  faults.sensor_garbage_rate = faults.cap_stuck_rate = 20.0;
+  faults.budget_sag_rate = faults.fan_degrade_rate = 20.0;
+  faults.temp_stuck_rate = 20.0;
+  faults.min_duration = 10.0;
+  faults.max_duration = 60.0;
+  const auto plan = std::make_shared<FaultPlan>(
+      FaultPlan::generate(faults, kUnits));
+  for (const FaultKind kind :
+       {FaultKind::kSensorGarbage, FaultKind::kSensorDropout}) {
+    ASSERT_TRUE(std::any_of(
+        plan->events().begin(), plan->events().end(),
+        [&](const FaultEvent& e) { return e.kind == kind; }));
+  }
+  EngineConfig config;
+  config.target_completions = 1;
+  config.record_trace = true;
+  config.total_budget = 110.0 * kUnits;
+  config.max_time = 300.0;
+  config.fault_plan = plan;
+  ThermalConfig thermal;
+  thermal.trip_c = 70.0;
+  thermal.clear_c = 62.0;
+  config.thermal = thermal;
+  Cluster cluster({GroupSpec{spark_workload("Kmeans"), 10, 1},
+                   GroupSpec{npb_workload("CG"), 10, 2}});
+  SimulatedRapl rapl(kUnits);
+  DpsManager manager;
+  const auto result = SimulationEngine(config).run(cluster, rapl, manager);
+  ASSERT_NE(result.trace, nullptr);
+  EXPECT_GT(result.faults_injected, 0);
+  EXPECT_GT(result.thermal_throttle_events, 0);
+  const std::string path = testing::TempDir() + "/faulted_trace_test.csv";
+  result.trace->write_csv(path);
+  const Trace loaded = Trace::load_csv(path);
+  ASSERT_EQ(loaded.num_units(), kUnits);
+  for (int u = 0; u < kUnits; ++u) {
+    const auto& recorded = result.trace->series(u);
+    const UnitTrace& got = loaded.unit(u);
+    ASSERT_EQ(got.time.size(), recorded.size());
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      EXPECT_EQ(got.time[i], recorded[i].time) << u << " " << i;
+      EXPECT_EQ(got.true_power[i], recorded[i].true_power) << u << " " << i;
+      EXPECT_EQ(got.measured_power[i], recorded[i].measured_power)
+          << u << " " << i;
+      EXPECT_EQ(got.cap[i], recorded[i].cap) << u << " " << i;
+      EXPECT_EQ(got.demand[i], recorded[i].demand) << u << " " << i;
+      EXPECT_EQ(got.priority[i], recorded[i].priority) << u << " " << i;
+    }
+  }
 }
 
 TEST(Trace, ColumnExtractors) {

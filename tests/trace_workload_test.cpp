@@ -142,6 +142,26 @@ TEST(TraceWorkload, CsvRejectsMalformedRowsNamingTheLine) {
                    3.0);
 }
 
+TEST(TraceWorkload, ParsedCsvRefusesABlankLineAnywhere) {
+  // From parsed text, as the fuzz driver feeds it: a blank line is a row
+  // of one empty field, refused wherever it falls except as the header.
+  EXPECT_DOUBLE_EQ(
+      workload_from_trace_csv(CsvReader::parse("\n0,100\n1,110\n", false),
+                              "x")
+          .nominal_duration(),
+      1.0);
+  for (const char* text : {"0,100\n1,110\n\n", "0,100\n\n1,110\n"}) {
+    try {
+      workload_from_trace_csv(CsvReader::parse(text, false, "p.csv"), "x");
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("p.csv: line "),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(TraceWorkload, CsvErrors) {
   EXPECT_THROW(workload_from_trace_csv("/no/such/file.csv", "x"),
                std::runtime_error);

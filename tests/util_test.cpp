@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -207,6 +208,34 @@ TEST(Table, PadsShortRowsAndRejectsLongOnes) {
   t.add_row({"only"});
   EXPECT_EQ(t.num_rows(), 1u);
   EXPECT_THROW(t.add_row({"1", "2", "3", "4"}), std::invalid_argument);
+}
+
+TEST(ByteReader, DoubleCountThatWrapsIsTruncated) {
+  // 2^61 + 1 doubles need 8 * 2^61 + 8 bytes, which wraps to 8: exactly
+  // what the one double that follows holds.
+  ByteWriter out;
+  out.u64((1ULL << 61) + 1);
+  out.f64(1.0);
+  ByteReader in(out.bytes());
+  try {
+    in.doubles();
+    ADD_FAILURE() << "accepted a wrapped count";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "truncated checkpoint payload");
+  }
+}
+
+TEST(ByteReader, IntCountThatWrapsIsTruncated) {
+  ByteWriter out;
+  out.u64((1ULL << 61) + 1);
+  out.i64(7);
+  ByteReader in(out.bytes());
+  try {
+    in.ints();
+    ADD_FAILURE() << "accepted a wrapped count";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "truncated checkpoint payload");
+  }
 }
 
 TEST(Env, FallbackWhenUnset) {
