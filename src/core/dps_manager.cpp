@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/phase.hpp"
+
 namespace dps {
 
 DpsManager::DpsManager(const DpsConfig& config)
@@ -40,12 +42,6 @@ void DpsManager::set_obs(const obs::ObsSink& sink) {
       "dps_evictions_total", "Units evicted from the pool as unresponsive");
   obs_readmissions_ = sink.counter(
       "dps_readmissions_total", "Evicted units re-admitted after power-on");
-  obs_history_seconds_ = sink.latency_histogram(
-      "dps_history_update_seconds", "Kalman-filtered history update stage");
-  obs_priority_seconds_ = sink.latency_histogram(
-      "dps_priority_update_seconds", "Priority module stage (Algorithm 2)");
-  obs_readjust_seconds_ = sink.latency_histogram(
-      "dps_readjust_seconds", "Restore / cap-readjust stage (Algs. 3-4)");
 }
 
 void DpsManager::save_state(ByteWriter& out) const {
@@ -88,40 +84,31 @@ void DpsManager::decide(std::span<const Watts> power, std::span<Watts> caps) {
     throw std::invalid_argument("DpsManager::decide: size mismatch");
   }
   // State update: filter the noisy measurements into the power history.
-  {
-    obs::ScopedSpan span(obs_, obs_history_seconds_, "dps_history");
-    history_.observe(power, ctx_.dt);
-  }
+  obs::PhaseClock clock(obs_, obs::Phase::kCoreHistory);
+  history_.observe(power, ctx_.dt);
 
   // Power dynamics -> priorities, judged against the caps that produced
   // the measurements (this step's rewrite has not happened yet).
   if (config_.use_priority_module) {
-    obs::ScopedSpan span(obs_, obs_priority_seconds_, "dps_priority");
+    clock.enter(obs::Phase::kCorePriority);
     priority_.update(history_, caps);
     if (obs_promotions_ != nullptr) count_priority_flips();
   }
 
   // Temporary allocation from the stateless module, exactly what the SLURM
   // baseline would do.
+  clock.enter(obs::Phase::kManagersMimd);
   stateless_.decide(power, caps);
 
-  if (!config_.use_priority_module) {
-    // Ablation: DPS degenerates to the stateless system (plus restore).
-    if (config_.use_restore) {
-      last_restored_ = readjuster_.apply(power, ablation_no_priorities_, caps);
-    }
-    if (last_restored_ && obs_restore_rounds_ != nullptr) {
-      obs_restore_rounds_->add();
-    }
-    if (config_.evict_unresponsive) update_evictions(power, caps);
-    return;
-  }
-
   // Restore / readjust the stateless module's caps using the priorities.
-  {
-    obs::ScopedSpan span(obs_, obs_readjust_seconds_, "dps_readjust");
-    last_restored_ = readjuster_.apply(power, priority_.priorities(), caps);
-  }
+  // Ablated, DPS degenerates to the stateless system (plus restore): no
+  // unit is high priority, so readjusting leaves the caps as they are.
+  clock.enter(obs::Phase::kCoreReadjust);
+  last_restored_ = readjuster_.apply(
+      power,
+      config_.use_priority_module ? priority_.priorities()
+                                  : ablation_no_priorities_,
+      caps);
   if (last_restored_ && obs_restore_rounds_ != nullptr) {
     obs_restore_rounds_->add();
   }
@@ -130,7 +117,10 @@ void DpsManager::decide(std::span<const Watts> power, std::span<Watts> caps) {
   // dark despite holding a cap is dead hardware, not a quiet workload —
   // park it at the minimum and let the living spend its watts. Runs last
   // so a restore cannot hand a dead unit the constant cap back.
-  if (config_.evict_unresponsive) update_evictions(power, caps);
+  if (config_.evict_unresponsive) {
+    clock.enter(obs::Phase::kCoreEvict);
+    update_evictions(power, caps);
+  }
 }
 
 void DpsManager::count_priority_flips() {

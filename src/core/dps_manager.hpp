@@ -33,8 +33,8 @@ class DpsManager final : public PowerManager {
   void reset(const ManagerContext& ctx) override;
   void decide(std::span<const Watts> power, std::span<Watts> caps) override;
   void update_budget(Watts new_total_budget) override;
-  /// Wires the pipeline stages into the observability subsystem: profiling
-  /// spans over the Kalman/priority/readjust stages, counters for priority
+  /// Wires the pipeline stages into the observability subsystem: each stage
+  /// is a phase (obs/phase.hpp), and the sink gets counters for priority
   /// flips and restore rounds, and evict/readmit events.
   void set_obs(const obs::ObsSink& sink) override;
 
@@ -84,9 +84,6 @@ class DpsManager final : public PowerManager {
   obs::Counter* obs_restore_rounds_ = nullptr;
   obs::Counter* obs_evictions_ = nullptr;
   obs::Counter* obs_readmissions_ = nullptr;
-  obs::Histogram* obs_history_seconds_ = nullptr;
-  obs::Histogram* obs_priority_seconds_ = nullptr;
-  obs::Histogram* obs_readjust_seconds_ = nullptr;
   std::vector<bool> prev_priorities_;
 };
 

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "obs/phase.hpp"
 #include "util/bytes.hpp"
 
 namespace dps {
@@ -158,7 +159,8 @@ bool AggregatorNode::run_round() {
   if (!session_live_) {
     throw std::logic_error("AggregatorNode::run_round before begin/restore");
   }
-  decide_ns_ += server_.run_round(manager_);
+  server_.run_round(manager_);
+  obs::PhaseClock clock(obs_, obs::Phase::kNetUplink);
   const auto& power = server_.last_power();
   last_aggregate_ = std::accumulate(power.begin(), power.end(), 0.0);
   const bool keep_going = !has_parent() || exchange_with_parent();

@@ -116,11 +116,12 @@ class AggregatorNode {
   /// on a bad file or a unit count other than ctx.num_units.
   std::uint64_t restore();
 
-  /// One tree round: child collect/decide/answer under the current shard
+  /// One tree round: child collect/decide/reply under the current shard
   /// budget, then (with a parent) the uplink exchange — report the
   /// aggregate, apply the budget the parent answers with to the *next*
-  /// round — then the periodic checkpoint. Returns false when the parent
-  /// orderly shut the tree down.
+  /// round — then the periodic checkpoint; the phase net.uplink times
+  /// everything after the reply. Returns false when the parent orderly
+  /// shut the tree down.
   bool run_round();
 
   /// Sends every child a shutdown and closes the connections.
@@ -133,8 +134,6 @@ class AggregatorNode {
   /// Aggregate power of the last child round (what the uplink reports,
   /// before per-unit normalization).
   Watts last_aggregate_power() const { return last_aggregate_; }
-  /// Nanoseconds spent inside the local manager's decide() so far.
-  std::uint64_t decide_ns() const { return decide_ns_; }
   std::uint64_t rounds() const { return server_.rounds(); }
 
   /// The downward server: last caps and message counters.
@@ -155,7 +154,6 @@ class AggregatorNode {
   std::unique_ptr<NodeClient> uplink_;
   int parent_unit_ = -1;
   Watts last_aggregate_ = 0.0;
-  std::uint64_t decide_ns_ = 0;
   bool session_live_ = false;
   obs::ObsSink obs_;
   obs::Counter* obs_reports_ = nullptr;

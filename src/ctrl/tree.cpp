@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/dps_manager.hpp"
+#include "obs/phase.hpp"
 #include "util/bytes.hpp"
 
 namespace dps {
@@ -190,8 +191,10 @@ void TreeController::decide(std::span<const Watts> power,
     throw std::invalid_argument("TreeController::decide: size mismatch");
   }
 
+  obs::PhaseClock clock(obs_);
   std::uint64_t root_ns = 0;
   if (root_ != nullptr) {
+    clock.enter(obs::Phase::kCtrlRoot);
     for (std::size_t s = 0; s < num_shards; ++s) {
       const Shard& shard = shards_[s];
       Watts sum = 0.0;
@@ -203,26 +206,27 @@ void TreeController::decide(std::span<const Watts> power,
     // The root redistributes the shard budgets exactly as a flat manager
     // rewrites unit caps: measured (aggregate) power in, caps out.
     proposed_ = budgets_;
-    {
-      obs::ScopedSpan span(obs_, obs_root_seconds_, "ctrl_root_decide");
-      const auto start = Clock::now();
-      root_->decide(shard_power_, proposed_);
-      root_ns = elapsed_ns(start);
-    }
-    if (root_tree_ != nullptr) root_ns = root_tree_->last_critical_path_ns();
+    const auto start = Clock::now();
+    root_->decide(shard_power_, proposed_);
+    root_ns = root_tree_ != nullptr ? root_tree_->last_critical_path_ns()
+                                    : elapsed_ns(start);
+  }
+
+  // Leaf tier: the root's budgets, fixed up, reach the shards, then every
+  // shard's manager decides over its slice. Shards are independent —
+  // private manager state, disjoint spans — so the optional pool changes
+  // wall time, never the decisions. A pooled round runs every leaf, even
+  // past a throwing one, and rethrows the lowest failing shard's
+  // exception, the one the inline loop stops at. The calling thread only
+  // waits for the pool: a caller that times or traces decide() from its
+  // own thread sees the leaves as work the pool did for it.
+  clock.enter(obs::Phase::kCtrlLeaf);
+  if (root_ != nullptr) {
     clamp_shard_budgets(proposed_, floors_, ceilings_, ctx_.total_budget);
     for (std::size_t s = 0; s < num_shards; ++s) {
       apply_shard_budget(s, proposed_[s]);
     }
   }
-
-  // Leaf tier: every shard's manager decides over its slice. Shards are
-  // independent — private manager state, disjoint spans — so the optional
-  // pool changes wall time, never the decisions. A pooled round runs every
-  // leaf, even past a throwing one, and rethrows the lowest failing
-  // shard's exception, the one the inline loop stops at. The calling
-  // thread only waits for the pool: a caller that times or traces decide()
-  // from its own thread sees the leaves as work the pool did for it.
   run_blocks(pool_.get(), Caller::kWaits, num_shards, kLeafClaimBlock,
              [&](std::size_t s) { run_leaf(s, power, caps); });
 
@@ -271,8 +275,6 @@ void TreeController::set_obs(const obs::ObsSink& sink) {
   obs_budget_moves_ = sink.counter(
       "ctrl_shard_budget_changes_total",
       "Shard budgets reassigned by the root tier");
-  obs_root_seconds_ = sink.latency_histogram(
-      "ctrl_root_decide_seconds", "Wall time of one root-tier decision");
   obs_leaf_seconds_ = sink.latency_histogram(
       "ctrl_leaf_decide_seconds", "Wall time of one leaf-shard decision");
   if (root_ != nullptr) root_->set_obs(sink);

@@ -124,7 +124,6 @@ class TreeController final : public PowerManager {
   obs::ObsSink obs_;
   obs::Counter* obs_rounds_ = nullptr;
   obs::Counter* obs_budget_moves_ = nullptr;
-  obs::Histogram* obs_root_seconds_ = nullptr;
   obs::Histogram* obs_leaf_seconds_ = nullptr;
 };
 

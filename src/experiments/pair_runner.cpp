@@ -101,8 +101,8 @@ std::uint64_t name_seed(const std::string& name, std::uint64_t base) {
 
 }  // namespace
 
-PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
-                                 ManagerKind kind) {
+PairSystem PairRunner::pair_system(const WorkloadSpec& a,
+                                   const WorkloadSpec& b) const {
   std::vector<GroupSpec> groups;
   groups.push_back(GroupSpec{a, params_.sockets_per_cluster,
                              name_seed(a.name, params_.seed)});
@@ -111,26 +111,27 @@ PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
   std::uint64_t seed_b = name_seed(b.name, params_.seed);
   if (a.name == b.name) seed_b ^= 0x9e3779b97f4a7c15ULL;
   groups.push_back(GroupSpec{b, params_.sockets_per_cluster, seed_b});
-  Cluster cluster(std::move(groups));
+  const int units = 2 * params_.sockets_per_cluster;
+  return PairSystem{
+      Cluster(std::move(groups)),
+      SimulatedRapl(units, {.noise_seed = params_.seed * 977 + 13}),
+      EngineConfig{.dt = params_.dt,
+                   .total_budget = params_.budget_per_socket * units,
+                   .target_completions = params_.repeats,
+                   .max_time = time_bound(a, b, params_.repeats),
+                   .obs = params_.obs,
+                   .thermal = params_.thermal}};
+}
 
-  RaplSimConfig rapl_config;
-  rapl_config.noise_seed = params_.seed * 977 + 13;
-  SimulatedRapl rapl(cluster.total_units(), rapl_config);
-
-  EngineConfig engine_config;
-  engine_config.dt = params_.dt;
-  engine_config.total_budget =
-      params_.budget_per_socket * cluster.total_units();
-  engine_config.target_completions = params_.repeats;
-  engine_config.max_time = time_bound(a, b, params_.repeats);
-  engine_config.obs = params_.obs;
-  engine_config.thermal = params_.thermal;
-
+PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
+                                 ManagerKind kind) {
+  PairSystem system = pair_system(a, b);
+  Cluster& cluster = system.cluster;
   const auto manager = make_manager(
       kind, params_.dps, params_.slurm,
       [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
   const auto result =
-      SimulationEngine(engine_config).run(cluster, rapl, *manager);
+      SimulationEngine(system.engine).run(cluster, system.rapl, *manager);
 
   auto outcome_of = [&](int g, const WorkloadSpec& spec) {
     WorkloadOutcome out;

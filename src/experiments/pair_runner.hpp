@@ -69,6 +69,16 @@ struct ExperimentParams {
   std::optional<ThermalConfig> thermal;
 };
 
+/// The simulated system of one pair run: the two clusters, their RAPL and
+/// the engine settings. PairRunner::run_pair runs exactly this, so a
+/// caller that re-runs it with a trace or a sink records the run run_pair
+/// measured.
+struct PairSystem {
+  Cluster cluster;
+  SimulatedRapl rapl;
+  EngineConfig engine;
+};
+
 /// Per-workload outcome within one pair run.
 struct WorkloadOutcome {
   std::string name;
@@ -117,6 +127,11 @@ class PairRunner {
   /// Co-runs `a` and `b` on the two clusters under `kind`.
   PairOutcome run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
                        ManagerKind kind);
+
+  /// The system run_pair(a, b, ...) runs: groups seeded from the workload
+  /// names, RAPL noise from the seed, `repeats` completions within a
+  /// bound on the slower workload.
+  PairSystem pair_system(const WorkloadSpec& a, const WorkloadSpec& b) const;
 
   /// Solo run under constant allocation; returns the harmonic-mean latency.
   double baseline_hmean(const WorkloadSpec& spec);

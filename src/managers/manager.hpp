@@ -24,7 +24,7 @@ struct ManagerContext {
   /// Heterogeneous fleets: per-unit TDPs (size num_units). Empty means
   /// every unit uses `tdp`. Managers clamp each unit's cap at tdp_of(u),
   /// so budget is never parked on a socket that cannot draw it.
-  std::vector<Watts> unit_tdp;
+  std::vector<Watts> unit_tdp{};
 
   /// The hardware maximum cap of unit `u`.
   Watts tdp_of(int u) const {

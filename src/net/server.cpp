@@ -15,6 +15,7 @@
 #include <string>
 
 #include "net/wire.hpp"
+#include "obs/phase.hpp"
 
 namespace dps {
 namespace {
@@ -90,8 +91,6 @@ void ControlServer::set_obs(const obs::ObsSink& sink) {
   obs_readmits_ = sink.counter(
       "ctrl_client_readmits_total",
       "Restarted clients spliced back into their slot mid-session");
-  obs_decide_seconds_ = sink.latency_histogram(
-      "ctrl_decide_seconds", "Wall time of one manager decision in a round");
 }
 
 void ControlServer::mark_dead(std::size_t u) {
@@ -267,15 +266,30 @@ void ControlServer::resume_session(PowerManager& manager,
   keep_cap_messages_ = 0;
 }
 
-std::uint64_t ControlServer::run_round(PowerManager& manager) {
-  const std::size_t n = slots_.size();
-  if (caps_.size() != n) {
+void ControlServer::run_round(PowerManager& manager) {
+  if (caps_.size() != slots_.size()) {
     throw std::logic_error("run_round: begin_session not called");
   }
+  obs::PhaseClock clock(obs_, obs::Phase::kNetCollect);
+  collect();
+  clock.enter(obs::Phase::kNetDecide);
+  manager.decide(power_, caps_);
+  if (obs_rounds_ != nullptr) {
+    obs_rounds_->add();
+    Watts cap_sum = 0.0;
+    for (const Watts c : caps_) cap_sum += c;
+    obs_.event(obs::EventKind::kDecision, -1, cap_sum);
+  }
+  clock.enter(obs::Phase::kNetReply);
+  reply();
+  ++rounds_;
+}
 
-  // Collect phase, poll()-driven under the round deadline: every live unit
-  // gets until the deadline for its 3-byte report to finish arriving; the
-  // listen socket is watched too so a restarted client can be readmitted
+void ControlServer::collect() {
+  const std::size_t n = slots_.size();
+  // Poll()-driven under the round deadline: every live unit gets until
+  // the deadline for its 3-byte report to finish arriving; the listen
+  // socket is watched too so a restarted client can be readmitted
   // mid-round. A unit that misses the deadline is scored 0 W (dark) —
   // feeding the stateful manager's unresponsive-unit eviction — and its
   // connection is kept: the straggling report is consumed by a later
@@ -340,23 +354,13 @@ std::uint64_t ControlServer::run_round(PowerManager& manager) {
   if (alive == 0) {
     throw std::runtime_error("run_round: all clients disconnected");
   }
+}
 
-  const auto t0 = Clock::now();
-  manager.decide(power_, caps_);
-  const auto t1 = Clock::now();
-  if (obs_rounds_ != nullptr) {
-    obs_rounds_->add();
-    obs_decide_seconds_->observe(
-        std::chrono::duration<double>(t1 - t0).count());
-    Watts cap_sum = 0.0;
-    for (const Watts c : caps_) cap_sum += c;
-    obs_.event(obs::EventKind::kDecision, -1, cap_sum);
-  }
-
-  // Reply phase: only units whose report was consumed this round get a
-  // reply — answering a unit that did not report would break its strict
+void ControlServer::reply() {
+  // Only units whose report was consumed this round get a reply —
+  // answering a unit that did not report would break its strict
   // send-one/receive-one protocol.
-  for (std::size_t u = 0; u < n; ++u) {
+  for (std::size_t u = 0; u < slots_.size(); ++u) {
     if (slots_[u].dead || !slots_[u].has_report) continue;
     slots_[u].has_report = false;
     // Caps that moved less than the wire resolution would decode to the
@@ -384,20 +388,12 @@ std::uint64_t ControlServer::run_round(PowerManager& manager) {
       mark_dead(u);
     }
   }
-  ++rounds_;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
-std::uint64_t ControlServer::run_rounds(PowerManager& manager,
-                                        const ManagerContext& ctx,
-                                        int rounds) {
+void ControlServer::run_rounds(PowerManager& manager, const ManagerContext& ctx,
+                               int rounds) {
   begin_session(manager, ctx);
-  std::uint64_t decide_ns = 0;
-  for (int round = 0; round < rounds; ++round) {
-    decide_ns += run_round(manager);
-  }
-  return decide_ns;
+  for (int round = 0; round < rounds; ++round) run_round(manager);
 }
 
 int ControlServer::alive_count() const {

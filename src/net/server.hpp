@@ -61,17 +61,15 @@ class ControlServer {
   void accept_all(const std::atomic<bool>* stop = nullptr);
 
   /// Runs `rounds` decision rounds with `manager`, starting from the
-  /// constant allocation defined by `ctx`. Returns the total wall-clock
-  /// nanoseconds spent inside manager.decide() (the pure controller cost,
-  /// as opposed to communication).
-  std::uint64_t run_rounds(PowerManager& manager, const ManagerContext& ctx,
-                           int rounds);
+  /// constant allocation defined by `ctx`.
+  void run_rounds(PowerManager& manager, const ManagerContext& ctx,
+                  int rounds);
 
   /// Long-lived session variant: begin_session resets `manager` once;
-  /// each run_round then performs one collect/decide/answer exchange
-  /// without touching the manager's accumulated state (essential for DPS,
-  /// whose whole point is the state it keeps between rounds). Returns the
-  /// nanoseconds spent inside manager.decide().
+  /// each run_round then performs one collect/decide/reply exchange, the
+  /// phases net.collect, net.decide and net.reply (obs/phase.hpp), without
+  /// touching the manager's accumulated state (essential for DPS, whose
+  /// whole point is the state it keeps between rounds).
   ///
   /// Fault tolerance: a client that disconnects is marked dead, its unit
   /// reports 0 W to the manager from then on (the node is dark — a
@@ -90,7 +88,7 @@ class ControlServer {
                       std::uint64_t round, std::span<const Watts> caps,
                       std::span<const Watts> previous_caps);
 
-  std::uint64_t run_round(PowerManager& manager);
+  void run_round(PowerManager& manager);
 
   /// Clients still connected.
   int alive_count() const;
@@ -119,8 +117,8 @@ class ControlServer {
   std::uint64_t keep_cap_messages() const { return keep_cap_messages_; }
 
   /// Attaches an observability sink: client connect/disconnect/timeout/
-  /// readmit and decision / cap-write events plus a decide-latency
-  /// histogram, the same stream shape the simulated engine produces. Call
+  /// readmit and decision / cap-write events, and the round's phases, the
+  /// same stream shape the simulated engine produces. Call
   /// before accept_all so connects are captured; also forwarded to the
   /// manager by begin_session. Events get wall time (the sink's clock is
   /// not driven).
@@ -143,6 +141,10 @@ class ControlServer {
   /// (readmission). Returns the unit admitted, or -1.
   int admit_one(double hello_timeout_s);
   void mark_dead(std::size_t u);
+  /// Waits for every live unit's report, until the round deadline.
+  void collect();
+  /// Answers every unit that reported with its cap (or a keep).
+  void reply();
   /// Drains whatever is readable on slot `u` without blocking; updates
   /// has_report / power_ and marks the slot dead on close.
   void drain_slot(std::size_t u);
@@ -165,7 +167,6 @@ class ControlServer {
   obs::Counter* obs_disconnects_ = nullptr;
   obs::Counter* obs_timeouts_ = nullptr;
   obs::Counter* obs_readmits_ = nullptr;
-  obs::Histogram* obs_decide_seconds_ = nullptr;
 };
 
 }  // namespace dps

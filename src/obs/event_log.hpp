@@ -42,7 +42,7 @@ enum class EventKind : std::uint8_t {
   kClientConnect,
   /// A client disconnected / went dead mid-session.
   kClientDisconnect,
-  /// A profiled scope (RAII span). detail = span name,
+  /// A timed phase (obs/phase.hpp). detail = span name,
   /// extra = duration [s]; time is the span start.
   kSpan,
   /// A job entered the scheduler's queue (src/sched/). value = job id,

@@ -15,7 +15,7 @@ namespace dps::obs {
 ///   [obs]
 ///   enabled = false
 ///   events_capacity = 65536    ; ring keeps the newest N events
-///   span_events = true         ; RAII spans also land in the event log
+///   span_events = true         ; timed phases also land in the event log
 ///   export_prometheus = obs_metrics.prom
 ///   export_metrics_csv = obs_metrics.csv
 ///   export_events_csv = obs_events.csv

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -8,6 +10,9 @@
 #include "obs/metrics_registry.hpp"
 
 namespace dps::obs {
+
+enum class Phase : std::uint8_t;  // obs/phase.hpp
+class PhaseTimes;
 
 /// Owns the telemetry state of one run: a metrics registry, a bounded
 /// event log, and the clock that stamps events.
@@ -44,13 +49,18 @@ class Observer {
                double value = 0.0, double extra = 0.0,
                const char* detail = nullptr);
 
-  /// Whether RAII spans should also append kSpan events to the event log
-  /// (they always feed their histogram).
+  /// Whether timed phases should also append kSpan events to the event
+  /// log (they always feed their histogram).
   bool span_events() const { return span_events_; }
+
+  /// The latency histogram phase_info(phase) names, registered on first
+  /// use.
+  Histogram& phase_histogram(Phase phase);
 
  private:
   MetricsRegistry metrics_;
   EventLog events_;
+  std::unique_ptr<std::atomic<Histogram*>[]> phase_histograms_;
   std::atomic<double> driven_time_{-1.0};
   std::chrono::steady_clock::time_point epoch_;
   bool span_events_;
@@ -76,6 +86,12 @@ class ObsSink {
   bool enabled() const { return observer_ != nullptr; }
   explicit operator bool() const { return enabled(); }
   Observer* observer() const { return observer_.get(); }
+
+  /// Attaches a fresh PhaseTimes, shared by every copy made from now on,
+  /// that collects the totals of every phase a PhaseClock on this sink
+  /// marks (obs/phase.hpp). Independent of enabled().
+  void attach_phase_times();
+  PhaseTimes* phases() const { return phases_.get(); }
 
   void set_time(ObsSeconds t) const {
     if (observer_) observer_->set_time(t);
@@ -118,47 +134,7 @@ class ObsSink {
 
  private:
   std::shared_ptr<Observer> observer_;
-};
-
-/// RAII profiling span: measures the wall time of a scope, feeds it into a
-/// histogram, and (when the observer has span events on) appends a kSpan
-/// event so the scope shows up in the Chrome trace. When `hist` is null
-/// (disabled sink) the constructor does not even read the clock.
-class ScopedSpan {
- public:
-  /// `name` must have static lifetime. `hist` is the cached handle from
-  /// ObsSink::latency_histogram (nullptr disables the span entirely).
-  ScopedSpan(const ObsSink& sink, Histogram* hist, const char* name)
-      : hist_(hist), name_(name) {
-    if (hist_ != nullptr) {
-      observer_ = sink.observer();
-      start_ = std::chrono::steady_clock::now();
-      started_at_ = observer_ != nullptr ? observer_->now() : 0.0;
-    }
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  ~ScopedSpan() {
-    if (hist_ == nullptr) return;
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    hist_->observe(seconds);
-    if (observer_ != nullptr && observer_->span_events()) {
-      observer_->emit_at(started_at_, EventKind::kSpan, -1, 0.0, seconds,
-                         name_);
-    }
-  }
-
- private:
-  Observer* observer_ = nullptr;
-  Histogram* hist_;
-  const char* name_;
-  std::chrono::steady_clock::time_point start_{};
-  ObsSeconds started_at_ = 0.0;
+  std::shared_ptr<PhaseTimes> phases_;
 };
 
 }  // namespace dps::obs

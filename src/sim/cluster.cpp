@@ -201,13 +201,6 @@ void Cluster::start_new_run(GroupState& group, Seconds now) {
   }
 }
 
-void Cluster::step(Seconds dt, std::span<const Watts> effective_caps,
-                   std::span<Watts> true_power_out) {
-  step_block(StepBlock{0, num_groups(), 0, total_units()}, dt, effective_caps,
-             true_power_out);
-  end_step(dt);
-}
-
 std::vector<Cluster::StepBlock> Cluster::step_blocks(int min_units) const {
   if (job_mode_) return {StepBlock{0, 0, 0, total_units()}};
   std::vector<StepBlock> blocks;

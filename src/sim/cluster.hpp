@@ -78,7 +78,11 @@ class Cluster : public sched::JobHost {
   /// into `true_power_out` (size must equal total_units()). One block
   /// covering every group, then end_step().
   void step(Seconds dt, std::span<const Watts> effective_caps,
-            std::span<Watts> true_power_out);
+            std::span<Watts> true_power_out) {
+    step_block({0, num_groups(), 0, total_units()}, dt, effective_caps,
+               true_power_out);
+    end_step(dt);
+  }
 
   /// A run of whole groups and the contiguous units they own: the piece of
   /// a step that one thread advances (see SimulationEngine::run).
@@ -153,9 +157,6 @@ class Cluster : public sched::JobHost {
   /// stopped, as with checkpointed Spark stages / MPI ranks).
   void set_crashed(int u, bool crashed) {
     unit_crashed_.at(static_cast<std::size_t>(u)) = crashed ? 1 : 0;
-  }
-  bool crashed(int u) const {
-    return unit_crashed_.at(static_cast<std::size_t>(u)) != 0;
   }
 
   /// Average true power of unit `u` over the whole simulation (energy /

@@ -4,12 +4,12 @@
 #include "faults/fault_injector.hpp"
 #include "faults/faulty_power.hpp"
 #include "faults/resilience.hpp"
+#include "obs/phase.hpp"
 #include "thermal/governor.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 
 namespace dps {
@@ -38,12 +38,9 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
     throw std::invalid_argument("engine: RAPL/cluster unit count mismatch");
   }
 
-  ManagerContext ctx;
-  ctx.num_units = n;
-  ctx.total_budget = config_.total_budget;
-  ctx.tdp = rapl.tdp();
-  ctx.min_cap = rapl.min_cap();
-  ctx.dt = config_.dt;
+  const ManagerContext ctx{.num_units = n, .total_budget = config_.total_budget,
+                           .tdp = rapl.tdp(), .min_cap = rapl.min_cap(),
+                           .dt = config_.dt};
   manager.reset(ctx);
 
   // All managers start from the constant allocation, as on a freshly
@@ -57,9 +54,7 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
   std::vector<Watts> effective(static_cast<std::size_t>(n), 0.0);
 
   EngineResult result;
-  if (config_.record_trace) {
-    result.trace = std::make_shared<TraceRecorder>(n);
-  }
+  if (config_.record_trace) result.trace = std::make_shared<TraceRecorder>(n);
   // The manager's concrete type is fixed for the whole run; resolving the
   // DPS priority view once here keeps the dynamic_cast out of the
   // decision loop (it only feeds the optional trace).
@@ -123,8 +118,6 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
       "engine_steps_total", "Decision-loop steps the engine executed");
   obs::Counter* obs_cap_writes = obs.counter(
       "engine_cap_writes_total", "Per-unit cap changes the engine applied");
-  obs::Histogram* obs_decide_seconds = obs.latency_histogram(
-      "engine_decide_seconds", "Wall time of one manager decision");
   obs::Gauge* obs_budget = obs.gauge(
       "engine_budget_watts", "Cluster budget currently in effect");
 
@@ -143,10 +136,9 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
   const std::size_t workers =
       sharded ? std::min<std::size_t>(available_threads(), blocks.size())
               : 1;
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<int>(workers) - 1);
-  }
+  const auto pool = workers > 1 ? std::make_unique<ThreadPool>(
+                                      static_cast<int>(workers) - 1)
+                                : nullptr;
   if (obs::Gauge* g = obs.gauge("engine_physics_blocks",
                                 "Blocks of units one engine step splits into")) {
     g->set(static_cast<double>(blocks.size()));
@@ -156,14 +148,10 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
           "Threads stepping the physics blocks, the engine's own included")) {
     g->set(static_cast<double>(workers));
   }
+  const std::span<Watts> block_reads(measured.data(), sharded ? n : 0);
   const auto step_block = [&](std::size_t b) {
-    const auto first = static_cast<std::size_t>(blocks[b].first_unit);
-    const auto last = static_cast<std::size_t>(blocks[b].last_unit);
-    rapl.effective_caps_block(first, last, effective);
-    cluster.step_block(blocks[b], config_.dt, effective, true_power);
-    rapl.record_block(first, last, true_power, config_.dt);
-    rapl.advance_block(first, last);
-    if (sharded) rapl.read_power_block(first, last, measured);
+    step_physics_block(cluster, rapl, blocks[b], config_.dt, effective,
+                       true_power, block_reads, obs);
   };
   // Previous step's caps, for emitting kCapWrite only when a cap moved.
   std::vector<Watts> obs_prev_caps;
@@ -181,8 +169,11 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
                     : cluster.min_completions() < config_.target_completions;
   };
 
-  int steps = 0;
+  // Every phase boundary of the step (docs/architecture.md, "The engine
+  // step"); the time between steps goes to the last phase.
+  obs::PhaseClock clock(obs);
   while (work_remaining() && cluster.now() < config_.max_time) {
+    clock.enter(obs::Phase::kFaultsAdvance);
     obs.set_time(cluster.now());
     // Deliver any scheduled budget changes that have come due.
     while (next_change < config_.budget_schedule.size() &&
@@ -190,13 +181,19 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
       current_budget = config_.budget_schedule[next_change].total_budget;
       ++next_change;
     }
-    // Deliver fault activations/clears that have come due.
+    // Deliver fault activations/clears that have come due, active thermal
+    // faults into the model included.
     if (injector) {
       injector->advance(cluster.now());
       for (const auto& e : injector->just_cleared()) {
         recovery.on_cleared(e, cluster.now());
       }
-      for (int u = 0; u < n; ++u) cluster.set_crashed(u, injector->crashed(u));
+      for (int u = 0; u < n; ++u) {
+        cluster.set_crashed(u, injector->crashed(u));
+        if (!thermal) continue;
+        thermal->set_resistance_multiplier(u, injector->fan_degrade_factor(u));
+        thermal->set_sensor_stuck(u, injector->temp_sensor_stuck(u));
+      }
     }
     const Watts new_effective =
         current_budget * (injector ? injector->budget_factor() : 1.0);
@@ -211,26 +208,24 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
     // Scheduling round: requeue crash victims, drain due arrivals, and
     // start whatever the policy places under the in-effect budget.
     if (sched_rt) {
+      clock.enter(obs::Phase::kSchedTick);
       sched_rt->begin_tick(cluster, cluster.now(), effective_budget, caps);
-    }
-
-    // Route active thermal faults into the model before the physics step.
-    if (thermal && injector) {
-      for (int u = 0; u < n; ++u) {
-        thermal->set_resistance_multiplier(u, injector->fan_degrade_factor(u));
-        thermal->set_sensor_stuck(u, injector->temp_sensor_stuck(u));
-      }
     }
 
     // True demands are only consumed by the optional trace artifact; the
     // scan (a per-unit segment lookup) stays off the hot path otherwise.
+    clock.enter(obs::Phase::kEnginePhysics);
     if (result.trace) cluster.true_demands(demands);
     // Advance the system one period under the currently enforced caps.
     if (sharded) rapl.draw_block_noise();
     run_blocks(pool.get(), Caller::kClaims, blocks.size(), 1, step_block);
     cluster.end_step(config_.dt);
-    if (sched_rt) sched_rt->end_tick(cluster, cluster.now(), config_.dt);
+    if (sched_rt) {
+      clock.enter(obs::Phase::kSchedTick);
+      sched_rt->end_tick(cluster, cluster.now(), config_.dt);
+    }
     if (thermal) {
+      clock.enter(obs::Phase::kThermalStep);
       // The model's own pass reports the hottest true temperature, so the
       // engine does not re-scan every unit.
       const Celsius hottest = thermal->step(config_.dt, true_power);
@@ -239,11 +234,13 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
     }
 
     // Controller turn: read (possibly faulted) power, decide, actuate.
-    if (!sharded) telemetry.read_power_batch(measured);
-    {
-      obs::ScopedSpan span(obs, obs_decide_seconds, "decide");
-      manager.decide(measured, caps);
+    if (!sharded) {
+      clock.enter(obs::Phase::kPowerRead);
+      telemetry.read_power_batch(measured);
     }
+    clock.enter(obs::Phase::kEngineDecide);
+    manager.decide(measured, caps);
+    clock.enter(obs::Phase::kEngineAccount);
     if (obs_steps != nullptr) obs_steps->add();
     Watts cap_sum = 0.0;
     for (int u = 0; u < n; ++u) cap_sum += caps[u];
@@ -254,10 +251,13 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
     // written. `caps` keeps the manager's values — on the next decide it
     // sees exactly what it asked for, never what the hardware enforced.
     if (governor) {
+      clock.enter(obs::Phase::kThermalGovernor);
       governor->apply(*thermal, cluster.now(), config_.dt, caps, applied);
     }
     const std::vector<Watts>& written = governor ? applied : caps;
+    clock.enter(obs::Phase::kPowerSetCap);
     telemetry.set_cap_batch(written);
+    clock.enter(obs::Phase::kEngineAccount);
     if (obs.enabled()) {
       for (int u = 0; u < n; ++u) {
         const auto su = static_cast<std::size_t>(u);
@@ -294,8 +294,9 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
                            demands[u], priority});
       }
     }
-    ++steps;
+    ++result.steps;
   }
+  clock.enter(obs::Phase::kNone);
 
   if (injector) {
     result.faults_injected = injector->activated_count();
@@ -307,10 +308,8 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
     result.thermal_shed_ws = governor->shed_ws();
     result.thermal_time_over_trip = governor->time_over_trip();
   }
-  result.steps = steps;
   result.elapsed = cluster.now();
   result.timed_out = work_remaining();
-  result.completions.reserve(static_cast<std::size_t>(cluster.num_groups()));
   for (int g = 0; g < cluster.num_groups(); ++g) {
     result.completions.push_back(cluster.completions(g));
     result.group_mean_power.push_back(cluster.group_mean_power(g));
@@ -322,20 +321,41 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
   return result;
 }
 
+void step_physics_block(Cluster& cluster, SimulatedRapl& rapl,
+                        const Cluster::StepBlock& block, Seconds dt,
+                        std::span<Watts> effective, std::span<Watts> power,
+                        std::span<Watts> measured, const obs::ObsSink& obs) {
+  const std::size_t first = block.first_unit, last = block.last_unit;
+  obs::PhaseClock clock(obs, obs::Phase::kPowerRecord);
+  rapl.effective_caps_block(first, last, effective);
+  clock.enter(obs::Phase::kSimStep);
+  cluster.step_block(block, dt, effective, power);
+  clock.enter(obs::Phase::kPowerRecord);
+  rapl.record_block(first, last, power, dt);
+  rapl.advance_block(first, last);
+  if (measured.empty()) return;
+  clock.enter(obs::Phase::kBlockRead);
+  rapl.read_power_block(first, last, measured);
+}
+
+namespace {
+
+/// Runs `cluster` under a RAPL whose noise is keyed on `seed`.
+EngineResult run_seeded(Cluster& cluster, std::uint64_t seed,
+                        PowerManager& manager, const EngineConfig& config) {
+  SimulatedRapl rapl(cluster.total_units(), {.noise_seed = seed * 977 + 13});
+  return SimulationEngine(config).run(cluster, rapl, manager);
+}
+
+}  // namespace
+
 EngineResult run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
                       PowerManager& manager, const EngineConfig& config,
                       std::uint64_t seed, const PerfModel& model) {
-  std::vector<GroupSpec> groups;
-  groups.push_back(GroupSpec{a, 10, seed});
-  groups.push_back(GroupSpec{b, 10, seed ^ 0xabcdef1234ULL});
-  Cluster cluster(std::move(groups), model);
-
-  RaplSimConfig rapl_config;
-  rapl_config.noise_seed = seed * 977 + 13;
-  SimulatedRapl rapl(cluster.total_units(), rapl_config);
-
-  SimulationEngine engine(config);
-  return engine.run(cluster, rapl, manager);
+  Cluster cluster(
+      {GroupSpec{a, 10, seed}, GroupSpec{b, 10, seed ^ 0xabcdef1234ULL}},
+      model);
+  return run_seeded(cluster, seed, manager, config);
 }
 
 EngineResult run_jobs(PowerManager& manager, const EngineConfig& config,
@@ -344,13 +364,7 @@ EngineResult run_jobs(PowerManager& manager, const EngineConfig& config,
     throw std::invalid_argument("run_jobs: config.job_schedule must be set");
   }
   Cluster cluster(total_units, model);
-
-  RaplSimConfig rapl_config;
-  rapl_config.noise_seed = config.job_schedule->seed * 977 + 13;
-  SimulatedRapl rapl(cluster.total_units(), rapl_config);
-
-  SimulationEngine engine(config);
-  return engine.run(cluster, rapl, manager);
+  return run_seeded(cluster, config.job_schedule->seed, manager, config);
 }
 
 }  // namespace dps

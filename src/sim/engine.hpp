@@ -38,18 +38,18 @@ struct EngineConfig {
   /// Runtime budget changes, sorted by time; each is delivered to the
   /// manager via PowerManager::update_budget when simulated time reaches
   /// it.
-  std::vector<BudgetChange> budget_schedule;
+  std::vector<BudgetChange> budget_schedule{};
   /// Optional deterministic fault schedule (src/faults/). When set, the
   /// engine drives a FaultInjector over simulated time, routes the
   /// manager's telemetry through a FaultyPowerInterface, applies crashes
   /// to the cluster, folds budget sags into the in-effect budget, and
   /// fills the resilience fields of EngineResult.
-  std::shared_ptr<const FaultPlan> fault_plan;
+  std::shared_ptr<const FaultPlan> fault_plan{};
   /// Observability sink (src/obs/). The engine pins the sink's clock to
   /// simulated time every step (deterministic event stamps), attaches it
   /// to the manager, the RAPL, and the fault machinery, and emits
-  /// decision / cap-write / budget-change events plus decision-latency
-  /// histograms through it. Default-constructed = disabled = free.
+  /// decision / cap-write / budget-change events through it, and times the
+  /// step's phases (obs/phase.hpp). Default-constructed = disabled = free.
   obs::ObsSink obs;
   /// Optional open job-stream mode (src/sched/). When set, the cluster
   /// must be a job-mode Cluster: instead of static group assignment the
@@ -58,7 +58,7 @@ struct EngineConfig {
   /// drained (target_completions is ignored; max_time still bounds the
   /// run). Node-crash faults evict and requeue the jobs on the crashed
   /// unit, up to the config's retry cap.
-  std::optional<sched::JobScheduleConfig> job_schedule;
+  std::optional<sched::JobScheduleConfig> job_schedule{};
   /// Optional thermal coupling (src/thermal/). When set, the engine steps
   /// a per-unit RC thermal model on each tick's true power and runs a
   /// ThrottleGovernor between the manager's decision and the cap write:
@@ -147,6 +147,16 @@ class SimulationEngine {
  private:
   EngineConfig config_;
 };
+
+/// One block of a physics step, in the order the engine and SimNode share:
+/// the caps in force, the cluster's physics, the RAPL record and actuation
+/// advance, then, unless `measured` is empty, the noisy read of the
+/// block's units (after SimulatedRapl::draw_block_noise). The caller ends
+/// the step with Cluster::end_step. The phases are timed through `obs`.
+void step_physics_block(Cluster& cluster, SimulatedRapl& rapl,
+                        const Cluster::StepBlock& block, Seconds dt,
+                        std::span<Watts> effective, std::span<Watts> power,
+                        std::span<Watts> measured, const obs::ObsSink& obs = {});
 
 /// Convenience: builds the paper's standard two-cluster system (10 sockets
 /// per cluster) and runs `manager` on it until both groups complete

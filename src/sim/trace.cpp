@@ -42,24 +42,11 @@ void TraceRecorder::write_csv(const std::string& path) const {
   }
 }
 
-std::vector<double> TraceRecorder::measured_of(int unit) const {
+std::vector<double> TraceRecorder::column(int unit,
+                                          Watts TraceSample::*field) const {
   std::vector<double> out;
   out.reserve(series(unit).size());
-  for (const auto& s : series(unit)) out.push_back(s.measured_power);
-  return out;
-}
-
-std::vector<double> TraceRecorder::true_power_of(int unit) const {
-  std::vector<double> out;
-  out.reserve(series(unit).size());
-  for (const auto& s : series(unit)) out.push_back(s.true_power);
-  return out;
-}
-
-std::vector<double> TraceRecorder::cap_of(int unit) const {
-  std::vector<double> out;
-  out.reserve(series(unit).size());
-  for (const auto& s : series(unit)) out.push_back(s.cap);
+  for (const auto& s : series(unit)) out.push_back(s.*field);
   return out;
 }
 

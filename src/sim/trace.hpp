@@ -43,11 +43,19 @@ class TraceRecorder {
   void write_csv(const std::string& path) const;
 
   /// Extracts one column of a unit's series.
-  std::vector<double> measured_of(int unit) const;
-  std::vector<double> true_power_of(int unit) const;
-  std::vector<double> cap_of(int unit) const;
+  std::vector<double> measured_of(int unit) const {
+    return column(unit, &TraceSample::measured_power);
+  }
+  std::vector<double> true_power_of(int unit) const {
+    return column(unit, &TraceSample::true_power);
+  }
+  std::vector<double> cap_of(int unit) const {
+    return column(unit, &TraceSample::cap);
+  }
 
  private:
+  std::vector<double> column(int unit, Watts TraceSample::*field) const;
+
   std::vector<std::vector<TraceSample>> series_;
 };
 

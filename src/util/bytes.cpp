@@ -116,7 +116,14 @@ std::vector<int> ByteReader::ints() {
   need(n, 8);
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(static_cast<int>(i64()));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::int64_t v = i64();
+    // Outside the int range the narrowing changes the value.
+    if (v != static_cast<int>(v)) {
+      throw std::runtime_error("checkpoint int out of range");
+    }
+    out.push_back(static_cast<int>(v));
+  }
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -88,7 +89,10 @@ IniFile IniFile::parse(const std::string& text) {
 
 IniFile IniFile::load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("IniFile: cannot open " + path);
+  // A directory opens, then reads as empty text.
+  if (!in || std::filesystem::is_directory(path)) {
+    throw std::runtime_error("IniFile: cannot open " + path);
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse(buffer.str());

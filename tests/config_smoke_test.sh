@@ -128,6 +128,10 @@ expect_exit2() {
     exit 1
   fi
 }
+# A directory given as --config is refused, not read as an empty file.
+expect_exit2 "IniFile: cannot open $WORK" "$BUILD_DIR/tools/exp" \
+  --config "$WORK" --a LR --b EP --repeats 1
+
 # The perf benches' float floors and perf_smoke's DPS_JOBS are checked the
 # same way, before the first timed phase.
 expect_exit2 DPS_PERF_MIN_SPEEDUP env DPS_PERF_MIN_SPEEDUP=x \

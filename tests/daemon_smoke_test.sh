@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # End-to-end smoke test of the deployment daemons: dpsd (controller) and
 # dps_node (clients) complete a fixed number of rounds over real TCP and
-# both exit cleanly; a client whose controller is unreachable exits 1 with
+# both exit cleanly, dpsd printing its stats line and, at shutdown, the
+# rounds' phase table; a client whose controller is unreachable exits 1 with
 # its error; a controller still waiting for clients stops on SIGTERM; and
 # a two-level tree (a root dpsd over two aggregator dpsds, each over one
 # dps_node) runs to the root's round limit and shuts down tier by tier.
@@ -26,7 +27,7 @@ wait_for() {
   done
 }
 
-"$BUILD_DIR/tools/dpsd" --units 3 --port "$PORT" --rounds 50 \
+"$BUILD_DIR/tools/dpsd" --units 3 --port "$PORT" --rounds 60 \
   --period 0.005 --budget 330 > /tmp/dpsd_smoke_$$.log 2>&1 &
 DPSD_PID=$!
 
@@ -38,8 +39,13 @@ NODE_STATUS=$?
 wait "$DPSD_PID"
 DPSD_STATUS=$?
 
-grep -q "finished after 50 rounds" /tmp/dps_node_smoke_$$.log
-grep -q "shutting down after 50 rounds" /tmp/dpsd_smoke_$$.log
+grep -q "finished after 60 rounds" /tmp/dps_node_smoke_$$.log
+grep -q "shutting down after 60 rounds" /tmp/dpsd_smoke_$$.log
+grep -qE "decide [0-9.]+ us/round" /tmp/dpsd_smoke_$$.log
+for phase in net.collect net.decide net.reply net.uplink core.history \
+    core.priority managers.mimd core.readjust core.evict; do
+  grep -q "| *$phase " /tmp/dpsd_smoke_$$.log
+done
 rm -f /tmp/dpsd_smoke_$$.log /tmp/dps_node_smoke_$$.log
 
 [ "$NODE_STATUS" -eq 0 ] && [ "$DPSD_STATUS" -eq 0 ]

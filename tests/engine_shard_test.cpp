@@ -1,7 +1,8 @@
 // The engine's sharded physics step must not depend on how many CPUs run
 // it: pinned to 1, 2, 3 and 4 CPUs, a fleet of several step blocks gives
 // the manager the same readings and ends with the same completions,
-// powers and caps, under flat DPS, flat SLURM and a pooled DPS tree.
+// powers and caps, under flat DPS, flat SLURM and a pooled DPS tree. Its
+// block workers and leaf threads all add to one phase table.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "ctrl/tree.hpp"
 #include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
+#include "obs/phase.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -226,6 +228,55 @@ TEST_P(EngineShards, SameOutputsOnAnyNumberOfCpus) {
     EXPECT_GE(sharded.workers, 2.0) << count << " CPUs";
     expect_same(serial, sharded, count);
   }
+}
+
+TEST(EngineShardPhases, BlockWorkersAndLeafThreadsShareOneTable) {
+  const AffinityGuard guard;
+  const std::vector<int> cpus = guard.cpus();
+  ASSERT_FALSE(cpus.empty());
+  ASSERT_TRUE(guard.pin(cpus, std::min<std::size_t>(4, cpus.size())));
+  Cluster cluster(fleet());
+  const int n = cluster.total_units();
+  SimulatedRapl rapl(n);
+  CtrlConfig ctrl;
+  ctrl.shard_size = 32;
+  ctrl.leaf_jobs = 2;
+  TreeController tree(ctrl);
+  EngineConfig config;
+  config.total_budget = 110.0 * n;
+  config.target_completions = 1 << 30;
+  config.max_time = kSteps;
+  config.obs = obs::ObsSink::create(16);
+  config.obs.attach_phase_times();
+  const EngineResult result = SimulationEngine(config).run(cluster, rapl, tree);
+  ASSERT_EQ(result.steps, kSteps);
+
+  const obs::PhaseTimes& times = *config.obs.phases();
+  const auto steps = static_cast<std::uint64_t>(kSteps);
+  const auto blocks = static_cast<std::uint64_t>(
+      config.obs.gauge("engine_physics_blocks")->value());
+  EXPECT_EQ(times.entries(obs::Phase::kEnginePhysics), steps);
+  EXPECT_EQ(times.entries(obs::Phase::kSimStep), blocks * steps);
+  EXPECT_EQ(times.entries(obs::Phase::kPowerRecord), 2 * blocks * steps);
+  EXPECT_EQ(times.entries(obs::Phase::kBlockRead), blocks * steps);
+  EXPECT_EQ(times.entries(obs::Phase::kPowerRead), 0u);
+  // 386 shards exceed the fan-out of 32, so the root tier is itself a
+  // tree of 13 shards: both tiers enter ctrl.root and ctrl.leaf.
+  ASSERT_EQ(tree.levels(), 3);
+  const auto& inner = dynamic_cast<const TreeController&>(tree.root());
+  EXPECT_EQ(times.entries(obs::Phase::kCtrlRoot), 2 * steps);
+  EXPECT_EQ(times.entries(obs::Phase::kCtrlLeaf), 2 * steps);
+  // Every leaf and root manager runs the DPS stages, the real leaves on
+  // the pool's two threads and the rest on the engine's.
+  const auto decides = static_cast<std::uint64_t>(
+                           tree.num_shards() + inner.num_shards() + 1) *
+                       steps;
+  EXPECT_EQ(times.entries(obs::Phase::kCoreHistory), decides);
+  EXPECT_EQ(times.entries(obs::Phase::kCoreEvict), decides);
+  EXPECT_TRUE(times.summed(obs::Phase::kCoreHistory));
+  EXPECT_FALSE(times.summed(obs::Phase::kEngineDecide));
+  EXPECT_EQ(config.obs.latency_histogram("dps_history_update_seconds")->count(),
+            decides);
 }
 
 INSTANTIATE_TEST_SUITE_P(Managers, EngineShards,

@@ -9,6 +9,7 @@
 #include "experiments/registry.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "metrics/metrics.hpp"
+#include "obs/phase.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
@@ -175,6 +176,40 @@ TEST(ManagerFactory, BuildsSlurmFromTheStatelessValuesGiven) {
     differs_from_default |= caps_built != caps_default;
   }
   EXPECT_TRUE(differs_from_default);
+}
+
+TEST(PairRunner, RecordedRerunIsTheMeasuredRun) {
+  // exp re-runs pair_system with a trace, an enabled sink and the phase
+  // times: under a flat manager it must be the run run_pair measured.
+  ExperimentParams params = quick_params();
+  params.repeats = 2;
+  PairRunner runner(params);
+  const auto a = workload_by_name("LDA");
+  const auto b = workload_by_name("EP");
+  for (const auto kind : {ManagerKind::kDps, ManagerKind::kOracle}) {
+    const auto outcome = runner.run_pair(a, b, kind);
+    PairSystem system = runner.pair_system(a, b);
+    system.engine.record_trace = true;
+    system.engine.obs = obs::ObsSink::create();
+    system.engine.obs.attach_phase_times();
+    Cluster& cluster = system.cluster;
+    const auto manager = make_manager(
+        kind, params.dps, params.slurm,
+        [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
+    const auto result =
+        SimulationEngine(system.engine).run(cluster, system.rapl, *manager);
+    ASSERT_EQ(result.completions.size(), 2u);
+    for (std::size_t g = 0; g < 2; ++g) {
+      const auto& latencies = g == 0 ? outcome.a.latencies : outcome.b.latencies;
+      ASSERT_EQ(result.completions[g].size(), latencies.size()) << g;
+      for (std::size_t i = 0; i < latencies.size(); ++i) {
+        EXPECT_EQ(result.completions[g][i].latency(), latencies[i]);
+      }
+    }
+    EXPECT_EQ(result.steps, outcome.steps);
+    EXPECT_EQ(system.engine.obs.phases()->entries(obs::Phase::kEngineDecide),
+              static_cast<std::uint64_t>(result.steps));
+  }
 }
 
 TEST(PairRunner, RejectsBadParams) {

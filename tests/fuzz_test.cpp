@@ -185,8 +185,9 @@ std::vector<std::uint8_t> with_u64(std::vector<std::uint8_t> bytes,
 TEST_P(FuzzSeeds, CheckpointDriversHoldOnMutatedEncodings) {
   // From a valid encoding of each manager's state: a hostile count in
   // every 8-byte window (so each length field gets each count, 2^61 + 1
-  // among them, which wraps a count of doubles times 8 to 8), then random
-  // byte flips. Each "DPSCKPT" payload also travels inside a "DPSAGGR" one.
+  // among them, which wraps a count of doubles times 8 to 8, and every
+  // stored int gets 2^32 + 5, which narrows to 5), then random byte flips.
+  // Each "DPSCKPT" payload also travels inside a "DPSAGGR" one.
   Rng rng(GetParam() ^ 0x9999ULL);
   const auto drive_all = [](const std::vector<std::uint8_t>& bytes) {
     const std::uint8_t* payload = bytes.data() + 1;
@@ -208,6 +209,7 @@ TEST_P(FuzzSeeds, CheckpointDriversHoldOnMutatedEncodings) {
                                     : fuzz::kRestoreUnits + 1;
     for (std::size_t at = 1; at + 8 <= seed.size(); ++at) {
       drive_all(with_u64(seed, at, count));
+      drive_all(with_u64(seed, at, (1ULL << 32) + 5));
     }
     for (int i = 0; i < 300; ++i) {
       auto bytes = seed;

@@ -21,6 +21,7 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "obs/exporters.hpp"
+#include "obs/phase.hpp"
 #include "obs/sink.hpp"
 
 namespace dps {
@@ -93,6 +94,9 @@ TEST(ControlPlane, FullDecisionLoopOverTcp) {
   constexpr int kUnits = 4;
   constexpr int kRounds = 20;
   ControlServer server(0, kUnits);
+  obs::ObsSink sink;
+  sink.attach_phase_times();
+  server.set_obs(sink);
 
   std::vector<Watts> applied_caps(kUnits, 0.0);
   std::vector<std::thread> clients;
@@ -119,12 +123,17 @@ TEST(ControlPlane, FullDecisionLoopOverTcp) {
   MimdConfig per_round = slurm_plugin_defaults();
   per_round.decision_interval_steps = 1;  // rebalance every test round
   SlurmStatelessManager manager(per_round);
-  const auto decide_ns = server.run_rounds(manager, ctx, kRounds);
+  server.run_rounds(manager, ctx, kRounds);
   server.shutdown();
   for (auto& t : clients) t.join();
 
   EXPECT_EQ(total_rounds.load(), kUnits * kRounds);
-  EXPECT_GT(decide_ns, 0u);
+  const obs::PhaseTimes& phases = *sink.phases();
+  EXPECT_GT(phases.ns(obs::Phase::kNetDecide), 0u);
+  for (const auto phase : {obs::Phase::kNetCollect, obs::Phase::kNetDecide,
+                           obs::Phase::kNetReply}) {
+    EXPECT_EQ(phases.entries(phase), static_cast<std::uint64_t>(kRounds));
+  }
   // The quiet even units were squeezed, the hungry odd units fattened.
   EXPECT_LT(applied_caps[0], 110.0);
   EXPECT_GT(applied_caps[1], 110.0);

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/dps_manager.hpp"
+#include "experiments/registry.hpp"
 #include "faults/fault_plan.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -27,6 +29,7 @@
 #include "obs/exporters.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs_config.hpp"
+#include "obs/phase.hpp"
 #include "obs/sink.hpp"
 #include "power/rapl_sim.hpp"
 #include "sim/engine.hpp"
@@ -617,7 +620,11 @@ TEST(Sink, DisabledSinkIsInert) {
   sink.set_time(10.0);
   sink.event(EventKind::kDecision);
   EXPECT_DOUBLE_EQ(sink.now(), 0.0);
-  { ScopedSpan span(sink, nullptr, "noop"); }
+  {
+    PhaseClock clock(sink);
+    clock.enter(Phase::kEngineDecide);
+  }
+  EXPECT_EQ(sink.phases(), nullptr);
 }
 
 TEST(Sink, DrivenClockStampsEvents) {
@@ -642,32 +649,81 @@ TEST(Sink, WallClockIsMonotonicWhenNotDriven) {
   EXPECT_GE(b, a);
 }
 
-TEST(Sink, ScopedSpanFeedsHistogramAndEventLog) {
+TEST(Sink, PhaseClockFeedsHistogramAndEventLog) {
   ObsSink sink = ObsSink::create(16);
   sink.set_time(42.0);
-  Histogram* hist = sink.latency_histogram("work_seconds");
-  ASSERT_NE(hist, nullptr);
   {
-    ScopedSpan span(sink, hist, "work");
+    PhaseClock clock(sink);
+    clock.enter(Phase::kEngineDecide);
     volatile double sum = 0.0;
     for (int i = 0; i < 1000; ++i) sum = sum + i;
+    sink.set_time(43.0);
+    clock.enter(Phase::kEngineAccount);  // no histogram, no span
   }
+  // Only a phase the table gives a histogram registers one.
+  EXPECT_EQ(sink.observer()->metrics().size(), 1u);
+  const Histogram* hist = sink.latency_histogram("engine_decide_seconds");
   EXPECT_EQ(hist->count(), 1u);
   EXPECT_GE(hist->sum(), 0.0);
   const auto events = sink.observer()->events().snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, EventKind::kSpan);
-  EXPECT_DOUBLE_EQ(events[0].time, 42.0);  // span start, driven time
-  EXPECT_STREQ(events[0].detail, "work");
+  EXPECT_DOUBLE_EQ(events[0].time, 42.0);  // phase start, driven time
+  EXPECT_STREQ(events[0].detail, "decide");
   EXPECT_GE(events[0].extra, 0.0);  // measured wall duration
 }
 
 TEST(Sink, SpanEventsCanBeDisabledIndependently) {
   ObsSink sink = ObsSink::create(16, /*span_events=*/false);
-  Histogram* hist = sink.latency_histogram("work_seconds");
-  { ScopedSpan span(sink, hist, "work"); }
-  EXPECT_EQ(hist->count(), 1u);  // histogram still fed
-  EXPECT_TRUE(sink.observer()->events().snapshot().empty());  // no kSpan
+  {
+    PhaseClock clock(sink);
+    clock.enter(Phase::kCoreHistory);
+  }
+  // The histogram is still fed, but no kSpan lands in the log.
+  EXPECT_EQ(sink.latency_histogram("dps_history_update_seconds")->count(), 1u);
+  EXPECT_TRUE(sink.observer()->events().snapshot().empty());
+}
+
+TEST(Sink, PhaseTimesNeedNoObserver) {
+  ObsSink sink;
+  sink.attach_phase_times();
+  const ObsSink copy = sink;  // copies share the totals
+  {
+    PhaseClock clock(copy);
+    clock.enter(Phase::kNetCollect);
+    clock.enter(Phase::kNetDecide);
+    clock.enter(Phase::kNetCollect);
+  }
+  EXPECT_FALSE(sink.enabled());
+  const PhaseTimes& times = *sink.phases();
+  EXPECT_EQ(times.entries(Phase::kNetCollect), 2u);
+  EXPECT_EQ(times.entries(Phase::kNetDecide), 1u);
+  EXPECT_EQ(times.entries(Phase::kNetReply), 0u);
+  EXPECT_EQ(times.entries(Phase::kNone), 0u);
+  EXPECT_FALSE(times.summed(Phase::kNetCollect));
+}
+
+TEST(Sink, PhaseTableNestsStagesUnderTheirDecide) {
+  PhaseTimes times;
+  times.add(Phase::kNetCollect, 3'000'000);
+  times.add(Phase::kNetDecide, 1'000'000);
+  times.add(Phase::kCoreHistory, 250'000);
+  std::thread([&times] { times.add(Phase::kCoreHistory, 250'000); }).join();
+  const std::string text = phase_table(times).render();
+  // A DPS stage prints under the round's decide, summed over two threads.
+  const auto decide = text.find("net.decide");
+  const auto history = text.find("  core.history");
+  ASSERT_NE(decide, std::string::npos);
+  ASSERT_NE(history, std::string::npos);
+  EXPECT_LT(decide, history);
+  EXPECT_TRUE(times.summed(Phase::kCoreHistory));
+  EXPECT_NE(text.find("summed"), std::string::npos);
+  EXPECT_NE(text.find("75%"), std::string::npos);  // collect, of 4 ms
+  // The round's steps all print, a skipped one as 0; no engine step ran.
+  EXPECT_NE(text.find("net.uplink "), std::string::npos);
+  EXPECT_EQ(text.find("engine.decide"), std::string::npos);
+  EXPECT_EQ(text.find("ctrl.leaf"), std::string::npos);
+  EXPECT_NE(text.find("total"), std::string::npos);
 }
 
 // --- [obs] configuration ---
@@ -931,6 +987,100 @@ TEST(ObsIntegration, TcpControlPlaneEmitsComparableStream) {
                 sink.counter("ctrl_keep_cap_messages_total")->value(),
             server.set_cap_messages() + server.keep_cap_messages());
   EXPECT_EQ(sink.latency_histogram("ctrl_decide_seconds")->count(), 8u);
+}
+
+// --- The engine step's phases ---
+
+/// One 20-unit LDA + EP run under DPS, recording its trace, with `obs`.
+EngineResult phased_run(const ObsSink& obs) {
+  EngineConfig config;
+  config.target_completions = 1;
+  config.max_time = 3000.0;
+  config.record_trace = true;
+  config.obs = obs;
+  DpsManager manager;
+  return run_pair(workload_by_name("LDA"), workload_by_name("EP"), manager,
+                  config, 13);
+}
+
+TEST(EnginePhases, TimingChangesNoOutput) {
+  const EngineResult plain = phased_run(ObsSink());
+  ObsSink timed;
+  timed.attach_phase_times();
+  ObsSink both = ObsSink::create();
+  both.attach_phase_times();
+  for (const ObsSink& sink : {timed, ObsSink::create(), both}) {
+    const EngineResult run = phased_run(sink);
+    EXPECT_EQ(run.steps, plain.steps);
+    EXPECT_EQ(run.elapsed, plain.elapsed);
+    EXPECT_EQ(run.peak_cap_sum, plain.peak_cap_sum);
+    EXPECT_EQ(run.group_mean_power, plain.group_mean_power);
+    ASSERT_EQ(run.completions.size(), plain.completions.size());
+    for (std::size_t g = 0; g < run.completions.size(); ++g) {
+      ASSERT_EQ(run.completions[g].size(), plain.completions[g].size());
+      for (std::size_t i = 0; i < run.completions[g].size(); ++i) {
+        EXPECT_EQ(run.completions[g][i].end, plain.completions[g][i].end);
+      }
+    }
+    for (int u = 0; u < plain.trace->num_units(); ++u) {
+      const auto& a = run.trace->series(u);
+      const auto& b = plain.trace->series(u);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].measured_power, b[i].measured_power) << u << " " << i;
+        ASSERT_EQ(a[i].cap, b[i].cap) << u << " " << i;
+        ASSERT_EQ(a[i].priority, b[i].priority) << u << " " << i;
+      }
+    }
+  }
+}
+
+TEST(EnginePhases, StepPhasesCoverTheEngineLoop) {
+  // The engine thread's phases are the top-level rows: their sum is the
+  // loop, which is all of run() but its setup.
+  Cluster cluster({GroupSpec{workload_by_name("LDA"), 10, 3},
+                   GroupSpec{workload_by_name("EP"), 10, 4}});
+  SimulatedRapl rapl(cluster.total_units());
+  EngineConfig config;
+  config.target_completions = 1;
+  config.obs.attach_phase_times();
+  DpsManager manager;
+  const auto start = std::chrono::steady_clock::now();
+  const EngineResult result = SimulationEngine(config).run(cluster, rapl, manager);
+  const double wall_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const PhaseTimes& times = *config.obs.phases();
+  double loop_ns = 0.0;
+  for (std::size_t i = 1; i < kPhaseCount; ++i) {
+    const auto phase = static_cast<Phase>(i);
+    if (phase_info(phase).parent == Phase::kNone) {
+      loop_ns += static_cast<double>(times.ns(phase));
+    }
+  }
+  ASSERT_GT(result.steps, 1000);
+  EXPECT_LE(loop_ns, wall_ns);
+  EXPECT_GE(loop_ns, 0.95 * wall_ns);
+  // The unsharded pair reads through the telemetry seam, not in blocks.
+  EXPECT_EQ(times.entries(Phase::kPowerRead),
+            static_cast<std::uint64_t>(result.steps));
+  EXPECT_EQ(times.entries(Phase::kBlockRead), 0u);
+  EXPECT_EQ(times.entries(Phase::kSchedTick), 0u);
+}
+
+TEST(EnginePhases, EveryDpsStageOncePerDecide) {
+  ObsSink sink;
+  sink.attach_phase_times();
+  const EngineResult result = phased_run(sink);
+  const PhaseTimes& times = *sink.phases();
+  const auto steps = static_cast<std::uint64_t>(result.steps);
+  for (const Phase stage :
+       {Phase::kEngineDecide, Phase::kCoreHistory, Phase::kCorePriority,
+        Phase::kManagersMimd, Phase::kCoreReadjust, Phase::kCoreEvict}) {
+    EXPECT_EQ(times.entries(stage), steps) << phase_info(stage).name;
+  }
+  EXPECT_EQ(times.entries(Phase::kEngineAccount), 2 * steps);
+  EXPECT_EQ(times.entries(Phase::kCtrlRoot), 0u);
 }
 
 }  // namespace

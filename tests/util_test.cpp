@@ -9,6 +9,7 @@
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
+#include "util/ini.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -235,6 +236,41 @@ TEST(ByteReader, IntCountThatWrapsIsTruncated) {
     ADD_FAILURE() << "accepted a wrapped count";
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "truncated checkpoint payload");
+  }
+}
+
+TEST(ByteReader, IntOutsideIntRangeIsRefused) {
+  // A CRC-valid checkpoint could carry 2^32 + 5, which a bare narrowing
+  // would restore as 5.
+  for (const std::int64_t v : {(std::int64_t{1} << 32) + 5,
+                               std::int64_t{INT32_MIN} - 1}) {
+    ByteWriter out;
+    out.u64(2);
+    out.i64(7);
+    out.i64(v);
+    ByteReader in(out.bytes());
+    try {
+      in.ints();
+      ADD_FAILURE() << "accepted " << v;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "checkpoint int out of range");
+    }
+  }
+  ByteWriter out;
+  out.ints(std::vector<int>{INT32_MIN, -1, INT32_MAX});
+  ByteReader in(out.bytes());
+  EXPECT_EQ(in.ints(), (std::vector<int>{INT32_MIN, -1, INT32_MAX}));
+}
+
+TEST(IniFile, LoadRefusesADirectory) {
+  // A directory opens as a stream and reads as an empty file, which would
+  // silently leave every section at its defaults.
+  const std::string dir = testing::TempDir();
+  try {
+    IniFile::load(dir);
+    ADD_FAILURE() << "loaded the directory " << dir;
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), "IniFile: cannot open " + dir);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "experiments/pair_runner.hpp"
 #include "net/net_config.hpp"
 #include "obs/obs_config.hpp"
+#include "obs/phase.hpp"
 
 namespace {
 
@@ -141,7 +142,7 @@ void install_signal_handlers() {
 /// Runs the controller in the role [ctrl] gives it: waits for every
 /// unit, begins or restores the session, connects to the parent (an
 /// aggregator only), then runs the decision loop until --rounds, a signal
-/// or the parent's shutdown.
+/// or the parent's shutdown, and prints the rounds' phase table.
 void run(const Setup& setup, const ManagerContext& ctx,
          const obs::ObsSink& obs_sink) {
   const Options& options = setup.options;
@@ -191,7 +192,9 @@ void run(const Setup& setup, const ManagerContext& ctx,
           "dpsd: round %zu, power %.1f W, cap sum %.1f/%.0f W, decide %.1f "
           "us/round, writes %llu keeps %llu\n",
           rounds, node.last_aggregate_power(), cap_sum, node.shard_budget(),
-          1e-3 * static_cast<double>(node.decide_ns()) /
+          1e-3 *
+              static_cast<double>(
+                  obs_sink.phases()->ns(obs::Phase::kNetDecide)) /
               static_cast<double>(rounds),
           static_cast<unsigned long long>(server.set_cap_messages()),
           static_cast<unsigned long long>(server.keep_cap_messages()));
@@ -202,6 +205,7 @@ void run(const Setup& setup, const ManagerContext& ctx,
     std::this_thread::sleep_until(next_tick);
   }
 
+  obs::phase_table(*obs_sink.phases()).print();
   std::printf("dpsd: shutting down after %zu rounds%s\n", rounds,
               parent_shutdown ? " (parent shutdown)" : "");
   node.shutdown_children();
@@ -241,7 +245,9 @@ int main(int argc, char** argv) {
   ctx.min_cap = options.min_cap;
   ctx.dt = options.period;
   try {
-    const obs::ObsSink obs_sink = obs::make_sink(setup.obs);
+    obs::ObsSink obs_sink = obs::make_sink(setup.obs);
+    // The stats line and the shutdown table read the phase totals.
+    obs_sink.attach_phase_times();
     install_signal_handlers();
     run(setup, ctx, obs_sink);
   } catch (const std::exception& error) {

@@ -8,6 +8,7 @@
 ///   exp --a Kmeans --b GMM --manager dps --repeats 3
 ///   exp --a LDA --b EP --manager slurm --trace slurm_lda_ep.csv
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "experiments/registry.hpp"
 #include "net/net_config.hpp"
 #include "obs/obs_config.hpp"
+#include "obs/phase.hpp"
 #include "sched/arrivals.hpp"
 #include "sched/sched_config.hpp"
 #include "sim/engine.hpp"
@@ -202,6 +204,15 @@ void list_workloads() {
   table.print();
 }
 
+using Millis = std::chrono::duration<double, std::milli>;
+
+/// Prints where a recorded run spent its time: the phase table
+/// (obs/phase.hpp), under the run's wall time, which bounds its total.
+void print_phases(const obs::ObsSink& sink, Millis wall) {
+  std::printf("\nphases of the recorded run (%.1f ms wall):\n", wall.count());
+  obs::phase_table(*sink.phases()).print();
+}
+
 /// Job-schedule mode: run an open job stream through the scheduling
 /// subsystem instead of the static pair assignment.
 void run_sched_mode(const Setup& setup) {
@@ -222,12 +233,15 @@ void run_sched_mode(const Setup& setup) {
   obs::ObsConfig obs_config = setup.obs;
   if (setup.obs_flags) obs_config.enabled = true;
   config.obs = obs::make_sink(obs_config);
+  if (obs_config.enabled) config.obs.attach_phase_times();
   config.job_schedule = js;
   config.thermal = setup.thermal;
 
   const auto manager = make_run_manager(setup);
   const bool export_obs = obs_config.enabled && obs_config.any_export();
+  const auto start = std::chrono::steady_clock::now();
   const auto result = run_jobs(*manager, config, options.units);
+  const Millis wall = std::chrono::steady_clock::now() - start;
   const auto& s = result.sched;
   std::printf("job stream under %s / %s policy (%d units, %.0f W budget, "
               "seed %llu)\n\n",
@@ -260,14 +274,15 @@ void run_sched_mode(const Setup& setup) {
         {"peak temperature [C]", format_double(result.peak_temperature_c, 1)});
   }
   table.print();
+  if (obs_config.enabled) print_phases(config.obs, wall);
   if (export_obs) {
     obs::export_all(config.obs, obs_config);
     std::printf("(observability exports written)\n");
   }
 }
 
-/// The paper's pair run, then with --trace or an --obs-* flag a re-run
-/// through the lower-level API that records them.
+/// The paper's pair run, then with --trace or an --obs-* flag a re-run of
+/// the same system (PairRunner::pair_system) that records them.
 void run_pair_mode(const Setup& setup) {
   const Options& options = setup.options;
   const bool rerun = !options.trace.empty() || setup.obs_flags;
@@ -321,21 +336,20 @@ void run_pair_mode(const Setup& setup) {
   }
   if (!rerun) return;
 
-  EngineConfig config;
-  config.target_completions = 1;
+  PairSystem system = runner.pair_system(workload_a, workload_b);
+  EngineConfig& config = system.engine;
   config.record_trace = !options.trace.empty();
-  config.total_budget = options.budget * 2 * options.sockets;
-  config.max_time = 50000.0;
   obs::ObsConfig obs_config = setup.obs;
   obs_config.enabled = setup.obs_flags;
   config.obs = obs::make_sink(obs_config);
-  config.thermal = params.thermal;
-  Cluster cluster({GroupSpec{workload_a, options.sockets, options.seed},
-                   GroupSpec{workload_b, options.sockets, options.seed + 1}});
-  SimulatedRapl rapl(cluster.total_units());
+  config.obs.attach_phase_times();
+  Cluster& cluster = system.cluster;
   const auto manager = make_run_manager(
       setup, [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
-  const auto result = SimulationEngine(config).run(cluster, rapl, *manager);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result =
+      SimulationEngine(config).run(cluster, system.rapl, *manager);
+  print_phases(config.obs, std::chrono::steady_clock::now() - start);
   if (!options.trace.empty()) {
     std::printf("\n(writing telemetry trace to %s)\n", options.trace.c_str());
     result.trace->write_csv(options.trace);
