@@ -36,6 +36,7 @@
 #include "core/dps_manager.hpp"
 #include "ctrl/tree.hpp"
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -46,15 +47,8 @@ using namespace dps;
 constexpr int kRounds = 60;
 constexpr int kShardSize = 32;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 double u01(std::uint64_t x) {
-  return static_cast<double>(mix64(x) >> 11) * 0x1.0p-53;
+  return static_cast<double>(splitmix64(x) >> 11) * 0x1.0p-53;
 }
 
 /// Two-phase demand per unit: a high plateau above the fair share and a

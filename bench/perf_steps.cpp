@@ -35,7 +35,6 @@
 
 #include <sched.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -76,15 +75,6 @@ struct Scenario {
   }
 };
 
-/// Same generous stop bound the PairRunner uses.
-Seconds time_bound(const WorkloadSpec& a, const WorkloadSpec& b,
-                   int repeats) {
-  const Seconds longer =
-      std::max(a.nominal_duration() + a.inter_run_gap,
-               b.nominal_duration() + b.inter_run_gap);
-  return 200.0 + 4.0 * longer * repeats;
-}
-
 /// The 6 pairs of the perf_smoke grid under one manager, timed end to end.
 Scenario run_pair20(ManagerKind kind, int repeats, std::uint64_t seed) {
   const std::vector<std::string> spark = {"Kmeans", "LDA", "Sort"};
@@ -105,7 +95,7 @@ Scenario run_pair20(ManagerKind kind, int repeats, std::uint64_t seed) {
       config.dt = 1.0;
       config.total_budget = 110.0 * 20;
       config.target_completions = repeats;
-      config.max_time = time_bound(a, b, repeats);
+      config.max_time = pair_time_bound(a, b, repeats);
       const auto manager = make_manager(kind);
       const auto result = run_pair(a, b, *manager, config, seed, model);
       s.engine_steps += result.steps;
@@ -125,9 +115,7 @@ Scenario run_fleet(const std::string& name, const std::string& manager_name,
   Cluster cluster(std::move(groups));
   const int units = cluster.total_units();
 
-  RaplSimConfig rapl_config;
-  rapl_config.noise_seed = seed * 977 + 13;
-  SimulatedRapl rapl(units, rapl_config);
+  SimulatedRapl rapl(units, {.noise_seed = run_noise_seed(seed)});
 
   EngineConfig config;
   config.dt = 1.0;

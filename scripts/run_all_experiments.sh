@@ -8,7 +8,12 @@
 #              uses >= 10 — raise it for tighter statistics)
 #
 # Console output is mirrored into $DPS_OUT (default bench_out/) alongside
-# the CSV dumps each bench writes.
+# the CSV dumps each bench writes. The JSON results of the timing benches
+# (perf_smoke, perf_steps, ext_scale) land there too, as
+# BENCH_<bench>.json, so a run never overwrites the tracked BENCH_*.json
+# at the repo root (docs/performance.md says how those are made).
+# overhead, the google-benchmark microbench suite, is skipped; run it
+# directly with a --benchmark_filter.
 
 set -eu
 
@@ -27,8 +32,10 @@ echo "Running all experiments (repeats=$REPEATS, output in $OUT_DIR/)"
 for bench in "$BUILD_DIR"/bench/*; do
   [ -f "$bench" ] && [ -x "$bench" ] || continue
   name="$(basename "$bench")"
+  [ "$name" != overhead ] || continue
   echo "==> $name"
-  DPS_REPEATS="$REPEATS" DPS_OUT="$OUT_DIR" "$bench" \
+  DPS_REPEATS="$REPEATS" DPS_OUT="$OUT_DIR" \
+    DPS_BENCH_JSON="$OUT_DIR/BENCH_$name.json" "$bench" \
     | tee "$OUT_DIR/$name.txt"
   echo
 done

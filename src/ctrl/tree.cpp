@@ -145,6 +145,7 @@ void TreeController::reset(const ManagerContext& ctx) {
       nested.leaf_jobs = 1;  // parallelism lives at the real-leaf tier
       auto tree = std::make_unique<TreeController>(nested, root_factory_,
                                                    root_factory_);
+      tree->inner_ = true;
       root_tree_ = tree.get();
       root_ = std::move(tree);
     } else {
@@ -191,7 +192,9 @@ void TreeController::decide(std::span<const Watts> power,
     throw std::invalid_argument("TreeController::decide: size mismatch");
   }
 
-  obs::PhaseClock clock(obs_);
+  // An inner tier is timed and counted only inside its parent's ctrl.root.
+  static const obs::ObsSink untimed;
+  obs::PhaseClock clock(inner_ ? untimed : obs_);
   std::uint64_t root_ns = 0;
   if (root_ != nullptr) {
     clock.enter(obs::Phase::kCtrlRoot);
@@ -270,13 +273,15 @@ void TreeController::update_budget(Watts new_total_budget) {
 
 void TreeController::set_obs(const obs::ObsSink& sink) {
   obs_ = sink;
-  obs_rounds_ = sink.counter("ctrl_tree_rounds_total",
-                             "Tree decision rounds completed");
   obs_budget_moves_ = sink.counter(
       "ctrl_shard_budget_changes_total",
       "Shard budgets reassigned by the root tier");
-  obs_leaf_seconds_ = sink.latency_histogram(
-      "ctrl_leaf_decide_seconds", "Wall time of one leaf-shard decision");
+  if (!inner_) {
+    obs_rounds_ = sink.counter("ctrl_tree_rounds_total",
+                               "Tree decision rounds completed");
+    obs_leaf_seconds_ = sink.latency_histogram(
+        "ctrl_leaf_decide_seconds", "Wall time of one leaf-shard decision");
+  }
   if (root_ != nullptr) root_->set_obs(sink);
   // Leaf managers emit their events (evict/readmit, spans) with
   // shard-local unit ids; docs/observability.md notes the scoping.

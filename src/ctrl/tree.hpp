@@ -112,6 +112,8 @@ class TreeController final : public PowerManager {
   std::unique_ptr<PowerManager> root_;
   // The nested view of root_ when intermediate tiers were inserted.
   TreeController* root_tree_ = nullptr;
+  // This tree is such a nested root: its parent times and counts it.
+  bool inner_ = false;
   std::vector<Watts> budgets_;       // live shard budgets
   std::vector<Watts> floors_;        // per shard: size * min_cap
   std::vector<Watts> ceilings_;      // per shard: sum of member TDPs

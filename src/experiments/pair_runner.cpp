@@ -42,9 +42,10 @@ bool manager_kind_from_string(std::string_view name, ManagerKind& kind) {
   return false;
 }
 
-std::unique_ptr<PowerManager> make_manager(
-    ManagerKind kind, const DpsConfig& dps, const MimdConfig& slurm,
-    std::function<void(std::span<Watts>)> demand) {
+std::unique_ptr<PowerManager> make_manager(ManagerKind kind,
+                                           const DpsConfig& dps,
+                                           const MimdConfig& slurm,
+                                           DemandView demand) {
   switch (kind) {
     case ManagerKind::kConstant:
       return std::make_unique<ConstantManager>();
@@ -73,17 +74,15 @@ PairRunner::PairRunner(const ExperimentParams& params) : params_(params) {
   }
 }
 
-namespace {
-
-/// Generous stop bound: enough time for `repeats` runs of the slower
-/// workload at worst-case slowdown, plus warmup slack.
-Seconds time_bound(const WorkloadSpec& a, const WorkloadSpec& b,
-                   int repeats) {
+Seconds pair_time_bound(const WorkloadSpec& a, const WorkloadSpec& b,
+                        int repeats) {
   const Seconds longer =
       std::max(a.nominal_duration() + a.inter_run_gap,
                b.nominal_duration() + b.inter_run_gap);
   return 200.0 + 4.0 * longer * repeats;
 }
+
+namespace {
 
 /// FNV-1a over the workload name. Group seeds derive from the *workload*,
 /// not from its pair position, so a workload's jittered run sequence is
@@ -101,8 +100,10 @@ std::uint64_t name_seed(const std::string& name, std::uint64_t base) {
 
 }  // namespace
 
-PairSystem PairRunner::pair_system(const WorkloadSpec& a,
-                                   const WorkloadSpec& b) const {
+PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
+                                 ManagerKind kind,
+                                 const PairManagerFactory& make,
+                                 bool record_trace) {
   std::vector<GroupSpec> groups;
   groups.push_back(GroupSpec{a, params_.sockets_per_cluster,
                              name_seed(a.name, params_.seed)});
@@ -111,27 +112,24 @@ PairSystem PairRunner::pair_system(const WorkloadSpec& a,
   std::uint64_t seed_b = name_seed(b.name, params_.seed);
   if (a.name == b.name) seed_b ^= 0x9e3779b97f4a7c15ULL;
   groups.push_back(GroupSpec{b, params_.sockets_per_cluster, seed_b});
-  const int units = 2 * params_.sockets_per_cluster;
-  return PairSystem{
-      Cluster(std::move(groups)),
-      SimulatedRapl(units, {.noise_seed = params_.seed * 977 + 13}),
-      EngineConfig{.dt = params_.dt,
-                   .total_budget = params_.budget_per_socket * units,
-                   .target_completions = params_.repeats,
-                   .max_time = time_bound(a, b, params_.repeats),
-                   .obs = params_.obs,
-                   .thermal = params_.thermal}};
-}
-
-PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
-                                 ManagerKind kind) {
-  PairSystem system = pair_system(a, b);
-  Cluster& cluster = system.cluster;
-  const auto manager = make_manager(
-      kind, params_.dps, params_.slurm,
-      [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
-  const auto result =
-      SimulationEngine(system.engine).run(cluster, system.rapl, *manager);
+  Cluster cluster(std::move(groups));
+  const int units = cluster.total_units();
+  SimulatedRapl rapl(units, {.noise_seed = run_noise_seed(params_.seed)});
+  const EngineConfig config{
+      .dt = params_.dt,
+      .total_budget = params_.budget_per_socket * units,
+      .target_completions = params_.repeats,
+      .max_time = pair_time_bound(a, b, params_.repeats),
+      .record_trace = record_trace,
+      .obs = params_.obs,
+      .thermal = params_.thermal};
+  DemandView demand = [&cluster](std::span<Watts> out) {
+    cluster.true_demands(out);
+  };
+  const auto manager =
+      make ? make(std::move(demand))
+           : make_manager(kind, params_.dps, params_.slurm, std::move(demand));
+  const auto result = SimulationEngine(config).run(cluster, rapl, *manager);
 
   auto outcome_of = [&](int g, const WorkloadSpec& spec) {
     WorkloadOutcome out;
@@ -163,6 +161,7 @@ PairOutcome PairRunner::run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
   outcome.thermal_throttle_events = result.thermal_throttle_events;
   outcome.thermal_shed_ws = result.thermal_shed_ws;
   outcome.peak_temperature_c = result.peak_temperature_c;
+  outcome.trace = result.trace;
   return outcome;
 }
 
@@ -183,11 +182,9 @@ PairRunner::SoloStats PairRunner::solo_run(const WorkloadSpec& spec,
   engine_config.dt = params_.dt;
   engine_config.total_budget = cap_per_socket * cluster.total_units();
   engine_config.target_completions = params_.repeats;
-  engine_config.max_time =
-      200.0 + 4.0 * (spec.nominal_duration() + spec.inter_run_gap) *
-                  params_.repeats;
-  engine_config.obs = params_.obs;
+  engine_config.max_time = pair_time_bound(spec, spec, params_.repeats);
 
+  ++solo_runs_;
   ConstantManager constant;
   const auto result =
       SimulationEngine(engine_config).run(cluster, rapl, constant);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -28,16 +29,27 @@ const char* to_string(ManagerKind kind);
 /// when no manager has that name.
 bool manager_kind_from_string(std::string_view name, ManagerKind& kind);
 
+/// A simulated cluster's true-demand view, which only the oracle reads.
+using DemandView = std::function<void(std::span<Watts>)>;
+
 /// A fresh manager of `kind`, the one place managers are built by kind:
 /// DPS from `dps` (the [dps] section), SLURM from `slurm` (the [stateless]
-/// section over slurm_plugin_defaults()), and the oracle over `demand`,
-/// the simulated cluster's true-demand view. Throws std::invalid_argument
-/// for the oracle without one: a job stream, a tree leaf and a live
-/// daemon have none.
+/// section over slurm_plugin_defaults()), and the oracle over `demand`.
+/// Throws std::invalid_argument for the oracle without one: a job stream,
+/// a tree leaf and a live daemon have none.
 std::unique_ptr<PowerManager> make_manager(
     ManagerKind kind, const DpsConfig& dps = {},
-    const MimdConfig& slurm = slurm_plugin_defaults(),
-    std::function<void(std::span<Watts>)> demand = {});
+    const MimdConfig& slurm = slurm_plugin_defaults(), DemandView demand = {});
+
+/// Builds the manager of one pair run over its cluster's demand view.
+using PairManagerFactory =
+    std::function<std::unique_ptr<PowerManager>(DemandView)>;
+
+/// The stop bound of a pair run, and of a solo run with `a` = `b`: time
+/// for `repeats` runs of the slower workload at 4x slowdown, plus 200 s of
+/// warmup slack.
+Seconds pair_time_bound(const WorkloadSpec& a, const WorkloadSpec& b,
+                        int repeats);
 
 /// Common parameters of a simulated experiment, defaulting to the paper's
 /// setup: two 10-socket clusters, 1 s decision loop, 110 W per socket of
@@ -58,25 +70,16 @@ struct ExperimentParams {
   DpsConfig dps;
   /// SLURM baseline tunables (the plugin's documented PowerParameters).
   MimdConfig slurm = slurm_plugin_defaults();
-  /// Observability sink handed to every engine run this runner launches.
-  /// Observer is thread-safe (atomic counters, mutexed event ring), so one
-  /// enabled sink may be shared by a whole parallel sweep.
+  /// Observability sink of every pair run this runner launches; the solo
+  /// baselines record nothing. Observer is thread-safe (atomic counters,
+  /// mutexed event ring), so one enabled sink may be shared by a whole
+  /// parallel sweep.
   obs::ObsSink obs;
   /// Optional thermal coupling (src/thermal/). Applied to *paired* runs
   /// only: the solo baselines stay thermal-free so the satisfaction and
   /// speedup denominators keep measuring raw demand, and a sweep varying
   /// the trip point compares managers against one fixed yardstick.
   std::optional<ThermalConfig> thermal;
-};
-
-/// The simulated system of one pair run: the two clusters, their RAPL and
-/// the engine settings. PairRunner::run_pair runs exactly this, so a
-/// caller that re-runs it with a trace or a sink records the run run_pair
-/// measured.
-struct PairSystem {
-  Cluster cluster;
-  SimulatedRapl rapl;
-  EngineConfig engine;
 };
 
 /// Per-workload outcome within one pair run.
@@ -105,6 +108,8 @@ struct PairOutcome {
   int thermal_throttle_events = 0;
   Joules thermal_shed_ws = 0.0;
   Celsius peak_temperature_c = 0.0;
+  /// The run's per-step telemetry, when run_pair was asked to record it.
+  std::shared_ptr<TraceRecorder> trace;
 };
 
 /// Runs workload pairs under any of the four managers and computes the
@@ -124,14 +129,15 @@ class PairRunner {
  public:
   explicit PairRunner(const ExperimentParams& params = {});
 
-  /// Co-runs `a` and `b` on the two clusters under `kind`.
+  /// Co-runs `a` and `b` on the two clusters under `kind`, or under the
+  /// manager `make` builds (a tree of `kind`, say). Groups are seeded from
+  /// the workload names, RAPL noise from the seed, and the run stops at
+  /// `repeats` completions of each, or at pair_time_bound. The run records
+  /// into params().obs and, with `record_trace`, returns its trace in the
+  /// outcome.
   PairOutcome run_pair(const WorkloadSpec& a, const WorkloadSpec& b,
-                       ManagerKind kind);
-
-  /// The system run_pair(a, b, ...) runs: groups seeded from the workload
-  /// names, RAPL noise from the seed, `repeats` completions within a
-  /// bound on the slower workload.
-  PairSystem pair_system(const WorkloadSpec& a, const WorkloadSpec& b) const;
+                       ManagerKind kind, const PairManagerFactory& make = {},
+                       bool record_trace = false);
 
   /// Solo run under constant allocation; returns the harmonic-mean latency.
   double baseline_hmean(const WorkloadSpec& spec);
@@ -140,6 +146,10 @@ class PairRunner {
   Watts uncapped_mean_power(const WorkloadSpec& spec);
 
   const ExperimentParams& params() const { return params_; }
+
+  /// Solo runs simulated so far: one per workload and baseline, however
+  /// many threads asked for it.
+  int solo_runs() const { return solo_runs_.load(); }
 
  private:
   struct SoloStats {
@@ -166,6 +176,7 @@ class PairRunner {
   std::mutex cache_mu_;
   SoloCache baseline_cache_;
   SoloCache uncapped_cache_;
+  std::atomic<int> solo_runs_{0};
 };
 
 }  // namespace dps

@@ -15,19 +15,15 @@
 #include <thread>
 
 #include "net/wire.hpp"
+#include "util/rng.hpp"
 
 namespace dps {
 namespace {
 
-/// splitmix64 step — enough randomness for backoff jitter without
-/// dragging a full RNG into the client.
+/// A uniform draw in [0, 1) for backoff jitter: one SplitMix64 step, so
+/// the client needs no whole generator.
 double next_jitter(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
+  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
 }
 
 }  // namespace

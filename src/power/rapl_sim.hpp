@@ -33,6 +33,12 @@ struct RaplSimConfig {
   std::uint64_t noise_seed = 0xda7a5eedULL;
 };
 
+/// The noise seed of a simulated run keyed on `seed` (run_pair, run_jobs
+/// and PairRunner's pair runs).
+constexpr std::uint64_t run_noise_seed(std::uint64_t seed) {
+  return seed * 977 + 13;
+}
+
 /// Simulated RAPL for a set of power-capping units. The simulation engine
 /// drives it: each timestep it accumulates every unit's true energy via
 /// record(); the power manager on top observes it only through the

@@ -343,7 +343,8 @@ namespace {
 /// Runs `cluster` under a RAPL whose noise is keyed on `seed`.
 EngineResult run_seeded(Cluster& cluster, std::uint64_t seed,
                         PowerManager& manager, const EngineConfig& config) {
-  SimulatedRapl rapl(cluster.total_units(), {.noise_seed = seed * 977 + 13});
+  SimulatedRapl rapl(cluster.total_units(),
+                     {.noise_seed = run_noise_seed(seed)});
   return SimulationEngine(config).run(cluster, rapl, manager);
 }
 

@@ -127,6 +127,11 @@ class Rng {
 /// The stateless module uses this for its randomized cap-increase loop.
 void shuffle_indices(Rng& rng, std::uint32_t* idx, std::uint32_t n);
 
+/// One SplitMix64 step: advances `state` and returns its next well-spread
+/// 64-bit output. Seeds Rng's lanes and mix_seed, and gives a caller that
+/// needs a few cheap draws its stream without a whole generator.
+std::uint64_t splitmix64(std::uint64_t& state);
+
 /// Mixes up to three coordinates into one well-spread 64-bit seed
 /// (SplitMix64 over the concatenated words). Used to give every
 /// (seed, run, socket) / (seed, job, unit) workload realization its own

@@ -3,7 +3,8 @@
 # and dps_node at startup with an error naming its section, key and line, a malformed
 # flag must stop exp, dpsd, dps_node and analyze naming the flag, a malformed bench
 # knob must stop a bench naming the knob, each tool's --help must list
-# exactly its flags, and the shipped configs/dps.ini must load and run.
+# exactly its flags, exp must record by its [obs] and --trace in both
+# modes, and the shipped configs/dps.ini must load and run.
 # Registered with ctest by tests/CMakeLists.txt, which passes the build
 # directory as $1.
 set -eu
@@ -151,6 +152,19 @@ expect_exit2 "unknown argument '--splt'" "$BUILD_DIR/tools/analyze" \
   "$WORK/trace.csv" --splt 5
 expect_exit2 "--split needs a value" "$BUILD_DIR/tools/analyze" \
   "$WORK/trace.csv" --split
+
+# exp records its one run by the same rule in both modes: `enabled` in the
+# file's [obs] turns obs on for a pair, which writes the exports the file
+# names, and --trace writes a job stream's trace.
+printf '[obs]\nenabled = true\nexport_prometheus = %s\n' "$WORK/obs.prom" \
+  > "$WORK/obs.ini"
+"$BUILD_DIR/tools/exp" --a Sort --b IS --repeats 1 --config "$WORK/obs.ini" \
+  > "$WORK/out"
+grep -q "phases of the recorded run" "$WORK/out"
+grep -q "^engine_steps_total [1-9]" "$WORK/obs.prom"
+"$BUILD_DIR/tools/exp" --sched-policy fcfs --jobs 4 --units 8 \
+  --trace "$WORK/jobs.csv" > "$WORK/out"
+grep -q "^time,unit,true_power" "$WORK/jobs.csv"
 
 # expect_flags <tool> <flag...>: --help (and -h) lists exactly these flags.
 expect_flags() {

@@ -261,11 +261,20 @@ TEST(EngineShardPhases, BlockWorkersAndLeafThreadsShareOneTable) {
   EXPECT_EQ(times.entries(obs::Phase::kBlockRead), blocks * steps);
   EXPECT_EQ(times.entries(obs::Phase::kPowerRead), 0u);
   // 386 shards exceed the fan-out of 32, so the root tier is itself a
-  // tree of 13 shards: both tiers enter ctrl.root and ctrl.leaf.
+  // tree of 13 shards. It is timed and counted only inside the outer
+  // ctrl.root: one entry of each phase and one round per step, and only
+  // the real leaves feed the leaf histogram.
   ASSERT_EQ(tree.levels(), 3);
   const auto& inner = dynamic_cast<const TreeController&>(tree.root());
-  EXPECT_EQ(times.entries(obs::Phase::kCtrlRoot), 2 * steps);
-  EXPECT_EQ(times.entries(obs::Phase::kCtrlLeaf), 2 * steps);
+  EXPECT_EQ(times.entries(obs::Phase::kCtrlRoot), steps);
+  EXPECT_EQ(times.entries(obs::Phase::kCtrlLeaf), steps);
+  EXPECT_LE(times.ns(obs::Phase::kCtrlRoot) + times.ns(obs::Phase::kCtrlLeaf),
+            times.ns(obs::Phase::kEngineDecide));
+  EXPECT_EQ(config.obs.counter("ctrl_tree_rounds_total")->value(), steps);
+  EXPECT_EQ(config.obs.latency_histogram("ctrl_root_decide_seconds")->count(),
+            steps);
+  EXPECT_EQ(config.obs.latency_histogram("ctrl_leaf_decide_seconds")->count(),
+            static_cast<std::uint64_t>(tree.num_shards()) * steps);
   // Every leaf and root manager runs the DPS stages, the real leaves on
   // the pool's two threads and the rest on the engine's.
   const auto decides = static_cast<std::uint64_t>(

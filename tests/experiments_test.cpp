@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/config_io.hpp"
+#include "ctrl/tree.hpp"
 #include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
 #include "managers/slurm_stateless.hpp"
@@ -178,37 +179,46 @@ TEST(ManagerFactory, BuildsSlurmFromTheStatelessValuesGiven) {
   EXPECT_TRUE(differs_from_default);
 }
 
-TEST(PairRunner, RecordedRerunIsTheMeasuredRun) {
-  // exp re-runs pair_system with a trace, an enabled sink and the phase
-  // times: under a flat manager it must be the run run_pair measured.
-  ExperimentParams params = quick_params();
-  params.repeats = 2;
-  PairRunner runner(params);
+TEST(PairRunner, RecordedRunIsTheMeasuredRun) {
+  // run_pair records the run it measures, under a flat manager or a tree,
+  // into params.obs and its trace, never a solo baseline, and recording
+  // changes no outcome.
   const auto a = workload_by_name("LDA");
   const auto b = workload_by_name("EP");
-  for (const auto kind : {ManagerKind::kDps, ManagerKind::kOracle}) {
-    const auto outcome = runner.run_pair(a, b, kind);
-    PairSystem system = runner.pair_system(a, b);
-    system.engine.record_trace = true;
-    system.engine.obs = obs::ObsSink::create();
-    system.engine.obs.attach_phase_times();
-    Cluster& cluster = system.cluster;
-    const auto manager = make_manager(
-        kind, params.dps, params.slurm,
-        [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
-    const auto result =
-        SimulationEngine(system.engine).run(cluster, system.rapl, *manager);
-    ASSERT_EQ(result.completions.size(), 2u);
-    for (std::size_t g = 0; g < 2; ++g) {
-      const auto& latencies = g == 0 ? outcome.a.latencies : outcome.b.latencies;
-      ASSERT_EQ(result.completions[g].size(), latencies.size()) << g;
-      for (std::size_t i = 0; i < latencies.size(); ++i) {
-        EXPECT_EQ(result.completions[g][i].latency(), latencies[i]);
-      }
-    }
-    EXPECT_EQ(result.steps, outcome.steps);
-    EXPECT_EQ(system.engine.obs.phases()->entries(obs::Phase::kEngineDecide),
-              static_cast<std::uint64_t>(result.steps));
+  ExperimentParams plain = quick_params();
+  plain.repeats = 2;
+  const auto dps = [&plain] { return make_manager(ManagerKind::kDps, plain.dps); };
+  const PairManagerFactory tree = [&dps](DemandView) {
+    CtrlConfig ctrl;
+    ctrl.shard_size = 4;  // 5 shards: a root tier of its own
+    return std::unique_ptr<PowerManager>(
+        std::make_unique<TreeController>(ctrl, dps, dps));
+  };
+  const std::pair<ManagerKind, PairManagerFactory> runs[] = {
+      {ManagerKind::kDps, {}}, {ManagerKind::kOracle, {}},
+      {ManagerKind::kDps, tree}};
+  for (const auto& [kind, make] : runs) {
+    PairRunner unrecorded(plain);
+    const auto measured = unrecorded.run_pair(a, b, kind, make);
+    EXPECT_EQ(measured.trace, nullptr);
+
+    ExperimentParams params = plain;
+    params.obs = obs::ObsSink::create();
+    params.obs.attach_phase_times();
+    PairRunner runner(params);
+    const auto recorded = runner.run_pair(a, b, kind, make, true);
+    EXPECT_EQ(recorded.a.latencies, measured.a.latencies);
+    EXPECT_EQ(recorded.b.latencies, measured.b.latencies);
+    EXPECT_EQ(recorded.pair_hmean, measured.pair_hmean);
+    EXPECT_EQ(recorded.steps, measured.steps);
+    ASSERT_NE(recorded.trace, nullptr);
+    EXPECT_EQ(recorded.trace->series(0).back().time, recorded.simulated_time);
+    // The four solo baselines ran, but only the pair run's steps reached
+    // the sink.
+    EXPECT_EQ(runner.solo_runs(), 4);
+    const auto steps = static_cast<std::uint64_t>(recorded.steps);
+    EXPECT_EQ(params.obs.counter("engine_steps_total")->value(), steps);
+    EXPECT_EQ(params.obs.phases()->entries(obs::Phase::kEngineDecide), steps);
   }
 }
 

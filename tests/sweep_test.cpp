@@ -161,20 +161,12 @@ TEST(SweepDeterminism, ParallelCsvIsByteIdenticalToSerial) {
 }
 
 TEST(PairRunnerConcurrency, SoloBaselineComputedOnceUnderContention) {
-  // Reference: how many engine steps one solo baseline costs.
-  ExperimentParams ref_params = quick_params();
-  ref_params.obs = obs::ObsSink::create();
-  PairRunner reference(ref_params);
+  PairRunner reference(quick_params());
   const double ref_hmean = reference.baseline_hmean(workload_by_name("Sort"));
-  const auto ref_steps =
-      ref_params.obs.counter("engine_steps_total")->value();
-  ASSERT_GT(ref_steps, 0u);
 
   // Eight concurrent cache misses on the same workload: the once-flag must
-  // collapse them into a single simulation (same step count as one call).
-  ExperimentParams params = quick_params();
-  params.obs = obs::ObsSink::create();
-  PairRunner runner(params);
+  // collapse them into a single simulation.
+  PairRunner runner(quick_params());
   const auto hmeans = sweep_ordered(
       8,
       [&](std::size_t) {
@@ -182,25 +174,19 @@ TEST(PairRunnerConcurrency, SoloBaselineComputedOnceUnderContention) {
       },
       4);
   for (const double h : hmeans) EXPECT_DOUBLE_EQ(h, ref_hmean);
-  EXPECT_EQ(params.obs.counter("engine_steps_total")->value(), ref_steps);
+  EXPECT_EQ(runner.solo_runs(), 1);
 }
 
 TEST(ObsConcurrency, SharedSinkCountsEveryStepAcrossParallelSweep) {
   // One enabled sink shared by every task of a parallel sweep: the atomic
-  // counters must not lose updates — the engine_steps_total delta over the
-  // sweep equals the sum of the per-run step counts the engine reported.
+  // counters must not lose updates — engine_steps_total equals the sum of
+  // the per-run step counts the engine reported.
   ExperimentParams params = quick_params();
   params.obs = obs::ObsSink::create();
   PairRunner runner(params);
   const auto a = workload_by_name("Kmeans");
   const auto b = workload_by_name("GMM");
-  // Prewarm both caches so the sweep's delta is pair runs only.
-  runner.baseline_hmean(a);
-  runner.baseline_hmean(b);
-  runner.uncapped_mean_power(a);
-  runner.uncapped_mean_power(b);
   obs::Counter* steps_total = params.obs.counter("engine_steps_total");
-  const auto before = steps_total->value();
 
   const std::vector<ManagerKind> kinds = {
       ManagerKind::kConstant, ManagerKind::kSlurm, ManagerKind::kDps,
@@ -212,7 +198,8 @@ TEST(ObsConcurrency, SharedSinkCountsEveryStepAcrossParallelSweep) {
   long expected = 0;
   for (const auto& outcome : outcomes) expected += outcome.steps;
   EXPECT_GT(expected, 0);
-  EXPECT_EQ(steps_total->value() - before, static_cast<std::uint64_t>(expected));
+  // The solo baselines the tasks race to fill record nothing.
+  EXPECT_EQ(steps_total->value(), static_cast<std::uint64_t>(expected));
 }
 
 }  // namespace

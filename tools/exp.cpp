@@ -10,10 +10,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "core/config_io.hpp"
@@ -26,6 +24,7 @@
 #include "sched/arrivals.hpp"
 #include "sched/sched_config.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "thermal/thermal_config.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -122,8 +121,7 @@ CommandLine command_line() {
       "exp — run one workload pair under a power manager (see exp.py in\n"
       "the paper's artifact). --sched-policy or --job-trace switch to\n"
       "job-schedule mode: an open job stream with --a/--b as its Poisson\n"
-      "workload mix. --tree-shard applies to that mode and to the\n"
-      "--trace/--obs re-run of a pair.");
+      "workload mix. --tree-shard runs either mode under a tree.");
   cli.add(options_section())
       .add(sched::sched_section())
       .add(thermal_section())
@@ -140,9 +138,11 @@ struct Setup {
   DpsConfig dps;
   MimdConfig stateless;
   obs::ObsConfig obs;
-  bool obs_flags = false;  // an --obs-* flag was given
   std::optional<ThermalConfig> thermal;
   sched::JobScheduleConfig jobs;
+
+  /// A run records when obs is on or --trace names a file.
+  bool records() const { return obs.enabled || !options.trace.empty(); }
 };
 
 /// Reads every section from --config with the flags applied over it.
@@ -156,7 +156,8 @@ void configure(const IniFile& flags, Setup& setup) {
   setup.dps = dps_config_from_ini(ini);
   setup.stateless = mimd_config_from_ini(ini, slurm_plugin_defaults());
   setup.obs = obs::obs_config_from_ini(ini);
-  setup.obs_flags = flags.has_section("obs");
+  // An --obs-* flag turns obs on, as does `enabled` in the file.
+  if (flags.has_section("obs")) setup.obs.enabled = true;
   // A thermal flag enables the model even where the file disables it;
   // the file's values then stay unused, as with no [thermal] at all.
   setup.thermal = thermal_config_from_ini(ini);
@@ -171,8 +172,8 @@ void configure(const IniFile& flags, Setup& setup) {
 /// The run's manager: the chosen kind, or with --tree-shard a
 /// TreeController running it per shard under a DPS root tier. Only a
 /// flat pair run has the oracle's demand view.
-std::unique_ptr<PowerManager> make_run_manager(
-    const Setup& setup, std::function<void(std::span<Watts>)> demand = {}) {
+std::unique_ptr<PowerManager> make_run_manager(const Setup& setup,
+                                               DemandView demand = {}) {
   if (setup.options.tree_shard <= 0) {
     return make_manager(setup.kind, setup.dps, setup.stateless,
                         std::move(demand));
@@ -206,11 +207,31 @@ void list_workloads() {
 
 using Millis = std::chrono::duration<double, std::milli>;
 
-/// Prints where a recorded run spent its time: the phase table
-/// (obs/phase.hpp), under the run's wall time, which bounds its total.
-void print_phases(const obs::ObsSink& sink, Millis wall) {
+/// The sink of the run, in either mode: per [obs], with the phase times
+/// attached when the run records.
+obs::ObsSink run_sink(const Setup& setup) {
+  obs::ObsSink sink = obs::make_sink(setup.obs);
+  if (setup.records()) sink.attach_phase_times();
+  return sink;
+}
+
+/// Ends a recorded run: where it spent its time (the phase table of
+/// obs/phase.hpp, under the run's wall time, which bounds its total), then
+/// its trace and its exports.
+void finish_recording(const Setup& setup, const obs::ObsSink& sink,
+                      Millis wall, const TraceRecorder* trace) {
+  if (!setup.records()) return;
   std::printf("\nphases of the recorded run (%.1f ms wall):\n", wall.count());
   obs::phase_table(*sink.phases()).print();
+  if (trace != nullptr) {
+    std::printf("\n(writing telemetry trace to %s)\n",
+                setup.options.trace.c_str());
+    trace->write_csv(setup.options.trace);
+  }
+  if (setup.obs.enabled && setup.obs.any_export()) {
+    obs::export_all(sink, setup.obs);
+    std::printf("(observability exports written)\n");
+  }
 }
 
 /// Job-schedule mode: run an open job stream through the scheduling
@@ -230,15 +251,12 @@ void run_sched_mode(const Setup& setup) {
 
   EngineConfig config;
   config.total_budget = options.budget * options.units;
-  obs::ObsConfig obs_config = setup.obs;
-  if (setup.obs_flags) obs_config.enabled = true;
-  config.obs = obs::make_sink(obs_config);
-  if (obs_config.enabled) config.obs.attach_phase_times();
+  config.record_trace = !options.trace.empty();
+  config.obs = run_sink(setup);
   config.job_schedule = js;
   config.thermal = setup.thermal;
 
   const auto manager = make_run_manager(setup);
-  const bool export_obs = obs_config.enabled && obs_config.any_export();
   const auto start = std::chrono::steady_clock::now();
   const auto result = run_jobs(*manager, config, options.units);
   const Millis wall = std::chrono::steady_clock::now() - start;
@@ -274,23 +292,12 @@ void run_sched_mode(const Setup& setup) {
         {"peak temperature [C]", format_double(result.peak_temperature_c, 1)});
   }
   table.print();
-  if (obs_config.enabled) print_phases(config.obs, wall);
-  if (export_obs) {
-    obs::export_all(config.obs, obs_config);
-    std::printf("(observability exports written)\n");
-  }
+  finish_recording(setup, config.obs, wall, result.trace.get());
 }
 
-/// The paper's pair run, then with --trace or an --obs-* flag a re-run of
-/// the same system (PairRunner::pair_system) that records them.
+/// The paper's pair run under the run's manager.
 void run_pair_mode(const Setup& setup) {
   const Options& options = setup.options;
-  const bool rerun = !options.trace.empty() || setup.obs_flags;
-  if (options.tree_shard > 0 && !rerun) {
-    throw std::invalid_argument(
-        "--tree-shard applies to job-schedule mode (--sched-policy) or a "
-        "--trace/--obs run; the paper's pair tables are flat-only");
-  }
   ExperimentParams params;
   params.repeats = options.repeats;
   params.seed = options.seed;
@@ -299,11 +306,24 @@ void run_pair_mode(const Setup& setup) {
   params.dps = setup.dps;
   params.slurm = setup.stateless;
   params.thermal = setup.thermal;
+  params.obs = run_sink(setup);
   PairRunner runner(params);
 
   const auto workload_a = workload_by_name(options.a);
   const auto workload_b = workload_by_name(options.b);
-  const auto outcome = runner.run_pair(workload_a, workload_b, setup.kind);
+  // The solo baselines first, so that the wall time is the pair run's.
+  for (const auto* spec : {&workload_a, &workload_b}) {
+    runner.baseline_hmean(*spec);
+    runner.uncapped_mean_power(*spec);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcome = runner.run_pair(
+      workload_a, workload_b, setup.kind,
+      [&setup](DemandView demand) {
+        return make_run_manager(setup, std::move(demand));
+      },
+      !options.trace.empty());
+  const Millis wall = std::chrono::steady_clock::now() - start;
 
   std::printf("%s + %s under %s (%d repeats, %.0f W/socket, %d+%d "
               "sockets)\n\n",
@@ -334,30 +354,7 @@ void run_pair_mode(const Setup& setup) {
                 outcome.thermal_throttle_events, outcome.thermal_shed_ws,
                 outcome.peak_temperature_c, params.thermal->trip_c);
   }
-  if (!rerun) return;
-
-  PairSystem system = runner.pair_system(workload_a, workload_b);
-  EngineConfig& config = system.engine;
-  config.record_trace = !options.trace.empty();
-  obs::ObsConfig obs_config = setup.obs;
-  obs_config.enabled = setup.obs_flags;
-  config.obs = obs::make_sink(obs_config);
-  config.obs.attach_phase_times();
-  Cluster& cluster = system.cluster;
-  const auto manager = make_run_manager(
-      setup, [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
-  const auto start = std::chrono::steady_clock::now();
-  const auto result =
-      SimulationEngine(config).run(cluster, system.rapl, *manager);
-  print_phases(config.obs, std::chrono::steady_clock::now() - start);
-  if (!options.trace.empty()) {
-    std::printf("\n(writing telemetry trace to %s)\n", options.trace.c_str());
-    result.trace->write_csv(options.trace);
-  }
-  if (setup.obs_flags) {
-    obs::export_all(config.obs, obs_config);
-    std::printf("(observability exports written)\n");
-  }
+  finish_recording(setup, params.obs, wall, outcome.trace.get());
 }
 
 }  // namespace
