@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "managers/constant.hpp"
 #include "sim/engine.hpp"
-#include "signal/phase_stats.hpp"
 #include "workloads/spark_suite.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -42,8 +41,7 @@ int main() {
     const auto result =
         SimulationEngine(config).run(cluster, rapl, constant);
 
-    const auto series = result.trace->true_power_of(0);
-    const auto stats = analyze_phases(series, 110.0);
+    const auto stats = result.trace->phases_of(0);
     table.add_row({name, std::to_string(stats.phase_count),
                    format_double(stats.longest, 0),
                    format_double(stats.shortest, 0),
@@ -53,9 +51,10 @@ int main() {
 
     CsvWriter csv(out + "/fig2_" + name + ".csv");
     csv.write_header({"time_s", "power_w"});
-    const auto& samples = result.trace->series(0);
-    for (const auto& s : samples) {
-      csv.write_row({format_double(s.time, 0), format_double(s.true_power, 1)});
+    const UnitTrace& socket = result.trace->unit(0);
+    for (std::size_t i = 0; i < socket.time.size(); ++i) {
+      csv.write_row({format_double(socket.time[i], 0),
+                     format_double(socket.true_power[i], 1)});
     }
   }
   table.print();

@@ -29,9 +29,8 @@ double measured_fraction_above(const WorkloadSpec& spec, Watts threshold) {
   config.max_time = 4.0 * (spec.nominal_duration() + spec.inter_run_gap);
   ConstantManager constant;
   const auto result = SimulationEngine(config).run(cluster, rapl, constant);
-  const auto series = result.trace->true_power_of(0);
   int above = 0, active = 0;
-  for (const double p : series) {
+  for (const double p : result.trace->unit(0).true_power) {
     if (p > kIdlePower + 2.0) ++active;
     if (p > threshold) ++above;
   }

@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
 
     CsvWriter csv(csv_path);
     csv.write_header({"time_s", "power_w"});
-    for (const auto& sample : result.trace->series(0)) {
-      csv.write_row({format_double(sample.time, 0),
-                     format_double(sample.true_power, 2)});
+    const UnitTrace& socket = result.trace->unit(0);
+    for (std::size_t i = 0; i < socket.time.size(); ++i) {
+      csv.write_row({format_double(socket.time[i], 0),
+                     format_double(socket.true_power[i], 2)});
     }
   }
 

@@ -51,8 +51,7 @@ namespace dps {
 /// Other subsystems own their sections in the same file: [net] is parsed
 /// by src/net/net_config, [ctrl] (the hierarchical control plane) by
 /// src/ctrl/ctrl_config, [sched] by src/sched/sched_config, [obs] by
-/// src/obs/obs_config, [faults] by src/faults/fault_config, [thermal] by
-/// src/thermal/thermal_config.
+/// src/obs/obs_config, [thermal] by src/thermal/thermal_config.
 DpsConfig dps_config_from_ini(const IniFile& ini);
 DpsConfig dps_config_from_file(const std::string& path);
 

@@ -336,7 +336,8 @@ void TreeController::load_state(ByteReader& in) {
   if (budgets.size() != shards_.size()) {
     throw std::runtime_error("ctrl_tree snapshot: budget vector mismatch");
   }
-  auto restore_blob = [&in](PowerManager& manager, const std::string& who) {
+  // A single-shard tree has no root, and its root blob must be empty.
+  auto restore_blob = [&in](PowerManager* manager, const std::string& who) {
     const std::uint32_t expected_crc = in.u32();
     const auto blob = in.blob();
     if (crc32(blob) != expected_crc) {
@@ -344,35 +345,21 @@ void TreeController::load_state(ByteReader& in) {
                                " state CRC mismatch (corrupted child "
                                "snapshot)");
     }
+    if (manager == nullptr) {
+      if (blob.empty()) return;
+      throw std::runtime_error("ctrl_tree snapshot: " + who +
+                               " state present but tree is single-shard");
+    }
     ByteReader nested(blob);
-    manager.load_state(nested);
+    manager->load_state(nested);
     if (!nested.exhausted()) {
       throw std::runtime_error("ctrl_tree snapshot: " + who +
                                " state has trailing bytes");
     }
   };
-  {
-    const std::uint32_t expected_crc = in.u32();
-    const auto blob = in.blob();
-    if (crc32(blob) != expected_crc) {
-      throw std::runtime_error(
-          "ctrl_tree snapshot: root state CRC mismatch (corrupted child "
-          "snapshot)");
-    }
-    if (root_ != nullptr) {
-      ByteReader nested(blob);
-      root_->load_state(nested);
-      if (!nested.exhausted()) {
-        throw std::runtime_error(
-            "ctrl_tree snapshot: root state has trailing bytes");
-      }
-    } else if (!blob.empty()) {
-      throw std::runtime_error(
-          "ctrl_tree snapshot: root state present but tree is single-shard");
-    }
-  }
+  restore_blob(root_.get(), "root");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    restore_blob(*shards_[s].manager, "shard " + std::to_string(s));
+    restore_blob(shards_[s].manager.get(), "shard " + std::to_string(s));
   }
   // Re-arm the live budgets last: the leaves were reset with fair shares
   // and load_state does not carry a manager's budget, so resync each to

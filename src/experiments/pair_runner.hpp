@@ -109,7 +109,7 @@ struct PairOutcome {
   Joules thermal_shed_ws = 0.0;
   Celsius peak_temperature_c = 0.0;
   /// The run's per-step telemetry, when run_pair was asked to record it.
-  std::shared_ptr<TraceRecorder> trace;
+  std::shared_ptr<Trace> trace;
 };
 
 /// Runs workload pairs under any of the four managers and computes the

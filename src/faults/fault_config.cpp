@@ -28,17 +28,4 @@ const Section<FaultPlanConfig>& faults_section() {
   return section;
 }
 
-FaultPlanConfig fault_plan_config_from_ini(const IniFile& ini) {
-  FaultPlanConfig config;
-  read_section(ini, faults_section(), config);
-  return config;
-}
-
-bool any_fault_rate(const FaultPlanConfig& config) {
-  return config.crash_rate > 0.0 || config.sensor_dropout_rate > 0.0 ||
-         config.sensor_garbage_rate > 0.0 || config.cap_stuck_rate > 0.0 ||
-         config.budget_sag_rate > 0.0 || config.fan_degrade_rate > 0.0 ||
-         config.temp_stuck_rate > 0.0;
-}
-
 }  // namespace dps

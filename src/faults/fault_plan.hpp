@@ -101,8 +101,8 @@ class FaultPlan {
 
   /// Draws a random plan from Poisson arrivals per fault kind (exponential
   /// inter-arrival times), deterministically from config.seed. Throws
-  /// std::invalid_argument on a config that breaks the [faults] rules
-  /// (faults/fault_config.hpp) or num_units <= 0.
+  /// std::invalid_argument on a config that breaks faults_section()'s
+  /// rules (faults/fault_config.hpp) or num_units <= 0.
   static FaultPlan generate(const FaultPlanConfig& config, int num_units);
 
   const std::vector<FaultEvent>& events() const { return events_; }

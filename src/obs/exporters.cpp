@@ -106,6 +106,7 @@ void write_events_csv(const std::vector<Event>& events,
                    format_double(e.extra, 9),
                    e.detail != nullptr ? e.detail : ""});
   }
+  csv.flush();
 }
 
 void write_events_csv(const EventLog& log, const std::string& path) {
@@ -155,6 +156,7 @@ void write_chrome_trace_file(const EventLog& log, const std::string& path) {
     throw std::runtime_error("cannot write chrome trace to " + path);
   }
   write_chrome_trace(log.snapshot(), out);
+  flush_or_throw(out, path);
 }
 
 }  // namespace dps::obs

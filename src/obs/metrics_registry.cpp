@@ -171,6 +171,7 @@ void MetricsRegistry::write_csv(const std::string& path) const {
       csv.write_row({name, "histogram", "count", std::to_string(h.count())});
     }
   }
+  csv.flush();
 }
 
 }  // namespace dps::obs

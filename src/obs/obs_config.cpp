@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/exporters.hpp"
+#include "util/csv.hpp"
 
 namespace dps::obs {
 
@@ -50,6 +51,7 @@ void export_all(const ObsSink& sink, const ObsConfig& config) {
       throw std::runtime_error("cannot write " + config.export_prometheus);
     }
     observer.metrics().write_prometheus(out);
+    flush_or_throw(out, config.export_prometheus);
   }
   if (!config.export_metrics_csv.empty()) {
     observer.metrics().write_csv(config.export_metrics_csv);

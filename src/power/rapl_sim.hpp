@@ -27,8 +27,8 @@ struct RaplSimConfig {
   Joules energy_unit = 1.0 / 16384.0;
   /// Steps of delay before a requested cap takes hardware effect. Real RAPL
   /// applies limits within one control window (~1 ms — under the 1 s
-  /// decision loop), so the default is same-step; the ablation bench raises
-  /// it to study slow actuation.
+  /// decision loop), so the default is same-step. No bench raises it; the
+  /// power and SoA-equivalence tests run the delayed pipeline.
   int actuation_delay_steps = 0;
   std::uint64_t noise_seed = 0xda7a5eedULL;
 };

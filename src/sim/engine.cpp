@@ -54,7 +54,7 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
   std::vector<Watts> effective(static_cast<std::size_t>(n), 0.0);
 
   EngineResult result;
-  if (config_.record_trace) result.trace = std::make_shared<TraceRecorder>(n);
+  if (config_.record_trace) result.trace = std::make_shared<Trace>(n);
   // The manager's concrete type is fixed for the whole run; resolving the
   // DPS priority view once here keeps the dynamic_cast out of the
   // decision loop (it only feeds the optional trace).
@@ -289,9 +289,8 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
       for (int u = 0; u < n; ++u) {
         const int priority =
             dps_view ? (dps_view->priorities().high_priority(u) ? 1 : 0) : -1;
-        result.trace->record(
-            u, TraceSample{cluster.now(), true_power[u], measured[u], caps[u],
-                           demands[u], priority});
+        result.trace->record(u, cluster.now(), true_power[u], measured[u],
+                             caps[u], demands[u], priority);
       }
     }
     ++result.steps;

@@ -128,7 +128,7 @@ struct EngineResult {
   std::vector<sched::JobOutcome> job_outcomes;
 
   /// Present only when EngineConfig::record_trace was set.
-  std::shared_ptr<TraceRecorder> trace;
+  std::shared_ptr<Trace> trace;
 };
 
 /// Drives the closed loop of Figure 3: each step the manager reads noisy

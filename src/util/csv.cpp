@@ -6,7 +6,7 @@
 
 namespace dps {
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
 }
 
@@ -19,7 +19,11 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   ++rows_;
 }
 
-void CsvWriter::flush() { out_.flush(); }
+void CsvWriter::flush() { flush_or_throw(out_, path_); }
+
+void flush_or_throw(std::ostream& out, const std::string& path) {
+  if (!out.flush()) throw std::runtime_error("cannot write " + path);
+}
 
 std::string CsvWriter::escape(std::string_view field) {
   const bool needs_quotes =

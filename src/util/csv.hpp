@@ -24,7 +24,9 @@ class CsvWriter {
     write_row(names);
   }
 
-  /// Flushes buffered output to disk.
+  /// Flushes buffered output to disk. Throws std::runtime_error naming
+  /// the path when any write failed (a full disk, say), so a writer that
+  /// ends with flush() never reports a file it did not finish.
   void flush();
 
   /// Number of rows written so far (including the header).
@@ -34,9 +36,14 @@ class CsvWriter {
   static std::string escape(std::string_view field);
 
  private:
+  std::string path_;
   std::ofstream out_;
   std::size_t rows_ = 0;
 };
+
+/// Flushes `out` and throws std::runtime_error "cannot write <path>" if
+/// any write to it failed.
+void flush_or_throw(std::ostream& out, const std::string& path);
 
 /// Formats a double with fixed precision, trimming trailing zeros; used for
 /// compact CSV and table cells.

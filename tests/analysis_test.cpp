@@ -2,7 +2,7 @@
 
 #include <fstream>
 
-#include "analysis/trace_analysis.hpp"
+#include "sim/trace.hpp"
 #include "util/csv_reader.hpp"
 
 namespace dps {
@@ -113,14 +113,15 @@ TEST(CsvReader, CrlfLineEndings) {
 std::string write_trace(const std::string& name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::ofstream out(path);
-  out << "time,unit,true_power,measured_power,cap,demand\n";
+  out << "time,unit,true_power,measured_power,cap,demand,priority\n";
   // Unit 0: always satisfied (power == demand).
   // Unit 1: demand 150 but capped at 75 half the time.
+  // Neither ran under DPS, so neither has a priority.
   for (int t = 1; t <= 10; ++t) {
-    out << t << ",0,100,101,110,100\n";
+    out << t << ",0,100,101,110,100,-1\n";
     const bool starved = t > 5;
     out << t << ",1," << (starved ? 75 : 150) << ",75,"
-        << (starved ? 75 : 150) << ",150\n";
+        << (starved ? 75 : 150) << ",150,-1\n";
   }
   return path;
 }
@@ -167,6 +168,14 @@ TEST(TraceAnalysis, RejectsBadInput) {
   }
   EXPECT_THROW(Trace::load_csv(path), std::runtime_error);
   EXPECT_THROW(Trace::load_csv("/no/such/trace.csv"), std::runtime_error);
+  // The writer has always emitted the priority column; the reader needs it.
+  try {
+    Trace::from_csv(CsvReader::parse(
+        "time,unit,true_power,measured_power,cap,demand\n1,0,1,1,1,1\n"));
+    ADD_FAILURE() << "accepted a trace without priorities";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "csv: missing column priority");
+  }
 }
 
 TEST(TraceAnalysis, RefusesBadUnitAndPriorityCellsNamingTheLine) {
@@ -215,14 +224,10 @@ TEST(TraceAnalysis, HighPriorityShareFromPriorityColumn) {
     out << "3,0,100,100,110,100,0\n";
     out << "4,0,100,100,110,100,0\n";
   }
-  const auto trace = Trace::load_csv(path);
-  EXPECT_NEAR(trace.high_priority_share(0), 0.5, 1e-9);
-}
-
-TEST(TraceAnalysis, MissingPriorityColumnReportsUnavailable) {
-  // Old traces without the priority column must still load.
-  const auto trace = Trace::load_csv(write_trace("t7.csv"));
-  EXPECT_DOUBLE_EQ(trace.high_priority_share(0), -1.0);
+  EXPECT_NEAR(Trace::load_csv(path).high_priority_share(0), 0.5, 1e-9);
+  // A unit that never ran under DPS has no share.
+  EXPECT_DOUBLE_EQ(
+      Trace::load_csv(write_trace("t7.csv")).high_priority_share(0), -1.0);
 }
 
 TEST(TraceAnalysis, UnknownUnitThrows) {

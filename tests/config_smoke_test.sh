@@ -4,7 +4,8 @@
 # flag must stop exp, dpsd, dps_node and analyze naming the flag, a malformed bench
 # knob must stop a bench naming the knob, each tool's --help must list
 # exactly its flags, exp must record by its [obs] and --trace in both
-# modes, and the shipped configs/dps.ini must load and run.
+# modes, a trace or export that cannot be written must fail exp, and the
+# shipped configs/dps.ini must load and run.
 # Registered with ctest by tests/CMakeLists.txt, which passes the build
 # directory as $1.
 set -eu
@@ -119,27 +120,29 @@ expect_knob_rejected() {
 expect_knob_rejected DPS_REPEATS=1x
 expect_knob_rejected DPS_REPEATS=0
 
-# expect_exit2 <message> <command...>: rejected with exit 2, message on
-# stderr.
-expect_exit2() {
+# expect_exit <status> <message> <command...>: rejected with that exit
+# status, message on stderr.
+expect_exit() {
+  code="$1"
+  shift
   expect_rejected "$@"
-  if [ "$status" -ne 2 ]; then
+  if [ "$status" -ne "$code" ]; then
     shift
-    echo "FAIL: status $status, not 2, from: $*" >&2
+    echo "FAIL: status $status, not $code, from: $*" >&2
     exit 1
   fi
 }
 # A directory given as --config is refused, not read as an empty file.
-expect_exit2 "IniFile: cannot open $WORK" "$BUILD_DIR/tools/exp" \
+expect_exit 2 "IniFile: cannot open $WORK" "$BUILD_DIR/tools/exp" \
   --config "$WORK" --a LR --b EP --repeats 1
 
 # The perf benches' float floors and perf_smoke's DPS_JOBS are checked the
 # same way, before the first timed phase.
-expect_exit2 DPS_PERF_MIN_SPEEDUP env DPS_PERF_MIN_SPEEDUP=x \
+expect_exit 2 DPS_PERF_MIN_SPEEDUP env DPS_PERF_MIN_SPEEDUP=x \
   DPS_OUT="$WORK" "$BUILD_DIR/bench/perf_smoke"
-expect_exit2 DPS_PERF_MIN_STEPS_PER_S env DPS_PERF_MIN_STEPS_PER_S=x \
+expect_exit 2 DPS_PERF_MIN_STEPS_PER_S env DPS_PERF_MIN_STEPS_PER_S=x \
   DPS_OUT="$WORK" "$BUILD_DIR/bench/perf_steps"
-expect_exit2 DPS_JOBS env DPS_JOBS=abc DPS_OUT="$WORK" \
+expect_exit 2 DPS_JOBS env DPS_JOBS=abc DPS_OUT="$WORK" \
   "$BUILD_DIR/bench/perf_smoke"
 
 # analyze takes the trace first and its flags after it; an unknown flag or
@@ -148,9 +151,9 @@ expect_exit2 DPS_JOBS env DPS_JOBS=abc DPS_OUT="$WORK" \
   > "$WORK/out"
 "$BUILD_DIR/tools/analyze" "$WORK/trace.csv" --split 10 > "$WORK/out"
 grep -q "fairness(units 0..9 vs 10..19)" "$WORK/out"
-expect_exit2 "unknown argument '--splt'" "$BUILD_DIR/tools/analyze" \
+expect_exit 2 "unknown argument '--splt'" "$BUILD_DIR/tools/analyze" \
   "$WORK/trace.csv" --splt 5
-expect_exit2 "--split needs a value" "$BUILD_DIR/tools/analyze" \
+expect_exit 2 "--split needs a value" "$BUILD_DIR/tools/analyze" \
   "$WORK/trace.csv" --split
 
 # exp records its one run by the same rule in both modes: `enabled` in the
@@ -165,6 +168,20 @@ grep -q "^engine_steps_total [1-9]" "$WORK/obs.prom"
 "$BUILD_DIR/tools/exp" --sched-policy fcfs --jobs 4 --units 8 \
   --trace "$WORK/jobs.csv" > "$WORK/out"
 grep -q "^time,unit,true_power" "$WORK/jobs.csv"
+
+# A file that takes no byte (/dev/full) fails the run that writes to it
+# with exit 1, naming the file, whichever output it is; so does obs_dump's
+# conversion of an events CSV.
+if [ -w /dev/full ]; then
+  for output in --trace --obs-events --obs-metrics --obs-trace; do
+    expect_exit 1 "cannot write /dev/full" "$BUILD_DIR/tools/exp" \
+      --a Sort --b IS --repeats 1 "$output" /dev/full
+  done
+  "$BUILD_DIR/tools/exp" --a Sort --b IS --repeats 1 \
+    --obs-events "$WORK/events.csv" > "$WORK/out"
+  expect_exit 1 "cannot write /dev/full" "$BUILD_DIR/tools/obs_dump" \
+    "$WORK/events.csv" /dev/full
+fi
 
 # expect_flags <tool> <flag...>: --help (and -h) lists exactly these flags.
 expect_flags() {

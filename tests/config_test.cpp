@@ -8,7 +8,7 @@
 
 #include "core/config_io.hpp"
 #include "ctrl/ctrl_config.hpp"
-#include "faults/fault_config.hpp"
+#include "faults/fault_plan.hpp"
 #include "net/net_config.hpp"
 #include "obs/obs_config.hpp"
 #include "sched/sched_config.hpp"
@@ -328,7 +328,6 @@ void read_every_section(const IniFile& ini) {
   dps_config_from_ini(ini);
   mimd_config_from_ini(ini, MimdConfig{});
   ctrl_config_from_ini(ini);
-  fault_plan_config_from_ini(ini);
   net_config_from_ini(ini);
   obs::obs_config_from_ini(ini);
   sched::sched_config_from_ini(ini);
@@ -351,11 +350,6 @@ TEST(ConfigTable, MalformedValuesCiteSectionKeyAndLine) {
       {"[ctrl]\nshard_size = 4294967297\n", "[ctrl]: shard_size", 2},
       {"[ctrl]\nshard_size = 1.5\n", "[ctrl]: shard_size", 2},
       {"[ctrl]\nparent_port = 70000\n", "[ctrl]: parent_port", 2},
-      {"[faults]\ncrash_rate = abc\n", "[faults]: crash_rate", 2},
-      {"[faults]\n; drills\nseed = -1\n", "[faults]: seed", 3},
-      {"[faults]\ncrash_rate = nan\n", "[faults]: crash_rate", 2},
-      {"[faults]\nmin_duration = 50\nmax_duration = 40\n",
-       "[faults]: max_duration", 3},
       {"[net]\nround_deadline_s = nan\n", "[net]: round_deadline_s", 2},
       {"[net]\nreconnect_max_attempts = 1e3\n",
        "[net]: reconnect_max_attempts", 2},
@@ -366,6 +360,7 @@ TEST(ConfigTable, MalformedValuesCiteSectionKeyAndLine) {
       {"[thermal]\nenabled = nah\n", "[thermal]: enabled", 2},
       {"[thermal]\ntrip = nan\n", "[thermal]: trip", 2},
       {"[thermal]\njitter = x\n", "[thermal]: jitter", 2},
+      {"[thermal]\n; drills\nseed = -1\n", "[thermal]: seed", 3},
       // A broken cross-field rule cites its other key when only that one
       // appears.
       {"[thermal]\nambient = 30\nclear = 99\n", "[thermal]: trip", 3},
@@ -416,7 +411,6 @@ TEST(ConfigTable, ShippedIniListsEveryKeyOfEveryTable) {
   expect_every_key(ini, dps_section());
   expect_every_key(ini, stateless_section());
   expect_every_key(ini, ctrl_section());
-  expect_every_key(ini, faults_section());
   expect_every_key(ini, net_section());
   expect_every_key(ini, obs::obs_section());
   expect_every_key(ini, sched::sched_section());

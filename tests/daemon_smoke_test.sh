@@ -3,7 +3,8 @@
 # dps_node (clients) complete a fixed number of rounds over real TCP and
 # both exit cleanly, dpsd printing its stats line and, at shutdown, the
 # rounds' phase table; a client whose controller is unreachable exits 1 with
-# its error; a controller still waiting for clients stops on SIGTERM; and
+# its error; a controller still waiting for clients stops on SIGTERM, and
+# exits 1 when an export it then writes cannot be written; and
 # a two-level tree (a root dpsd over two aggregator dpsds, each over one
 # dps_node) runs to the root's round limit and shuts down tier by tier.
 # Registered with ctest by tests/CMakeLists.txt, which passes the build
@@ -87,6 +88,22 @@ grep -q "shutting down after 0 rounds" "$STOP_LOG"
 [ -s "$STOP_EVENTS" ]
 rm -f "$STOP_LOG" "$STOP_EVENTS"
 [ "$STOP_STATUS" -eq 0 ]
+
+# An export that cannot be written (/dev/full takes no byte) fails that
+# shutdown with exit 1, naming the file.
+if [ -w /dev/full ]; then
+  FULL_LOG=/tmp/dpsd_full_$$.log
+  "$BUILD_DIR/tools/dpsd" --units 2 --port 0 --obs-metrics /dev/full \
+    > "$FULL_LOG" 2>&1 &
+  FULL_PID=$!
+  wait_for "$FULL_LOG" "waiting for"
+  kill -TERM "$FULL_PID"
+  FULL_STATUS=0
+  wait "$FULL_PID" || FULL_STATUS=$?
+  grep -q "dpsd: fatal: cannot write /dev/full" "$FULL_LOG"
+  rm -f "$FULL_LOG"
+  [ "$FULL_STATUS" -eq 1 ]
+fi
 
 # Two-level tree. Every dpsd listens on a free port (--port 0) and prints
 # it on its first line; the aggregators report to the root, checkpoint

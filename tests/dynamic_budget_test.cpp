@@ -151,9 +151,10 @@ TEST(BudgetSchedule, EngineDeliversChangesAndTracksOvershoot) {
   // During the emergency window the trace shows the reduced allocation.
   Watts max_during_emergency = 0.0;
   for (int u = 0; u < 8; ++u) {
-    for (const auto& sample : result.trace->series(u)) {
-      if (sample.time > 110.0 && sample.time < 290.0) {
-        max_during_emergency = std::max(max_during_emergency, sample.cap);
+    const UnitTrace& series = result.trace->unit(u);
+    for (std::size_t i = 0; i < series.time.size(); ++i) {
+      if (series.time[i] > 110.0 && series.time[i] < 290.0) {
+        max_during_emergency = std::max(max_during_emergency, series.cap[i]);
       }
     }
   }

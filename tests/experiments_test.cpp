@@ -212,7 +212,7 @@ TEST(PairRunner, RecordedRunIsTheMeasuredRun) {
     EXPECT_EQ(recorded.pair_hmean, measured.pair_hmean);
     EXPECT_EQ(recorded.steps, measured.steps);
     ASSERT_NE(recorded.trace, nullptr);
-    EXPECT_EQ(recorded.trace->series(0).back().time, recorded.simulated_time);
+    EXPECT_EQ(recorded.trace->unit(0).time.back(), recorded.simulated_time);
     // The four solo baselines ran, but only the pair run's steps reached
     // the sink.
     EXPECT_EQ(runner.solo_runs(), 4);

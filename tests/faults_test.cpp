@@ -12,7 +12,6 @@
 
 #include "core/dps_manager.hpp"
 #include "experiments/registry.hpp"
-#include "faults/fault_config.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/faulty_power.hpp"
@@ -267,43 +266,6 @@ TEST(FaultyPower, GuardsNonFiniteReadings) {
   EXPECT_DOUBLE_EQ(faulty.read_power(0), 80.0);  // negative -> last good
 }
 
-// --- [faults] INI section ---
-
-TEST(FaultConfig, ParsesIniSection) {
-  const auto ini = IniFile::parse(
-      "[faults]\n"
-      "seed = 99\n"
-      "horizon = 2000\n"
-      "crash_rate = 1.5\n"
-      "budget_sag_rate = 0.25\n"
-      "sag_floor = 0.5\n");
-  const auto config = fault_plan_config_from_ini(ini);
-  EXPECT_EQ(config.seed, 99u);
-  EXPECT_DOUBLE_EQ(config.horizon, 2000.0);
-  EXPECT_DOUBLE_EQ(config.crash_rate, 1.5);
-  EXPECT_DOUBLE_EQ(config.budget_sag_rate, 0.25);
-  EXPECT_DOUBLE_EQ(config.sag_floor, 0.5);
-  EXPECT_DOUBLE_EQ(config.sensor_dropout_rate, 0.0);  // default kept
-  EXPECT_TRUE(any_fault_rate(config));
-}
-
-TEST(FaultConfig, RejectsOutOfRangeValues) {
-  EXPECT_THROW(fault_plan_config_from_ini(
-                   IniFile::parse("[faults]\nsag_floor = 1.5\n")),
-               std::invalid_argument);
-  EXPECT_THROW(fault_plan_config_from_ini(
-                   IniFile::parse("[faults]\ncrash_rate = -1\n")),
-               std::invalid_argument);
-}
-
-TEST(FaultConfig, ShippedConfigHasFaultsSection) {
-  const auto ini = IniFile::load(std::string(DPS_SOURCE_DIR) +
-                                 "/configs/dps.ini");
-  ASSERT_TRUE(ini.has_section("faults"));
-  const auto config = fault_plan_config_from_ini(ini);
-  EXPECT_FALSE(any_fault_rate(config));  // drills are opt-in
-}
-
 // --- Engine integration ---
 
 bool same_result(const EngineResult& a, const EngineResult& b) {
@@ -400,10 +362,10 @@ TEST(FaultedEngine, DpsReclaimsCrashedUnitsWattsWithinTenSteps) {
 
   // Inspect the caps decided kDeadline steps after the crash hit.
   const int step = static_cast<int>(kCrashAt) + kDeadline;
-  Watts dead_cap = result.trace->series(0)[step].cap;
+  Watts dead_cap = result.trace->unit(0).cap[step];
   Watts cap_sum = 0.0;
   for (int u = 0; u < kUnits; ++u) {
-    cap_sum += result.trace->series(u)[step].cap;
+    cap_sum += result.trace->unit(u).cap[step];
   }
   EXPECT_NEAR(dead_cap, 40.0, 1e-6);        // parked at the hardware minimum
   EXPECT_LE(cap_sum, kBudget + 1e-6);       // never over budget
@@ -474,13 +436,13 @@ TEST(FaultedEngine, BudgetSagIsShedAndRestored) {
   // During the sag the cap sum honours the sagged budget...
   Watts sagged_sum = 0.0;
   for (int u = 0; u < kUnits; ++u) {
-    sagged_sum += result.trace->series(u)[140].cap;
+    sagged_sum += result.trace->unit(u).cap[140];
   }
   EXPECT_LE(sagged_sum, 0.7 * config.total_budget + 1e-6);
   // ...and afterwards the full budget is put back to work.
   Watts restored_sum = 0.0;
   for (int u = 0; u < kUnits; ++u) {
-    restored_sum += result.trace->series(u)[250].cap;
+    restored_sum += result.trace->unit(u).cap[250];
   }
   EXPECT_GT(restored_sum, 0.7 * config.total_budget);
   EXPECT_LE(restored_sum, config.total_budget + 1e-6);

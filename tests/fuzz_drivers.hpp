@@ -31,14 +31,12 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/trace_analysis.hpp"
 #include "core/checkpoint.hpp"
 #include "core/config_io.hpp"
 #include "core/dps_manager.hpp"
 #include "ctrl/aggregator.hpp"
 #include "ctrl/ctrl_config.hpp"
 #include "ctrl/tree.hpp"
-#include "faults/fault_config.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "managers/slurm_stateless.hpp"
@@ -48,6 +46,7 @@
 #include "obs/obs_config.hpp"
 #include "sched/arrivals.hpp"
 #include "sched/sched_config.hpp"
+#include "sim/trace.hpp"
 #include "thermal/thermal_config.hpp"
 #include "util/config_table.hpp"
 #include "util/csv_reader.hpp"
@@ -439,7 +438,7 @@ bool drive_section(const Section<C>& section, Read read,
 }
 
 /// Number of sections drive_config_section covers.
-inline constexpr std::uint8_t kConfigSections = 8;
+inline constexpr std::uint8_t kConfigSections = 7;
 
 /// Every INI section the repo reads, through its public reader: the first
 /// byte picks the section (modulo kConfigSections), the rest feeds
@@ -460,14 +459,11 @@ inline bool drive_config_section(const std::uint8_t* data, std::size_t size) {
     case 2:
       return drive_section(ctrl_section(), ctrl_config_from_ini, data, size);
     case 3:
-      return drive_section(faults_section(), fault_plan_config_from_ini,
-                           data, size);
-    case 4:
       return drive_section(net_section(), net_config_from_ini, data, size);
-    case 5:
+    case 4:
       return drive_section(obs::obs_section(), obs::obs_config_from_ini, data,
                            size);
-    case 6:
+    case 5:
       return drive_section(sched::sched_section(),
                            sched::sched_config_from_ini, data, size);
     default:

@@ -129,7 +129,7 @@ TEST(Integration, DpsRestoresDuringJointIdle) {
   for (int s = 0; s < steps; ++s) {
     bool all_constant = true;
     for (int u = 0; u < 8; ++u) {
-      if (std::abs(result.trace->series(u)[s].cap - 110.0) > 0.01) {
+      if (std::abs(result.trace->unit(u).cap[s] - 110.0) > 0.01) {
         all_constant = false;
         break;
       }
@@ -166,14 +166,14 @@ TEST(Integration, TraceCapsMatchEnforcement) {
   const auto result = SimulationEngine(config).run(cluster, rapl, slurm);
   const PerfModel model;
   for (int u = 0; u < 8; ++u) {
-    const auto& series = result.trace->series(u);
+    const UnitTrace& series = result.trace->unit(u);
     // Each row's power was produced under the cap decided in the previous
     // row (the engine steps the hardware, then the manager rewrites caps).
-    for (std::size_t s = 1; s < series.size(); ++s) {
-      const Watts enforced = series[s - 1].cap;
+    for (std::size_t s = 1; s < series.time.size(); ++s) {
+      const Watts enforced = series.cap[s - 1];
       const Watts allowed =
-          std::max(enforced, model.floor_power(series[s].demand));
-      EXPECT_LE(series[s].true_power, allowed + 1e-6);
+          std::max(enforced, model.floor_power(series.demand[s]));
+      EXPECT_LE(series.true_power[s], allowed + 1e-6);
     }
   }
 }

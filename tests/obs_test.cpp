@@ -1023,14 +1023,11 @@ TEST(EnginePhases, TimingChangesNoOutput) {
       }
     }
     for (int u = 0; u < plain.trace->num_units(); ++u) {
-      const auto& a = run.trace->series(u);
-      const auto& b = plain.trace->series(u);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].measured_power, b[i].measured_power) << u << " " << i;
-        ASSERT_EQ(a[i].cap, b[i].cap) << u << " " << i;
-        ASSERT_EQ(a[i].priority, b[i].priority) << u << " " << i;
-      }
+      const UnitTrace& a = run.trace->unit(u);
+      const UnitTrace& b = plain.trace->unit(u);
+      ASSERT_EQ(a.measured_power, b.measured_power) << u;
+      ASSERT_EQ(a.cap, b.cap) << u;
+      ASSERT_EQ(a.priority, b.priority) << u;
     }
   }
 }

@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "analysis/trace_analysis.hpp"
 #include "core/dps_manager.hpp"
 #include "faults/fault_plan.hpp"
 #include "managers/constant.hpp"
@@ -378,7 +377,7 @@ TEST(Engine, TraceRecordingCapturesEverything) {
   const auto result = SimulationEngine(config).run(cluster, rapl, constant);
   ASSERT_NE(result.trace, nullptr);
   EXPECT_EQ(result.trace->num_units(), 2);
-  EXPECT_EQ(static_cast<int>(result.trace->series(0).size()), result.steps);
+  EXPECT_EQ(static_cast<int>(result.trace->unit(0).time.size()), result.steps);
 }
 
 TEST(Engine, MaxTimeStopsRunawayRuns) {
@@ -567,19 +566,31 @@ TEST(SimNode, ReadsLikeTheEngineOnASustainedWorkload) {
   expect_node_matches_engine(npb_workload("MG"));
 }
 
-// --- Trace recorder ---
+// --- Trace ---
 
 TEST(Trace, CsvRoundTripHasHeaderAndRows) {
-  TraceRecorder trace(1);
-  trace.record(0, TraceSample{1.0, 100.0, 101.0, 110.0, 120.0});
-  trace.record(0, TraceSample{2.0, 102.0, 99.0, 110.0, 121.0});
+  Trace trace(1);
+  trace.record(0, 1.0, 100.0, 101.0, 110.0, 120.0, -1);
+  trace.record(0, 2.0, 102.0, 99.0, 110.0, 121.0, -1);
   const std::string path = testing::TempDir() + "/trace_test.csv";
   trace.write_csv(path);
   std::ifstream in(path);
   std::string line;
-  int rows = 0;
+  std::getline(in, line);
+  EXPECT_EQ(line, "time,unit,true_power,measured_power,cap,demand,priority");
+  int rows = 1;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, 3);
+}
+
+/// Every column of unit `u` reloaded from the CSV holds what was recorded.
+void expect_same_columns(const UnitTrace& got, const UnitTrace& want, int u) {
+  EXPECT_EQ(got.time, want.time) << u;
+  EXPECT_EQ(got.true_power, want.true_power) << u;
+  EXPECT_EQ(got.measured_power, want.measured_power) << u;
+  EXPECT_EQ(got.cap, want.cap) << u;
+  EXPECT_EQ(got.demand, want.demand) << u;
+  EXPECT_EQ(got.priority, want.priority) << u;
 }
 
 TEST(Trace, CsvReloadsDpsTraceBitForBit) {
@@ -603,18 +614,10 @@ TEST(Trace, CsvReloadsDpsTraceBitForBit) {
   ASSERT_EQ(loaded.num_units(), cluster.total_units());
   int uneven_caps = 0;
   for (int u = 0; u < cluster.total_units(); ++u) {
-    const auto& recorded = result.trace->series(u);
-    const UnitTrace& got = loaded.unit(u);
-    ASSERT_EQ(got.time.size(), recorded.size());
-    for (std::size_t i = 0; i < recorded.size(); ++i) {
-      const TraceSample& want = recorded[i];
-      EXPECT_EQ(got.time[i], want.time) << u << " " << i;
-      EXPECT_EQ(got.true_power[i], want.true_power) << u << " " << i;
-      EXPECT_EQ(got.measured_power[i], want.measured_power) << u << " " << i;
-      EXPECT_EQ(got.cap[i], want.cap) << u << " " << i;
-      EXPECT_EQ(got.demand[i], want.demand) << u << " " << i;
-      EXPECT_EQ(got.priority[i], want.priority) << u << " " << i;
-      if (std::round(want.cap * 1e4) != want.cap * 1e4) ++uneven_caps;
+    const UnitTrace& want = result.trace->unit(u);
+    expect_same_columns(loaded.unit(u), want, u);
+    for (const double cap : want.cap) {
+      if (std::round(cap * 1e4) != cap * 1e4) ++uneven_caps;
     }
   }
   // Caps that four decimals cannot hold, or the reload proves little.
@@ -666,29 +669,21 @@ TEST(Trace, CsvReloadsFaultedThermalTraceBitForBit) {
   const Trace loaded = Trace::load_csv(path);
   ASSERT_EQ(loaded.num_units(), kUnits);
   for (int u = 0; u < kUnits; ++u) {
-    const auto& recorded = result.trace->series(u);
-    const UnitTrace& got = loaded.unit(u);
-    ASSERT_EQ(got.time.size(), recorded.size());
-    for (std::size_t i = 0; i < recorded.size(); ++i) {
-      EXPECT_EQ(got.time[i], recorded[i].time) << u << " " << i;
-      EXPECT_EQ(got.true_power[i], recorded[i].true_power) << u << " " << i;
-      EXPECT_EQ(got.measured_power[i], recorded[i].measured_power)
-          << u << " " << i;
-      EXPECT_EQ(got.cap[i], recorded[i].cap) << u << " " << i;
-      EXPECT_EQ(got.demand[i], recorded[i].demand) << u << " " << i;
-      EXPECT_EQ(got.priority[i], recorded[i].priority) << u << " " << i;
-    }
+    expect_same_columns(loaded.unit(u), result.trace->unit(u), u);
   }
 }
 
 TEST(Trace, ColumnExtractors) {
-  TraceRecorder trace(2);
-  trace.record(1, TraceSample{1.0, 50.0, 51.0, 110.0, 60.0});
-  trace.record(1, TraceSample{2.0, 55.0, 54.0, 110.0, 61.0});
-  EXPECT_EQ(trace.measured_of(1), (std::vector<double>{51.0, 54.0}));
-  EXPECT_EQ(trace.true_power_of(1), (std::vector<double>{50.0, 55.0}));
-  EXPECT_EQ(trace.cap_of(1), (std::vector<double>{110.0, 110.0}));
-  EXPECT_TRUE(trace.series(0).empty());
+  Trace trace(2);
+  trace.record(1, 1.0, 50.0, 51.0, 110.0, 60.0, 1);
+  trace.record(1, 2.0, 55.0, 54.0, 110.0, 61.0, 0);
+  const UnitTrace& series = trace.unit(1);
+  EXPECT_EQ(series.measured_power, (std::vector<double>{51.0, 54.0}));
+  EXPECT_EQ(series.true_power, (std::vector<double>{50.0, 55.0}));
+  EXPECT_EQ(series.cap, (std::vector<double>{110.0, 110.0}));
+  EXPECT_EQ(series.priority, (std::vector<int>{1, 0}));
+  EXPECT_TRUE(trace.unit(0).time.empty());
+  EXPECT_THROW(trace.record(2, 1.0, 0.0, 0.0, 0.0, 0.0, -1), std::out_of_range);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /// analyze — post-process a recorded telemetry trace (the counterpart of
 /// the paper artifact's analysis/plotting scripts, printing tables instead
-/// of figures). Input: the CSV format TraceRecorder and `exp --trace`
-/// emit.
+/// of figures). Input: the CSV that `exp --trace` writes (Trace in
+/// src/sim/trace.hpp).
 ///
 /// Usage:
 ///   analyze <trace.csv> [--split N]
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/trace_analysis.hpp"
+#include "sim/trace.hpp"
 #include "util/config_table.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"

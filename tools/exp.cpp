@@ -219,7 +219,7 @@ obs::ObsSink run_sink(const Setup& setup) {
 /// obs/phase.hpp, under the run's wall time, which bounds its total), then
 /// its trace and its exports.
 void finish_recording(const Setup& setup, const obs::ObsSink& sink,
-                      Millis wall, const TraceRecorder* trace) {
+                      Millis wall, const Trace* trace) {
   if (!setup.records()) return;
   std::printf("\nphases of the recorded run (%.1f ms wall):\n", wall.count());
   obs::phase_table(*sink.phases()).print();

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "obs/exporters.hpp"
+#include "util/csv.hpp"
 
 int main(int argc, char** argv) {
   if (argc != 3 || std::string(argv[1]) == "--help") {
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       dps::obs::write_chrome_trace(records, out);
+      dps::flush_or_throw(out, out_path);
       std::fprintf(stderr, "obs_dump: %zu events -> %s\n", records.size(),
                    out_path.c_str());
     }
